@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, InputError
 from .metrics import rouge_l
-from .schedule import FixedScheduler, PrecisionSchedule, StaticScheduler, SwitchGrid
-from .util import b64_to_f32, f32_to_b64, named_rng
+from .schedule import FixedScheduler, PrecisionSchedule, SwitchGrid, decode_candidates
+from .util import b64_to_f32, f32_to_b64, named_rng, read_text
 
 log = logging.getLogger(__name__)
 
@@ -207,16 +207,18 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
     """Build the training set: truncate each seed prompt at a random point,
     score one generation per grid switch point against the full-precision
     reference, and keep the prefill K/V of the designated block as features.
+    The candidates share one prefill and their common decode prefix
+    (:func:`pmpd.schedule.decode_candidates`); the features are that
+    prefill's rows.
 
     Returns the examples plus the number of prompts skipped for producing an
     empty reference. Bit-identical for a fixed seed.
     """
-    from .tinylm import FULL_PRECISION, SamplerConfig, generate, prefill
+    from .tinylm import FULL_PRECISION, generate
 
     if not seed_prompts:
         raise InputError("seed prompt set is empty")
     rng = named_rng(seed, "truncation")
-    sampler = SamplerConfig()
     eos = variants.config.vocab_size - 1 if eos_id is None else eos_id
     pf = p_high if p_prefill is None else p_prefill
     horizon = grid.horizon
@@ -225,6 +227,8 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
         raise ConfigError(
             f"grid horizon {horizon} leaves no room for prompts in a "
             f"max_context of {variants.config.max_context}")
+    candidates = [PrecisionSchedule.two_phase(p_high, p_low, point, horizon, pf)
+                  for point in grid.points]
 
     examples: list[LabeledExample] = []
     skipped = 0
@@ -234,23 +238,18 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
         prompt = toks[: max(1, min(cut, max_prompt))]
 
         ref = generate(variants, prompt, FixedScheduler(FULL_PRECISION),
-                       sampler, eos, horizon).output_tokens
+                       eos_id=eos, max_new=horizon).output_tokens
         if not ref or ref == [eos]:
             skipped += 1
             log.info("label generation skipped prompt %d: empty reference", n)
             continue
 
-        scores = []
-        for point in grid.points:
-            sched = PrecisionSchedule.two_phase(p_high, p_low, point, horizon, pf)
-            out = generate(variants, prompt, StaticScheduler(sched),
-                           sampler, eos, horizon).output_tokens
-            scores.append(rouge_l(out, ref).f1)
-
-        _, cache = prefill(variants, pf, prompt)
-        K, V = cache.layer_kv(feature_block)
-        examples.append(LabeledExample(K.astype(np.float32), V.astype(np.float32),
-                                       label_from_scores(scores), scores, len(prompt)))
+        traces, roots = decode_candidates(variants, prompt, candidates, horizon, eos)
+        scores = [rouge_l(trace.output_tokens, ref).f1 for trace in traces]
+        K, V = roots[pf].layer_kv(feature_block)
+        t = len(prompt)
+        examples.append(LabeledExample(K[:t].astype(np.float32), V[:t].astype(np.float32),
+                                       label_from_scores(scores), scores, t))
     return examples, skipped
 
 
@@ -270,21 +269,25 @@ def save_labels(path, examples: Sequence[LabeledExample], grid: SwitchGrid,
 
 
 def load_labels(path) -> tuple[list[LabeledExample], dict]:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise FormatError(f"label file {path} is empty")
-    header = json.loads(lines[0])
-    if header.get("tag") != LABELS_TAG:
-        raise FormatError(f"not a label artifact (tag {header.get('tag')!r})")
-    examples = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        t = obj["t"]
-        examples.append(LabeledExample(
-            b64_to_f32(obj["k"], (t, obj["d_k"])), b64_to_f32(obj["v"], (t, obj["d_v"])),
-            int(obj["label"]), list(obj.get("scores", [])), int(obj.get("prompt_len", 0))))
+    try:
+        header = json.loads(lines[0])
+        if header.get("tag") != LABELS_TAG:
+            raise FormatError(f"not a label artifact (tag {header.get('tag')!r})")
+        examples = []
+        for line in lines[1:]:
+            if not line.strip():
+                continue
+            obj = json.loads(line)
+            t = obj["t"]
+            examples.append(LabeledExample(
+                b64_to_f32(obj["k"], (t, obj["d_k"])), b64_to_f32(obj["v"], (t, obj["d_v"])),
+                int(obj["label"]), list(obj.get("scores", [])),
+                int(obj.get("prompt_len", 0))))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise FormatError(f"malformed label file {path}: {exc}") from exc
     return examples, header
 
 

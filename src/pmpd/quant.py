@@ -283,11 +283,16 @@ def parse_model(data: bytes) -> tuple[dict[str, QuantizedTensor], dict]:
     for key in ("p_max", "group_size", "tensors"):
         if key not in meta:
             raise FormatError(f"metadata is missing required key '{key}'")
-    p_max = int(meta["p_max"])
-    group_size = int(meta["group_size"])
+    p_max, group_size, entries = meta["p_max"], meta["group_size"], meta["tensors"]
+    if not isinstance(p_max, int) or not 1 <= p_max <= 8:
+        raise FormatError(f"metadata p_max must be an integer in [1, 8], got {p_max!r}")
+    if not isinstance(group_size, int) or group_size < 1:
+        raise FormatError(f"metadata group_size must be an integer >= 1, got {group_size!r}")
+    if not isinstance(entries, list):
+        raise FormatError(f"metadata 'tensors' must be a list, got {type(entries).__name__}")
 
     tensors: dict[str, QuantizedTensor] = {}
-    for entry in meta["tensors"]:
+    for entry in entries:
         try:
             name, rows, cols = entry["name"], int(entry["rows"]), int(entry["cols"])
         except (KeyError, TypeError, ValueError) as exc:

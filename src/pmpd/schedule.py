@@ -257,6 +257,128 @@ def avg_bitwidth(subject, tokens_generated: int | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
+# candidate scoring on a shared-prefix trie
+# ---------------------------------------------------------------------------
+
+def decode_candidates(variants, prompt: Sequence[int],
+                      schedules: Sequence[PrecisionSchedule], max_new: int,
+                      eos_id: int | None = None):
+    """Greedy generation of every schedule on one prompt, decoding each shared
+    precision prefix once.
+
+    Schedules are grouped by prefill precision and each group is prefilled
+    once. The group is then walked depth first as a trie over
+    ``precision_at(step)``: where its members split into k precisions for the
+    next step, the KV cache is forked k - 1 times. Every branch runs
+    ``tinylm.decode_step`` and ``tinylm.sample`` on the same single-row inputs,
+    in the same order, as ``tinylm.generate(variants, prompt,
+    StaticScheduler(s), SamplerConfig(), eos_id, max_new)``, so each returned
+    trace equals that call's bit for bit, ``logits_hashes`` included. EOS ends
+    a branch and all its descendants. Decoding is greedy only: a sampler's
+    RNG state would have to be forked along with the cache.
+
+    Returns the traces in ``schedules`` order, and the cache of each prefill
+    precision's root, whose rows ``[:len(prompt)]`` hold the prefill's K/V.
+    """
+    from . import tinylm
+
+    eos = variants.config.vocab_size - 1 if eos_id is None else eos_id
+    if max_new < 1:
+        raise InputError(f"max_new must be >= 1, got {max_new}")
+    for sched in schedules:
+        if max_new > sched.horizon:
+            raise InputError(f"max_new {max_new} exceeds the schedule horizon {sched.horizon}")
+        tinylm.check_schedule(variants, sched)
+
+    trie = _Trie(variants, schedules, max_new, eos)
+    groups: dict[int, list[int]] = {}
+    for i, sched in enumerate(schedules):
+        groups.setdefault(sched.p_prefill, []).append(i)
+    roots = {}
+    for pf, members in groups.items():
+        logits, roots[pf] = tinylm.prefill(variants, pf, prompt)
+        trie.walk(members, roots[pf], [tinylm.sample(logits, tinylm.SamplerConfig())],
+                  [tinylm.logits_hash(logits)])
+
+    traces = [tinylm.GenerationTrace(list(prompt), list(tokens),
+                                     [s.precision_at(j) for j in range(len(tokens))],
+                                     list(hashes), "eos" if tokens[-1] == eos else "length",
+                                     s.p_prefill, s)
+              for s, (tokens, hashes) in zip(schedules, trie.ends)]
+    return traces, roots
+
+
+class _Trie:
+    """Depth-first decoding below one prefill for :func:`decode_candidates`.
+    An object rather than a recursive closure: the closure would be a
+    reference cycle that keeps the model alive until a full collection."""
+
+    def __init__(self, variants, schedules, max_new, eos):
+        self.variants = variants
+        self.schedules = schedules
+        self.max_new = max_new
+        self.eos = eos
+        self.ends: list = [None] * len(schedules)
+
+    def advance(self, p, cache, tokens, hashes):
+        from . import tinylm
+
+        logits, cache = tinylm.decode_step(self.variants, p, tokens[-1], cache)
+        return (cache, tokens + [tinylm.sample(logits, tinylm.SamplerConfig())],
+                hashes + [tinylm.logits_hash(logits)])
+
+    def walk(self, members, cache, tokens, hashes):
+        """Decode the candidates ``members``, which share ``tokens``, to their
+        ends; ``cache`` holds the prompt and ``tokens[:-1]``."""
+        while tokens[-1] != self.eos and len(tokens) < self.max_new:
+            split: dict[int, list[int]] = {}
+            for i in members:
+                split.setdefault(self.schedules[i].precision_at(len(tokens) - 1),
+                                 []).append(i)
+            p, *lower = sorted(split, reverse=True)
+            # each recursion lowers the precision, so depth <= |precisions|
+            for q in lower:
+                self.walk(split[q], *self.advance(q, cache.fork(), tokens, hashes))
+            members = split[p]
+            cache, tokens, hashes = self.advance(p, cache, tokens, hashes)
+        for i in members:
+            self.ends[i] = (tokens, hashes)
+
+
+def _reference_outputs(variants, prompts, max_new, eos_id):
+    """Greedy full-precision generations used as the quality reference;
+    prompts whose reference is empty are dropped and counted."""
+    from .tinylm import FULL_PRECISION, generate
+
+    eos = variants.config.vocab_size - 1 if eos_id is None else eos_id
+    refs, kept = [], []
+    for prompt in prompts:
+        out = generate(variants, prompt, FixedScheduler(FULL_PRECISION),
+                       eos_id=eos, max_new=max_new).output_tokens
+        if out and out != [eos]:
+            refs.append(out)
+            kept.append(list(prompt))
+    if not kept:
+        raise InputError("every calibration/validation prompt produced an empty reference")
+    return kept, refs, eos
+
+
+def _schedule_qualities(variants, prompts, schedules, max_new, eos_id):
+    """Mean Rouge-L F1 of each schedule's greedy generations against the
+    full-precision references, over the prompts with a non-empty reference;
+    also the number of prompts skipped."""
+    from . import metrics
+
+    kept, refs, eos = _reference_outputs(variants, prompts, max_new, eos_id)
+    totals = [0.0] * len(schedules)
+    for prompt, ref in zip(kept, refs):
+        traces, _ = decode_candidates(variants, prompt, schedules, max_new, eos)
+        for j, trace in enumerate(traces):
+            totals[j] += metrics.rouge_l(trace.output_tokens, ref).f1
+    return [t / len(kept) for t in totals], len(prompts) - len(kept)
+
+
+# ---------------------------------------------------------------------------
 # phase-aware precision allocation
 # ---------------------------------------------------------------------------
 
@@ -291,24 +413,27 @@ def allocate_phase_precisions(variants, calib_prompts: Sequence[Sequence[int]],
                               ) -> CalibrationReport:
     """Pick the smallest (prefill, decode) precision pair meeting the floor.
 
-    Every pair with prefill >= decode is scored by mean quality over the
-    calibration prompts; the winner minimizes decode precision first, then
-    prefill precision. If nothing qualifies the highest pair is returned with
-    the fallback flag set. ``evaluator(p_prefill, p_decode) -> quality``
-    overrides the default generation-based scoring.
+    Every pair of ``precisions`` (the model's set by default) with prefill >=
+    decode is scored by mean quality over the calibration prompts; the winner
+    minimizes decode precision first, then prefill precision. If nothing
+    qualifies the highest pair is returned with the fallback flag set.
+    ``evaluator(p_prefill, p_decode) -> quality`` overrides the default
+    generation-based scoring.
     """
     ps = precisions if precisions is not None else getattr(variants, "precisions", None)
     if ps is None:
         raise ConfigError("no precision set supplied")
+    pairs = sorted((pf, pd) for pd in ps for pf in ps if pf >= pd)
     skipped = 0
-    if evaluator is None:
+    if evaluator is not None:
+        qualities = [float(evaluator(*pair)) for pair in pairs]
+    else:
         if not calib_prompts:
             raise InputError("calibration prompt set is empty")
-        evaluator, skipped = _generation_pair_evaluator(
-            variants, calib_prompts, max_new=max_new, eos_id=eos_id)
-
-    pairs = [(pf, pd) for pd in ps for pf in ps if pf >= pd]
-    table = {pair: float(evaluator(*pair)) for pair in sorted(pairs)}
+        candidates = [PrecisionSchedule.constant(pd, max_new, pf) for pf, pd in pairs]
+        qualities, skipped = _schedule_qualities(variants, calib_prompts, candidates,
+                                                 max_new, eos_id)
+    table = dict(zip(pairs, qualities))
 
     qualifying = [pair for pair in pairs if table[pair] >= target.floor]
     if qualifying:
@@ -321,61 +446,31 @@ def allocate_phase_precisions(variants, calib_prompts: Sequence[Sequence[int]],
                              fallback, skipped)
 
 
-def _reference_outputs(variants, prompts, max_new, eos_id):
-    """Greedy full-precision generations used as the quality reference;
-    prompts whose reference is empty are dropped and counted."""
-    from .tinylm import FULL_PRECISION, SamplerConfig, generate
-
-    sampler = SamplerConfig()
-    eos = variants.config.vocab_size - 1 if eos_id is None else eos_id
-    refs, kept, skipped = [], [], 0
-    for prompt in prompts:
-        trace = generate(variants, prompt, FixedScheduler(FULL_PRECISION),
-                         sampler, eos, max_new)
-        out = trace.output_tokens
-        if not out or out == [eos]:
-            skipped += 1
-            continue
-        refs.append(out)
-        kept.append(list(prompt))
-    if not kept:
-        raise InputError("every calibration/validation prompt produced an empty reference")
-    return kept, refs, eos, sampler
-
-
-def _generation_pair_evaluator(variants, prompts, *, max_new, eos_id):
-    from .metrics import rouge_l
-    from .tinylm import SamplerConfig, generate
-
-    kept, refs, eos, sampler = _reference_outputs(variants, prompts, max_new, eos_id)
-
-    def evaluate(p_prefill: int, p_decode: int) -> float:
-        total = 0.0
-        for prompt, ref in zip(kept, refs):
-            sched = FixedScheduler(p_decode, horizon=max_new, p_prefill=p_prefill)
-            trace = generate(variants, prompt, sched, sampler, eos, max_new)
-            total += rouge_l(trace.output_tokens, ref).f1
-        return total / len(kept)
-
-    return evaluate, len(prompts) - len(kept)
-
-
 # ---------------------------------------------------------------------------
 # static schedule search
 # ---------------------------------------------------------------------------
 
-def _select_best(precisions: PrecisionSet, p_prefill: int, horizon: int,
-                 candidates: Iterable[dict[int, int]],
-                 quality_fn: Callable[[PrecisionSchedule], float],
-                 target: QualityTarget,
-                 details_out: list | None = None) -> PrecisionSchedule:
-    """Shared selection core: among feasible candidates minimize the
-    bit-token sum, tie-broken by earlier switches for higher precisions."""
+def _select_best(variants, valset, eos_id,
+                 quality_fn: Callable[[PrecisionSchedule], float] | None,
+                 precisions: PrecisionSet, p_prefill: int, horizon: int,
+                 candidates: Iterable[dict[int, int]], target: QualityTarget,
+                 details_out: list | None) -> PrecisionSchedule:
+    """Shared selection core: score every candidate (by ``quality_fn`` when
+    given, else by generation over ``valset``), then among the feasible ones
+    minimize the bit-token sum, tie-broken by earlier switches for higher
+    precisions."""
+    scheds = [PrecisionSchedule(precisions, p_prefill, st, horizon) for st in candidates]
+    if quality_fn is not None:
+        qualities = [float(quality_fn(s)) for s in scheds]
+    else:
+        if not valset:
+            raise InputError("validation prompt set is empty")
+        qualities, _ = _schedule_qualities(variants, valset, scheds, horizon, eos_id)
+
     desc = precisions.precisions
     best_key, best = None, None
-    for st in candidates:
-        sched = PrecisionSchedule(precisions, p_prefill, st, horizon)
-        quality = float(quality_fn(sched))
+    for sched, quality in zip(scheds, qualities):
+        st = sched.switch_points
         feasible = quality >= target.floor
         bits = sched.bit_token_sum()
         if details_out is not None:
@@ -407,13 +502,9 @@ def solve_static(variants, valset: Sequence[Sequence[int]], target: QualityTarge
     return the all-high schedule flagged infeasible. ``quality_fn`` replaces
     the generation-based scoring when supplied (synthetic experiments/tests).
     """
-    if quality_fn is None:
-        if not valset:
-            raise InputError("validation prompt set is empty")
-        quality_fn = _generation_quality_fn(variants, valset, grid.horizon, eos_id)
     candidates = enumerate_switch_maps(precisions.precisions, grid.points)
-    return _select_best(precisions, p_prefill, grid.horizon, candidates,
-                        quality_fn, target, details_out)
+    return _select_best(variants, valset, eos_id, quality_fn, precisions, p_prefill,
+                        grid.horizon, candidates, target, details_out)
 
 
 def brute_force_best(variants, valset: Sequence[Sequence[int]], target: QualityTarget,
@@ -431,27 +522,6 @@ def brute_force_best(variants, valset: Sequence[Sequence[int]], target: QualityT
             f"brute force refused: horizon {horizon} > 16 or "
             f"{len(precisions)} precisions > 3"
         )
-    if quality_fn is None:
-        if not valset:
-            raise InputError("validation prompt set is empty")
-        quality_fn = _generation_quality_fn(variants, valset, horizon, eos_id)
     candidates = enumerate_switch_maps(precisions.precisions, range(horizon + 1))
-    return _select_best(precisions, p_prefill, horizon, candidates,
-                        quality_fn, target, details_out)
-
-
-def _generation_quality_fn(variants, valset, horizon, eos_id):
-    from .metrics import rouge_l
-    from .tinylm import generate
-
-    kept, refs, eos, sampler = _reference_outputs(variants, valset, horizon, eos_id)
-
-    def quality(schedule: PrecisionSchedule) -> float:
-        total = 0.0
-        for prompt, ref in zip(kept, refs):
-            trace = generate(variants, prompt, StaticScheduler(schedule),
-                             sampler, eos, horizon)
-            total += rouge_l(trace.output_tokens, ref).f1
-        return total / len(kept)
-
-    return quality
+    return _select_best(variants, valset, eos_id, quality_fn, precisions, p_prefill,
+                        horizon, candidates, target, details_out)

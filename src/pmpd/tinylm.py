@@ -285,6 +285,17 @@ class KVCache:
         """(K, V) of shape [T, width] for one layer; -1 addresses the last block."""
         return self.k[layer, : self.T], self.v[layer, : self.T]
 
+    def fork(self) -> "KVCache":
+        """Independent cache with the same live rows. Only rows ``[:T]`` are
+        copied into a fresh zero allocation: copying the whole capacity
+        would touch memory no decode step of the fork reads."""
+        n_layers, capacity, width = self.k.shape
+        twin = KVCache(n_layers, width, capacity)
+        twin.k[:, : self.T] = self.k[:, : self.T]
+        twin.v[:, : self.T] = self.v[:, : self.T]
+        twin.T = self.T
+        return twin
+
 
 # ---------------------------------------------------------------------------
 # forward pass
@@ -436,8 +447,22 @@ def sample(logits: np.ndarray, cfg: SamplerConfig,
     raise ConfigError(f"unknown sampler mode {cfg.mode!r}")
 
 
-def _logits_hash(logits: np.ndarray) -> str:
+def logits_hash(logits: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(logits, dtype="<f8").tobytes()).hexdigest()[:16]
+
+
+def check_schedule(model: ModelVariants, sched: PrecisionSchedule) -> None:
+    """Raise :class:`ContractViolation` unless ``sched`` validates and uses
+    only precisions the model can serve."""
+    violations = sched.validate()
+    if violations:
+        raise ContractViolation("scheduler produced an invalid schedule: "
+                                + "; ".join(violations))
+    allowed = model.allowed_precisions()
+    for p in sched.precisions:
+        if p not in allowed:
+            raise ContractViolation(
+                f"schedule uses precision {p} outside the model's set {sorted(allowed)}")
 
 
 @dataclass
@@ -493,15 +518,7 @@ def generate(model: ModelVariants, prompt: Sequence[int], scheduler,
     rng = named_rng(cfg.seed, "sampler")
     logits, cache = prefill(model, scheduler.p_prefill, prompt)
     sched = scheduler.resolve(cache)
-    violations = sched.validate()
-    if violations:
-        raise ContractViolation("scheduler produced an invalid schedule: "
-                                + "; ".join(violations))
-    allowed = model.allowed_precisions()
-    for p in sched.precisions:
-        if p not in allowed:
-            raise ContractViolation(
-                f"schedule uses precision {p} outside the model's set {sorted(allowed)}")
+    check_schedule(model, sched)
 
     tokens: list[int] = []
     precisions: list[int] = []
@@ -510,7 +527,7 @@ def generate(model: ModelVariants, prompt: Sequence[int], scheduler,
     def push(tok: int, lg: np.ndarray) -> None:
         tokens.append(tok)
         precisions.append(sched.precision_at(len(tokens) - 1))
-        hashes.append(_logits_hash(lg))
+        hashes.append(logits_hash(lg))
 
     push(sample(logits, cfg, rng), logits)
     while tokens[-1] != eos and len(tokens) < max_new:

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import FormatError, InputError
+
 
 def named_rng(seed: int, label: str) -> np.random.Generator:
     """Deterministic generator for one named randomness stream.
@@ -28,8 +30,22 @@ def write_json(path, obj) -> None:
     Path(path).write_text(canonical_json(obj) + "\n", encoding="utf-8")
 
 
+def read_text(path) -> str:
+    """UTF-8 text of a file; :class:`InputError` if it cannot be read,
+    :class:`FormatError` if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def config_hash(mapping: dict) -> str:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from pmpd import cli
+from pmpd.errors import FormatError, InputError
 from pmpd.util import read_json
 
 TINY = ["--layers", "2", "--heads", "2", "--d-model", "64", "--d-ff", "128",
@@ -110,6 +111,25 @@ def test_perf_with_gpu_kernels_and_csv(tmp_path, monkeypatch):
     assert report["gpu"]["weighted_latency_us"] == pytest.approx(7.44)
     assert report["report"]["speedup_vs_fp16"] > 1.0
     assert Path("sweep.csv").read_text().startswith("scheme,")
+
+
+def test_read_json_errors_are_typed(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("[1, 2")
+    with pytest.raises(FormatError):
+        read_json(bad)
+    with pytest.raises(InputError):
+        read_json(tmp_path / "missing.json")
+
+
+def test_perf_with_malformed_schedule_json_is_input_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("sched.json").write_text('{"precisions": [3, 2], "prefill": ')
+    code = run(["perf", "--preset", "vicuna-7b", "--hw-preset", "npu-16k",
+                "--schedule", "sched.json", "--prompt-len", "8", "--gen-len", "8",
+                "--out", "perf.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("perf.json").exists()
 
 
 def test_perf_requires_exactly_one_footprint_source(tmp_path, monkeypatch):

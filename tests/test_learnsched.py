@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from pmpd import learnsched, tinylm
-from pmpd.errors import ConfigError, InputError
+from pmpd.errors import ConfigError, FormatError, InputError
 from pmpd.learnsched import (LabeledExample, LearnedScheduler, SchedulerNet,
                              TrainConfig, example_loss_and_grads,
                              generate_labels, label_from_scores, load_labels,
                              pool_kv, predict_schedule, save_labels, train)
-from pmpd.schedule import SwitchGrid
+from pmpd.metrics import rouge_l
+from pmpd.schedule import FixedScheduler, PrecisionSchedule, StaticScheduler, SwitchGrid
 
 GRID = SwitchGrid(5, 16)
 
@@ -245,6 +246,40 @@ def test_labels_file_round_trip(tmp_path):
     assert loaded[0].label == 1 and loaded[0].scores == [0.1, 0.2, 0.9]
     assert np.array_equal(loaded[0].k, examples[0].k)
     assert np.array_equal(loaded[0].v, examples[0].v)
+
+
+@pytest.mark.parametrize("body", [
+    "{not json\n",
+    '{"tag": "pmpd-labels-v1"}\n{"label": 0}\n',
+    '{"tag": "pmpd-labels-v1"}\n{"label": 0, "t": 1, "d_k": 1, "d_v": 1, "k": "!", "v": ""}\n',
+])
+def test_malformed_labels_file_is_format_error(tmp_path, body):
+    path = tmp_path / "labels.jsonl"
+    path.write_text(body)
+    with pytest.raises(FormatError):
+        load_labels(path)
+
+
+def test_generate_labels_scores_and_features_match_independent_runs(small_model,
+                                                                    corpus_prompts):
+    grid = SwitchGrid(3, 8)
+    prompts = [p[:20] for p in corpus_prompts[:2]]
+    examples, skipped = generate_labels(small_model, prompts, grid, 3, 2, p_prefill=4,
+                                        seed=5, feature_block=0)
+    assert skipped == 0
+    for ex, toks in zip(examples, prompts):
+        prompt = toks[: ex.prompt_len]
+        ref = tinylm.generate(small_model, prompt, FixedScheduler(tinylm.FULL_PRECISION),
+                              max_new=8).output_tokens
+        scores = [rouge_l(tinylm.generate(
+            small_model, prompt,
+            StaticScheduler(PrecisionSchedule.two_phase(3, 2, point, 8, 4)),
+            max_new=8).output_tokens, ref).f1 for point in grid.points]
+        assert ex.scores == scores
+        _, cache = tinylm.prefill(small_model, 4, prompt)
+        k, v = cache.layer_kv(0)
+        assert ex.k.tobytes() == k.astype(np.float32).tobytes()
+        assert ex.v.tobytes() == v.astype(np.float32).tobytes()
 
 
 def test_net_json_round_trip():

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -216,3 +219,23 @@ def test_serialize_requires_consistent_pmax():
                "b": quant.quantize_tensor(rng.normal(size=(2, 4)), 4, 4)}
     with pytest.raises(InputError, match="p_max"):
         quant.serialize_model(tensors, {})
+
+
+def _with_meta(blob: bytes, **changes) -> bytes:
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    meta = json.loads(blob[12 : 12 + meta_len])
+    meta.update(changes)
+    new = json.dumps(meta).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + meta_len :]
+
+
+def test_parse_rejects_non_positive_group_size():
+    blob = quant.serialize_model(_two_tensors(), {})
+    with pytest.raises(FormatError, match="group_size"):
+        quant.parse_model(_with_meta(blob, group_size=0))
+
+
+def test_parse_rejects_non_list_tensors():
+    blob = quant.serialize_model(_two_tensors(), {})
+    with pytest.raises(FormatError, match="tensors"):
+        quant.parse_model(_with_meta(blob, tensors=5))

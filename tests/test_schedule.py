@@ -1,11 +1,18 @@
+import gc
+
 import numpy as np
 import pytest
 
-from pmpd.errors import ConfigError, InputError
+from pmpd import tinylm
+from pmpd.errors import ConfigError, ContractViolation, InputError
+from pmpd.learnsched import generate_labels
+from pmpd.metrics import rouge_l
 from pmpd.quant import PrecisionSet
-from pmpd.schedule import (PrecisionSchedule, QualityTarget, SwitchGrid,
-                           allocate_phase_precisions, avg_bitwidth, brute_force_best,
-                           count_schedules, enumerate_switch_maps, solve_static)
+from pmpd.schedule import (FixedScheduler, PrecisionSchedule, QualityTarget,
+                           StaticScheduler, SwitchGrid, allocate_phase_precisions,
+                           avg_bitwidth, brute_force_best, count_schedules,
+                           decode_candidates, enumerate_switch_maps, solve_static)
+from pmpd.tinylm import FULL_PRECISION, SamplerConfig
 
 
 def two_phase(high, low, switch, horizon, prefill=None):
@@ -328,3 +335,145 @@ def test_full_precision_schedule_survives_json_round_trip():
     back = PrecisionSchedule.from_json(s.to_json())
     assert back.precision_at(0) == 16
     assert back.validate() == []
+
+
+# ---------------------------------------------------------------------------
+# shared-prefix candidate decoding
+# ---------------------------------------------------------------------------
+
+def independent_traces(model, prompt, schedules, max_new, eos_id=None):
+    return [tinylm.generate(model, prompt, StaticScheduler(s), SamplerConfig(), eos_id, max_new)
+            for s in schedules]
+
+
+def assert_matches_generate(model, prompt, schedules, max_new, eos_id=None):
+    traces, _ = decode_candidates(model, prompt, schedules, max_new, eos_id)
+    expected = independent_traces(model, prompt, schedules, max_new, eos_id)
+    assert len(traces) == len(expected)
+    for got, want in zip(traces, expected):
+        assert got.to_json() == want.to_json()
+    return traces
+
+
+def c12_candidates(horizon=24):
+    ps = PrecisionSet((4, 2))
+    return [PrecisionSchedule(ps, 4, st, horizon)
+            for st in enumerate_switch_maps(ps.precisions, SwitchGrid(5, horizon).points)]
+
+
+def test_trie_matches_generate_in_the_criterion_12_configuration(toy_model, corpus_prompts):
+    for prompt in corpus_prompts[:2]:
+        traces = assert_matches_generate(toy_model, prompt, c12_candidates(), 24)
+        assert len({tuple(t.output_tokens) for t in traces}) > 1
+
+
+def test_trie_matches_generate_in_the_brute_force_configuration(small_model, corpus_prompts):
+    ps = PrecisionSet((4, 3, 2))
+    horizon = 8
+    maps = list(enumerate_switch_maps(ps.precisions, range(horizon + 1)))
+    # two prefill groups: 4 for every map, 3 for every other one
+    schedules = ([PrecisionSchedule(ps, 4, st, horizon) for st in maps]
+                 + [PrecisionSchedule(ps, 3, st, horizon) for st in maps[::2]])
+    for prompt in corpus_prompts[:2]:
+        assert_matches_generate(small_model, prompt, schedules, horizon)
+
+
+def test_trie_matches_generate_when_branches_hit_eos(toy_model, corpus_prompts):
+    prompt, horizon = corpus_prompts[0], 24
+    schedules = c12_candidates(horizon)
+    # make EOS a token the all-high spine emits mid-way, so it ends a shared
+    # prefix (and every descendant) while branches that left earlier go on
+    spine = independent_traces(toy_model, prompt, schedules[-1:], horizon)[0].output_tokens
+    eos = next(t for j, t in enumerate(spine) if j >= 8 and t not in spine[:j])
+    traces = assert_matches_generate(toy_model, prompt, schedules, horizon, eos)
+    assert any(t.termination == "eos" and len(t.output_tokens) < horizon for t in traces)
+    assert any(t.output_tokens != traces[-1].output_tokens for t in traces)
+
+
+def test_trie_keeps_the_checks_of_generate(small_model):
+    prompt = [1, 2, 3]
+    with pytest.raises(InputError):
+        decode_candidates(small_model, prompt, [two_phase(4, 2, 2, 8)], 9)
+    with pytest.raises(InputError):
+        decode_candidates(small_model, prompt, [two_phase(4, 2, 2, 8)], 0)
+    bad = PrecisionSchedule(PrecisionSet((4, 2)), 4, {4: 3, 2: 1}, 8)
+    with pytest.raises(ContractViolation):
+        decode_candidates(small_model, prompt, [two_phase(4, 2, 2, 8), bad], 8)
+    with pytest.raises(ContractViolation):
+        decode_candidates(small_model, prompt, [two_phase(5, 2, 2, 8)], 8)
+
+
+def test_trie_leaves_no_reference_cycles(small_model):
+    # a cycle would keep the model and its dequantized weights alive until a
+    # full collection, growing peak memory across model reloads
+    gc.collect()
+    gc.disable()
+    try:
+        decode_candidates(small_model, [1, 2, 3], [two_phase(4, 2, k, 8) for k in (0, 4, 8)], 8)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def count_calls(monkeypatch, name):
+    """Wrap ``tinylm.<name>`` and return the list of precisions it was called at."""
+    calls = []
+    fn = getattr(tinylm, name)
+
+    def counted(model, p, *args, **kwargs):
+        calls.append(p)
+        return fn(model, p, *args, **kwargs)
+
+    monkeypatch.setattr(tinylm, name, counted)
+    return calls
+
+
+def test_trie_traffic_in_the_criterion_12_configuration(toy_model, corpus_prompts,
+                                                        monkeypatch):
+    prefills = count_calls(monkeypatch, "prefill")
+    steps = count_calls(monkeypatch, "decode_step")
+    full = 0
+    for prompt in corpus_prompts[:3]:
+        del prefills[:], steps[:]
+        traces, _ = decode_candidates(toy_model, prompt, c12_candidates(), 24)
+        assert prefills == [4]
+        if all(t.termination == "length" for t in traces):
+            full += 1
+            # 23 steps on the all-high spine plus 23 - s for the branch
+            # leaving it at switch point s: 23 + 17 + 11 + 5 + 0, not 5 * 23
+            assert len(steps) == 79
+    assert full > 0
+
+    del prefills[:], steps[:]
+    prompts = corpus_prompts[:3]
+    solve_static(toy_model, prompts, QualityTarget(0.3, 0.1), SwitchGrid(5, 24),
+                 precisions=PrecisionSet((4, 2)), p_prefill=4)
+    assert [p for p in prefills if p != FULL_PRECISION] == [4] * len(prompts)
+
+
+def test_generate_labels_prefills_once_per_prompt(toy_model, corpus_prompts, monkeypatch):
+    prefills = count_calls(monkeypatch, "prefill")
+    examples, skipped = generate_labels(toy_model, corpus_prompts[:3], SwitchGrid(5, 24),
+                                        4, 2, seed=3)
+    assert examples
+    # one shared prefill per labeled prompt serves all five candidates and
+    # the features; the others are the full-precision references
+    assert [p for p in prefills if p != FULL_PRECISION] == [4] * len(examples)
+    assert prefills.count(FULL_PRECISION) == len(examples) + skipped
+
+
+def test_allocation_scores_exactly_the_given_pairs(small_model, corpus_prompts):
+    prompts, max_new = corpus_prompts[:3], 8
+    report = allocate_phase_precisions(small_model, prompts, QualityTarget(0.5, 0.1),
+                                       precisions=PrecisionSet((3, 2)), max_new=max_new)
+    assert sorted(report.table) == [(2, 2), (3, 2), (3, 3)]
+    refs = [t.output_tokens for t in
+            (tinylm.generate(small_model, p, FixedScheduler(FULL_PRECISION), max_new=max_new)
+             for p in prompts)]
+    for (pf, pd), quality in report.table.items():
+        total = 0.0
+        for prompt, ref in zip(prompts, refs):
+            out = tinylm.generate(small_model, prompt, FixedScheduler(pd, max_new, pf),
+                                  max_new=max_new).output_tokens
+            total += rouge_l(out, ref).f1
+        assert quality == total / len(prompts)

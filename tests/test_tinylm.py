@@ -89,6 +89,29 @@ def test_decode_step_advances_cache_by_one(small_model):
     assert cache.T == before + 1
 
 
+def test_fork_decodes_to_the_same_logits_bytes(small_model):
+    _, cache = prefill(small_model, 4, PROMPT)
+    decode_step(small_model, 3, 65, cache)
+    twin = cache.fork()
+    assert twin.T == cache.T and twin.capacity == cache.capacity
+    a, _ = decode_step(small_model, 2, 66, cache)
+    b, _ = decode_step(small_model, 2, 66, twin)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_fork_is_independent_of_its_source(small_model):
+    _, cache = prefill(small_model, 4, PROMPT)
+    twin = cache.fork()
+    k0, v0 = cache.k.copy(), cache.v.copy()
+    decode_step(small_model, 2, 66, twin)
+    assert cache.T == len(PROMPT) and twin.T == len(PROMPT) + 1
+    assert np.array_equal(cache.k, k0) and np.array_equal(cache.v, v0)
+    tk, tv = twin.k.copy(), twin.v.copy()
+    decode_step(small_model, 3, 67, cache)
+    cache.k[:, 0] = 1.0
+    assert np.array_equal(twin.k, tk) and np.array_equal(twin.v, tv)
+
+
 def test_different_precisions_give_different_logits(small_model):
     _, c2 = prefill(small_model, 4, PROMPT)
     _, c3 = prefill(small_model, 4, PROMPT)
