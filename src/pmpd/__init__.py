@@ -14,7 +14,7 @@ from .schedule import (CalibrationReport, FixedScheduler, PrecisionSchedule,
                        QualityTarget, StaticScheduler, SwitchGrid,
                        allocate_phase_precisions, avg_bitwidth, brute_force_best,
                        count_schedules, decode_candidates, enumerate_switch_maps,
-                       solve_static, validate)
+                       solve_static)
 from .tinylm import (BYTE_EOS_ID, FULL_PRECISION, ByteTokenizer, GenerationTrace,
                      KVCache, ModelConfig, ModelVariants, SamplerConfig,
                      VocabTokenizer, decode_step, forward_full, generate, prefill,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import learnsched, metrics, perf, quant, schedule, tinylm
 from .errors import ContractViolation, InputError, PmpdError
-from .util import config_hash, read_json, write_json
+from .util import config_hash, read_json, read_text, write_json
 
 EXIT_INPUT_ERROR = 2
 EXIT_CONTRACT_VIOLATION = 3
@@ -31,9 +31,7 @@ def load_prompt_lines(path: str | None) -> list[str]:
     """Non-empty lines of a UTF-8 prompt file, one prompt per line; the
     bundled corpus when no path is given."""
     p = bundled_corpus_path() if path is None else Path(path)
-    if not p.exists():
-        raise InputError(f"prompt file not found: {p}")
-    lines = [ln.strip() for ln in p.read_text(encoding="utf-8").splitlines()]
+    lines = [ln.strip() for ln in read_text(p).splitlines()]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise InputError(f"prompt file {p} has no non-empty lines")
@@ -51,13 +49,6 @@ def _precisions(text: str) -> quant.PrecisionSet:
         return quant.PrecisionSet(tuple(int(x) for x in text.split(",")))
     except ValueError as exc:
         raise InputError(f"bad precision list {text!r}: {exc}") from exc
-
-
-def _load_model(args) -> tinylm.ModelVariants:
-    path = Path(args.model)
-    if not path.exists():
-        raise InputError(f"model file not found: {path}")
-    return tinylm.ModelVariants.load(path)
 
 
 def _encode_prompts(tok, lines: list[str], limit: int | None) -> list[list[int]]:
@@ -98,8 +89,7 @@ def cmd_quantize(args) -> int:
     for name, qt in model.tensors.items():
         w = model.full_weights[name].astype(np.float64)
         err = np.abs(w - quant.dequantize(qt, qt.p_max))
-        bound = quant._spread(quant.max_reconstruction_error_bound(qt, qt.p_max),
-                              qt.cols, qt.group_size)
+        bound = quant.max_reconstruction_error_bound(qt, qt.p_max)
         worst = float(err.max())
         margin = float((bound - err).min())
         print(f"{name:<22} {qt.rows}x{qt.cols:<9} {worst:>12.3e} "
@@ -109,7 +99,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_calibrate_phase(args) -> int:
-    model = _load_model(args)
+    model = tinylm.ModelVariants.load(args.model)
     tok = _tokenizer(args)
     prompts = _encode_prompts(tok, load_prompt_lines(args.calib), args.limit)
     target = schedule.QualityTarget(args.q_ref, args.tolerance)
@@ -122,7 +112,7 @@ def cmd_calibrate_phase(args) -> int:
 
 
 def cmd_solve_static(args) -> int:
-    model = _load_model(args)
+    model = tinylm.ModelVariants.load(args.model)
     tok = _tokenizer(args)
     prompts = _encode_prompts(tok, load_prompt_lines(args.valset), args.limit)
     target = schedule.QualityTarget(args.q_ref, args.tolerance)
@@ -140,7 +130,7 @@ def cmd_solve_static(args) -> int:
 
 
 def cmd_gen_labels(args) -> int:
-    model = _load_model(args)
+    model = tinylm.ModelVariants.load(args.model)
     tok = _tokenizer(args)
     prompts = _encode_prompts(tok, load_prompt_lines(args.seeds), args.limit)
     grid = schedule.SwitchGrid(args.grid_n, args.ol)
@@ -187,7 +177,7 @@ def _scheduler_from_args(args, model):
 
 
 def cmd_generate(args) -> int:
-    model = _load_model(args)
+    model = tinylm.ModelVariants.load(args.model)
     tok = _tokenizer(args)
     if args.prompt is not None:
         lines = [args.prompt]
@@ -216,8 +206,8 @@ def _footprint_from_args(args) -> perf.ModelFootprint:
     if len(sources) != 1:
         raise InputError("pick exactly one of --model/--footprint/--preset")
     if args.model is not None:
-        return perf.ModelFootprint.from_model_config(_load_model(args).config,
-                                                     group_size=args.group_size)
+        model = tinylm.ModelVariants.load(args.model)
+        return perf.ModelFootprint.from_model_config(model.config, group_size=args.group_size)
     if args.footprint is not None:
         return perf.ModelFootprint.from_json(read_json(args.footprint))
     if args.preset not in perf.FOOTPRINT_PRESETS:

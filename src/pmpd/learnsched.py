@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError, InputError
 from .metrics import rouge_l
-from .schedule import FixedScheduler, PrecisionSchedule, SwitchGrid, decode_candidates
+from .schedule import PrecisionSchedule, SwitchGrid, decode_candidates, reference_output
 from .util import b64_to_f32, f32_to_b64, named_rng, read_text
 
 log = logging.getLogger(__name__)
@@ -214,8 +214,6 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
     Returns the examples plus the number of prompts skipped for producing an
     empty reference. Bit-identical for a fixed seed.
     """
-    from .tinylm import FULL_PRECISION, generate
-
     if not seed_prompts:
         raise InputError("seed prompt set is empty")
     rng = named_rng(seed, "truncation")
@@ -237,9 +235,8 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
         cut = int(rng.integers(1, len(toks) + 1))  # drawn before any skip
         prompt = toks[: max(1, min(cut, max_prompt))]
 
-        ref = generate(variants, prompt, FixedScheduler(FULL_PRECISION),
-                       eos_id=eos, max_new=horizon).output_tokens
-        if not ref or ref == [eos]:
+        ref = reference_output(variants, prompt, horizon, eos)
+        if ref is None:
             skipped += 1
             log.info("label generation skipped prompt %d: empty reference", n)
             continue

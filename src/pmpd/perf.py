@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, InputError
+from .quant import FULL_PRECISION
 from .schedule import PrecisionSchedule
 
-FP16 = 16
+FP16 = FULL_PRECISION
 SCALE_BYTES_PER_GROUP = 8  # f32 min + f32 step
 
 

@@ -32,11 +32,13 @@ from .errors import ConfigError, FormatError, InputError
 
 MAGIC = b"PMPD"
 FORMAT_VERSION = 1
+FULL_PRECISION = 16  # the unquantized reference weights, not a bit-plane prefix
 
 
 @dataclass(frozen=True)
 class PrecisionSet:
-    """Ordered set of supported weight bitwidths, highest first."""
+    """Ordered set of weight bitwidths, highest first: quantized widths 1..8
+    and :data:`FULL_PRECISION`."""
 
     precisions: tuple[int, ...]
 
@@ -45,8 +47,8 @@ class PrecisionSet:
         object.__setattr__(self, "precisions", ps)
         if not ps:
             raise ConfigError("precision set must be non-empty")
-        if any(p < 1 or p > 8 for p in ps):
-            raise ConfigError(f"precisions must lie in [1, 8], got {ps}")
+        if any(not 1 <= p <= 8 and p != FULL_PRECISION for p in ps):
+            raise ConfigError(f"precisions must lie in [1, 8] or be {FULL_PRECISION}, got {ps}")
         if any(a <= b for a, b in zip(ps, ps[1:])):
             raise ConfigError(f"precisions must be strictly descending, got {ps}")
 
@@ -131,10 +133,6 @@ class QuantizedTensor:
         self.deltas.flags.writeable = False
 
     @property
-    def n_groups(self) -> int:
-        return self.rows * _groups_per_row(self.cols, self.group_size)
-
-    @property
     def codes(self) -> np.ndarray:
         return self.store.prefix_codes(self.p_max)
 
@@ -216,7 +214,7 @@ def dequantize(qt: QuantizedTensor, p: int) -> np.ndarray:
 
 
 def max_reconstruction_error_bound(qt: QuantizedTensor, p: int) -> np.ndarray:
-    """Per-group worst-case |w - dequantize(p)|.
+    """Worst-case |w - dequantize(p)| of every weight, shape (rows, cols).
 
     The arithmetic bound is step/2 at full precision plus the bucket
     truncation radius step * 2**(p_max-p) / 2 below it. Scales are stored as
@@ -226,8 +224,10 @@ def max_reconstruction_error_bound(qt: QuantizedTensor, p: int) -> np.ndarray:
     deltas = qt.deltas.astype(np.float64)
     storage = np.abs(qt.mins.astype(np.float64)) * 2.0 ** -23
     if p == qt.p_max:
-        return deltas / 2.0 + storage
-    return deltas * float(1 << (qt.p_max - p)) / 2.0 + deltas / 2.0 + storage
+        per_group = deltas / 2.0 + storage
+    else:
+        per_group = deltas * float(1 << (qt.p_max - p)) / 2.0 + deltas / 2.0 + storage
+    return _spread(per_group, qt.cols, qt.group_size)
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +297,8 @@ def parse_model(data: bytes) -> tuple[dict[str, QuantizedTensor], dict]:
             name, rows, cols = entry["name"], int(entry["rows"]), int(entry["cols"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed tensor entry {entry!r} in metadata: {exc}") from exc
+        if rows < 0 or cols < 0:
+            raise FormatError(f"tensor '{name}' has negative shape ({rows}, {cols}) in metadata")
         gpr = _groups_per_row(cols, group_size)
         scale_bytes = rows * gpr * 4
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, InputError
-from .quant import PrecisionSet
+from .quant import FULL_PRECISION, PrecisionSet
 
 
 @dataclass(frozen=True)
@@ -67,11 +67,8 @@ class PrecisionSchedule:
 
     def __init__(self, precisions: PrecisionSet | Sequence[int], p_prefill: int,
                  switch_points: dict[int, int], horizon: int, feasible: bool = True):
-        if not isinstance(precisions, (PrecisionSet, _WidePrecisions)):
-            ps = tuple(int(p) for p in precisions)
-            # width 16 is the full-precision sentinel (fp16 baselines and
-            # reference generations); it bypasses the quantized-set bounds
-            precisions = PrecisionSet(ps) if all(1 <= p <= 8 for p in ps) else _WidePrecisions(ps)
+        if not isinstance(precisions, PrecisionSet):
+            precisions = PrecisionSet(tuple(precisions))
         self.precisions = precisions
         self.p_prefill = int(p_prefill)
         self.switch_points = {int(p): int(i) for p, i in switch_points.items()}
@@ -151,36 +148,6 @@ class PrecisionSchedule:
         return (f"PrecisionSchedule(precisions={list(self.precisions)}, "
                 f"prefill={self.p_prefill}, st={self.switch_points}, "
                 f"OL={self.horizon}, feasible={self.feasible})")
-
-
-class _WidePrecisions:
-    """Stand-in precision list for schedules that use widths above 8 bits (the
-    full-precision sentinel of reference generations and fp16 baselines)."""
-
-    def __init__(self, ps):
-        self.precisions = tuple(int(p) for p in ps)
-
-    @property
-    def p_max(self):
-        return self.precisions[0]
-
-    @property
-    def p_min(self):
-        return self.precisions[-1]
-
-    def __iter__(self):
-        return iter(self.precisions)
-
-    def __len__(self):
-        return len(self.precisions)
-
-    def __contains__(self, p):
-        return p in self.precisions
-
-
-def validate(schedule: PrecisionSchedule) -> list[str]:
-    """Report every violated schedule constraint; never raises."""
-    return schedule.validate()
 
 
 def count_schedules(horizon: int, k: int) -> int:
@@ -345,22 +312,15 @@ class _Trie:
             self.ends[i] = (tokens, hashes)
 
 
-def _reference_outputs(variants, prompts, max_new, eos_id):
-    """Greedy full-precision generations used as the quality reference;
-    prompts whose reference is empty are dropped and counted."""
-    from .tinylm import FULL_PRECISION, generate
+def reference_output(variants, prompt: Sequence[int], max_new: int,
+                     eos: int) -> list[int] | None:
+    """Greedy full-precision output of ``prompt``, the quality reference its
+    candidates are scored against; ``None`` when it is empty or ``[eos]``."""
+    from . import tinylm
 
-    eos = variants.config.vocab_size - 1 if eos_id is None else eos_id
-    refs, kept = [], []
-    for prompt in prompts:
-        out = generate(variants, prompt, FixedScheduler(FULL_PRECISION),
-                       eos_id=eos, max_new=max_new).output_tokens
-        if out and out != [eos]:
-            refs.append(out)
-            kept.append(list(prompt))
-    if not kept:
-        raise InputError("every calibration/validation prompt produced an empty reference")
-    return kept, refs, eos
+    out = tinylm.generate(variants, prompt, FixedScheduler(FULL_PRECISION),
+                          eos_id=eos, max_new=max_new).output_tokens
+    return out if out and out != [eos] else None
 
 
 def _schedule_qualities(variants, prompts, schedules, max_new, eos_id):
@@ -369,13 +329,20 @@ def _schedule_qualities(variants, prompts, schedules, max_new, eos_id):
     also the number of prompts skipped."""
     from . import metrics
 
-    kept, refs, eos = _reference_outputs(variants, prompts, max_new, eos_id)
+    eos = variants.config.vocab_size - 1 if eos_id is None else eos_id
     totals = [0.0] * len(schedules)
-    for prompt, ref in zip(kept, refs):
+    kept = 0
+    for prompt in prompts:
+        ref = reference_output(variants, prompt, max_new, eos)
+        if ref is None:
+            continue
+        kept += 1
         traces, _ = decode_candidates(variants, prompt, schedules, max_new, eos)
         for j, trace in enumerate(traces):
             totals[j] += metrics.rouge_l(trace.output_tokens, ref).f1
-    return [t / len(kept) for t in totals], len(prompts) - len(kept)
+    if not kept:
+        raise InputError("every calibration/validation prompt produced an empty reference")
+    return [t / kept for t in totals], len(prompts) - kept
 
 
 # ---------------------------------------------------------------------------

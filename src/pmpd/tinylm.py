@@ -13,10 +13,7 @@ dequantized view.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,11 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ContractViolation, FormatError, InputError
-from .quant import PrecisionSet, QuantizedTensor, dequantize, parse_model, quantize_tensor, serialize_model
+from .quant import (FULL_PRECISION, PrecisionSet, QuantizedTensor, dequantize, parse_model,
+                    quantize_tensor, serialize_model)
 from .schedule import PrecisionSchedule
-from .util import named_rng
+from .util import named_rng, read_bytes, read_json
 
-FULL_PRECISION = 16
 BYTE_EOS_ID = 256
 BYTE_VOCAB_SIZE = 257
 
@@ -60,8 +57,8 @@ class VocabTokenizer:
 
     @classmethod
     def from_json(cls, path) -> "VocabTokenizer":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        if "tokens" not in obj:
+        obj = read_json(path)
+        if not isinstance(obj, dict) or "tokens" not in obj:
             raise FormatError(f"vocabulary file {path} lacks a 'tokens' list")
         return cls(obj["tokens"], obj.get("eos"))
 
@@ -151,15 +148,15 @@ INIT_SCHEME = "gaussian-inv-sqrt-dmodel"
 class ModelVariants:
     """One quantized weight store readable at any precision in its set.
 
-    Instances are immutable after construction apart from an internal LRU of
-    dequantized matrices, which is lock-protected so a model can be shared
-    across threads; each generation owns its private cache and trace.
+    Instances are immutable after construction apart from a cache holding
+    the float64 weights of every (tensor, precision) read so far; nothing is
+    evicted. Each generation owns its private KV cache and trace.
     """
 
     def __init__(self, config: ModelConfig, precisions: PrecisionSet,
                  tensors: dict[str, QuantizedTensor], norms: dict[str, np.ndarray],
                  full_weights: dict[str, np.ndarray] | None = None,
-                 init_info: dict | None = None, dequant_budget: int = 256 << 20):
+                 init_info: dict | None = None):
         self.config = config
         self.precisions = precisions
         self.tensors = tensors
@@ -167,11 +164,7 @@ class ModelVariants:
         self.full_weights = full_weights
         self.init_info = init_info
         self._norm64 = {k: _readonly(v.astype(np.float64)) for k, v in self.norms.items()}
-        self._full64: dict[str, np.ndarray] = {}
-        self._budget = dequant_budget
-        self._lru: OrderedDict[tuple[str, int], np.ndarray] = OrderedDict()
-        self._lru_bytes = 0
-        self._lock = threading.Lock()
+        self._weights64: dict[tuple[str, int], np.ndarray] = {}
         expected = dict(_weight_shapes(config))
         for name, shape in expected.items():
             t = tensors.get(name)
@@ -180,16 +173,19 @@ class ModelVariants:
         for name in _norm_names(config):
             if self._norm64.get(name) is None or self._norm64[name].shape != (config.d_model,):
                 raise ConfigError(f"norm gain '{name}' missing or mis-shaped for this config")
+        p_maxes = sorted({t.p_max for t in tensors.values()})
+        if p_maxes != [precisions.p_max]:
+            raise ConfigError(f"precision set {list(precisions)} does not match the "
+                              f"tensors' p_max {p_maxes}")
 
     @classmethod
     def from_random(cls, config: ModelConfig, precisions: PrecisionSet, seed: int,
-                    group_size: int = 64, **kwargs) -> "ModelVariants":
+                    group_size: int = 64) -> "ModelVariants":
         full, norms = random_weights(config, seed)
         tensors = {name: quantize_tensor(w, precisions.p_max, group_size)
                    for name, w in full.items()}
         info = {"scheme": INIT_SCHEME, "seed": int(seed)}
-        return cls(config, precisions, tensors, norms, full_weights=full,
-                   init_info=info, **kwargs)
+        return cls(config, precisions, tensors, norms, full_weights=full, init_info=info)
 
     @property
     def group_size(self) -> int:
@@ -199,36 +195,24 @@ class ModelVariants:
         return self._norm64[name]
 
     def weights(self, name: str, p: int) -> np.ndarray:
-        """Dequantized float64 view of a tensor at precision ``p``; 16 reads
-        the original real weights."""
+        """Read-only float64 weights of a tensor at precision ``p``, computed
+        once per (tensor, precision); 16 reads the original real weights."""
+        w = self._weights64.get((name, p))
+        if w is not None:
+            return w
         if p == FULL_PRECISION:
             if self.full_weights is None:
                 raise ConfigError(
                     "full-precision weights unavailable: model was loaded without "
                     "an init seed and cannot serve precision 16")
-            w = self._full64.get(name)
-            if w is None:
-                w = _readonly(self.full_weights[name].astype(np.float64))
-                self._full64[name] = w
-            return w
-        if p not in self.precisions:
+            w = self.full_weights[name].astype(np.float64)
+        elif p in self.precisions:
+            w = dequantize(self.tensors[name], p)
+        else:
             raise ContractViolation(
                 f"precision {p} not in declared set {list(self.precisions)}")
-        key = (name, p)
-        with self._lock:
-            cached = self._lru.get(key)
-            if cached is not None:
-                self._lru.move_to_end(key)
-                return cached
-        w = _readonly(dequantize(self.tensors[name], p))
-        with self._lock:
-            if key not in self._lru:
-                self._lru[key] = w
-                self._lru_bytes += w.nbytes
-                while self._lru_bytes > self._budget and len(self._lru) > 1:
-                    _, evicted = self._lru.popitem(last=False)
-                    self._lru_bytes -= evicted.nbytes
-            return self._lru[key]
+        # setdefault keeps the first array stored, so concurrent misses agree
+        return self._weights64.setdefault((name, p), _readonly(w))
 
     def save(self, path) -> None:
         meta = {
@@ -241,20 +225,20 @@ class ModelVariants:
         Path(path).write_bytes(serialize_model(self.tensors, meta))
 
     @classmethod
-    def load(cls, path, dequant_budget: int = 256 << 20) -> "ModelVariants":
-        tensors, meta = parse_model(Path(path).read_bytes())
+    def load(cls, path) -> "ModelVariants":
+        tensors, meta = parse_model(read_bytes(path))
         try:
             config = ModelConfig(**meta["config"])
             precisions = PrecisionSet(tuple(meta["precisions"]))
             norms = {k: np.asarray(v, dtype=np.float32) for k, v in meta["norms"].items()}
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"weight file metadata incomplete: {exc}") from exc
-        full = None
-        init = meta.get("init")
-        if init is not None and init.get("scheme") == INIT_SCHEME:
-            full, _ = random_weights(config, int(init["seed"]))
-        return cls(config, precisions, tensors, norms, full_weights=full,
-                   init_info=init, dequant_budget=dequant_budget)
+            init, full = meta.get("init"), None
+            if init is not None and init.get("scheme") == INIT_SCHEME:
+                if not isinstance(init.get("seed"), int):
+                    raise FormatError(f"init seed must be an integer, got {init.get('seed')!r}")
+                full, _ = random_weights(config, init["seed"])
+            return cls(config, precisions, tensors, norms, full_weights=full, init_info=init)
+        except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+            raise FormatError(f"weight file metadata is malformed: {exc}") from exc
 
     def allowed_precisions(self) -> set[int]:
         allowed = set(self.precisions.precisions)

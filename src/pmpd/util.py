@@ -30,13 +30,19 @@ def write_json(path, obj) -> None:
     Path(path).write_text(canonical_json(obj) + "\n", encoding="utf-8")
 
 
+def read_bytes(path) -> bytes:
+    """Contents of a file; :class:`InputError` if it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+
+
 def read_text(path) -> str:
     """UTF-8 text of a file; :class:`InputError` if it cannot be read,
     :class:`FormatError` if it is not UTF-8."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        return read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 

@@ -59,8 +59,7 @@ def test_criterion_02_dequantization_error_bounds():
             qt, w = random_quantized(rng)
             for p in range(1, qt.p_max + 1):
                 err = np.abs(w - quant.dequantize(qt, p))
-                bound = quant._spread(quant.max_reconstruction_error_bound(qt, p),
-                                      qt.cols, qt.group_size)
+                bound = quant.max_reconstruction_error_bound(qt, p)
                 assert np.all(err <= bound * (1 + 1e-9) + 1e-15)
 
 

@@ -1,9 +1,10 @@
 import json
+import struct
 from pathlib import Path
 
 import pytest
 
-from pmpd import cli
+from pmpd import cli, tinylm
 from pmpd.errors import FormatError, InputError
 from pmpd.util import read_json
 
@@ -74,6 +75,63 @@ def test_eval_against_full_precision_references(tmp_path, monkeypatch):
 def test_missing_model_is_input_error(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = run(["generate", "--model", "nope.pmpd", "--limit", "1",
+                "--fixed-precision", "3", "--out", "t.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+
+
+def test_directory_as_model_is_input_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("model.pmpd").mkdir()
+    code = run(["generate", "--model", "model.pmpd", "--limit", "1",
+                "--fixed-precision", "3", "--out", "t.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+
+
+def test_non_utf8_prompt_file_is_input_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    Path("prompts.txt").write_bytes(b"caf\xe9 au lait\n")
+    code = run(["generate", "--model", "model.pmpd", "--prompts", "prompts.txt",
+                "--fixed-precision", "3", "--out", "t.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+
+
+def test_malformed_vocab_json_is_input_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    Path("vocab.json").write_text('{"tokens": ["a", ')
+    code = run(["generate", "--model", "model.pmpd", "--vocab", "vocab.json",
+                "--prompt", "a", "--fixed-precision", "3", "--out", "t.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+
+
+def _rewrite_metadata(path, mutate) -> None:
+    data = Path(path).read_bytes()
+    (meta_len,) = struct.unpack_from("<I", data, 8)
+    meta = json.loads(data[12 : 12 + meta_len])
+    mutate(meta)
+    blob = json.dumps(meta).encode("utf-8")
+    Path(path).write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
+                           + data[12 + meta_len :])
+
+
+BAD_METADATA = {
+    "negative-rows": lambda meta: meta["tensors"][0].update(rows=-1),
+    "negative-cols": lambda meta: meta["tensors"][1].update(cols=-64),
+    "norms-not-a-dict": lambda meta: meta.update(norms=[1.0]),
+    "non-numeric-norm": lambda meta: meta["norms"].update(final_norm=["x"] * 64),
+    "non-integer-seed": lambda meta: meta["init"].update(seed="seven"),
+}
+
+
+@pytest.mark.parametrize("mutate", BAD_METADATA.values(), ids=BAD_METADATA.keys())
+def test_malformed_model_metadata_is_format_error(tmp_path, monkeypatch, mutate):
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    _rewrite_metadata("model.pmpd", mutate)
+    with pytest.raises(FormatError):
+        tinylm.ModelVariants.load("model.pmpd")
+    code = run(["generate", "--model", "model.pmpd", "--limit", "1",
                 "--fixed-precision", "3", "--out", "t.json"])
     assert code == cli.EXIT_INPUT_ERROR
 

@@ -129,6 +129,10 @@ def test_weighted_gpu_latency_single_precision_and_bounds():
     sched = PrecisionSchedule.constant(3, 32)
     weighted, _ = weighted_gpu_latency(table, sched, 32)
     assert weighted == 8.1
+    # the general formula would give 41 * 12.9 / 41 == 12.899999999999999
+    sched = PrecisionSchedule.constant(3, 41)
+    weighted, _ = weighted_gpu_latency({3: 12.9, 16: 97.1}, sched, 41)
+    assert weighted == 12.9
     mixed = PrecisionSchedule.two_phase(3, 2, 11, 32)
     w, _ = weighted_gpu_latency(table, mixed, 32)
     assert 7.0 <= w <= 8.1

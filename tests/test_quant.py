@@ -42,8 +42,7 @@ def test_round_trip_error_bound():
     for _ in range(200):
         qt, w = random_tensor(rng, p_max=4)
         err = np.abs(w - quant.dequantize(qt, 4))
-        bound = quant._spread(quant.max_reconstruction_error_bound(qt, 4),
-                              qt.cols, qt.group_size)
+        bound = quant.max_reconstruction_error_bound(qt, 4)
         assert np.all(err <= bound * (1 + 1e-9) + 1e-15)
 
 
@@ -64,8 +63,7 @@ def test_lower_precision_error_bound():
         qt, w = random_tensor(rng, p_max=5)
         for p in range(1, 6):
             err = np.abs(w - quant.dequantize(qt, p))
-            bound = quant._spread(quant.max_reconstruction_error_bound(qt, p),
-                                  qt.cols, qt.group_size)
+            bound = quant.max_reconstruction_error_bound(qt, p)
             assert np.all(err <= bound * (1 + 1e-9) + 1e-15), (p, qt.rows, qt.cols)
 
 
@@ -150,6 +148,10 @@ def test_precision_set_validation():
         quant.PrecisionSet((9, 2))
     with pytest.raises(ConfigError):
         quant.PrecisionSet((3, 0))
+    assert quant.PrecisionSet((16, 4)).p_max == quant.FULL_PRECISION
+    for bad in ((9,), (17,), (16, 16)):
+        with pytest.raises(ConfigError):
+            quant.PrecisionSet(bad)
 
 
 def test_ragged_group_at_row_end():
@@ -157,7 +159,8 @@ def test_ragged_group_at_row_end():
     qt = quant.quantize_tensor(w, 4, 4)  # groups of 4, 4, 2 per row
     assert qt.mins.shape == (4, 3)
     err = np.abs(w - quant.dequantize(qt, 4))
-    bound = quant._spread(quant.max_reconstruction_error_bound(qt, 4), 10, 4)
+    bound = quant.max_reconstruction_error_bound(qt, 4)
+    assert bound.shape == (4, 10)
     assert np.all(err <= bound * (1 + 1e-9) + 1e-15)
 
 

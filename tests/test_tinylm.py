@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pmpd import quant, tinylm
-from pmpd.errors import ConfigError, ContractViolation, InputError
+from pmpd.errors import ConfigError, ContractViolation, FormatError, InputError
 from pmpd.schedule import FixedScheduler, PrecisionSchedule, StaticScheduler
 from pmpd.tinylm import (FULL_PRECISION, ByteTokenizer, ModelConfig, SamplerConfig,
                          VocabTokenizer, decode_step, forward_full, generate, prefill,
@@ -270,15 +270,35 @@ def test_save_load_round_trip(tmp_path, small_model):
     assert a.logits_hashes == b.logits_hashes
 
 
-def test_lru_budget_keeps_results_correct():
+def test_weights_are_one_readonly_array_per_tensor_and_precision():
     cfg = ModelConfig(n_layers=2, n_heads=2, d_model=64, d_ff=128, max_context=64)
-    full = tinylm.ModelVariants.from_random(cfg, quant.PrecisionSet((4, 3, 2)), seed=9)
-    tiny = tinylm.ModelVariants.from_random(cfg, quant.PrecisionSet((4, 3, 2)), seed=9,
-                                            dequant_budget=1 << 16)
-    a = forward_full(full, 3, PROMPT)
-    b = forward_full(tiny, 3, PROMPT)
-    assert np.array_equal(a, b)
-    assert tiny._lru_bytes <= (1 << 16) or len(tiny._lru) == 1
+    model = tinylm.ModelVariants.from_random(cfg, quant.PrecisionSet((4, 3, 2)), seed=9)
+    cold = forward_full(model, 3, PROMPT)
+    for name, qt in model.tensors.items():
+        for p in (4, 3, 2, FULL_PRECISION):
+            w = model.weights(name, p)
+            assert model.weights(name, p) is w
+            assert not w.flags.writeable
+            want = (model.full_weights[name].astype(np.float64) if p == FULL_PRECISION
+                    else quant.dequantize(qt, p))
+            assert w.dtype == want.dtype and w.shape == want.shape
+            assert w.tobytes() == want.tobytes()
+    # served from the filled cache, the pass repeats the cold one bit for bit
+    assert forward_full(model, 3, PROMPT).tobytes() == cold.tobytes()
+
+
+@pytest.mark.parametrize("declared", [(6, 4), (16, 4), (3, 2)])
+def test_precision_set_must_match_tensor_p_max(tmp_path, small_model, declared):
+    with pytest.raises(ConfigError, match="p_max"):
+        tinylm.ModelVariants(small_model.config, quant.PrecisionSet(declared),
+                             small_model.tensors, small_model.norms)
+    path = tmp_path / "model.pmpd"
+    small_model.save(path)
+    tensors, meta = quant.parse_model(path.read_bytes())
+    meta["precisions"] = list(declared)
+    path.write_bytes(quant.serialize_model(tensors, meta))
+    with pytest.raises(FormatError, match="p_max"):
+        tinylm.ModelVariants.load(path)
 
 
 def test_weights_reject_undeclared_precision(small_model):
