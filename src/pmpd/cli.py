@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import learnsched, metrics, perf, quant, schedule, tinylm
-from .errors import ContractViolation, InputError, PmpdError
+from .errors import ContractViolation, FormatError, InputError, PmpdError
 from .util import config_hash, read_json, read_text, write_json
 
 EXIT_INPUT_ERROR = 2
@@ -148,11 +148,15 @@ def cmd_train_scheduler(args) -> int:
     examples, header = learnsched.load_labels(args.labels)
     if not examples:
         raise InputError(f"label file {args.labels} holds no examples")
-    grid = schedule.SwitchGrid(int(header["grid"]["n"]), int(header["grid"]["OL"]))
+    try:
+        grid = schedule.SwitchGrid(int(header["grid"]["n"]), int(header["grid"]["OL"]))
+        p_high, p_low = int(header["p_high"]), int(header["p_low"])
+        feature_block = int(header.get("feature_block", -1))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise FormatError(f"label file {args.labels} has a malformed header: {exc}") from exc
     d_k, d_v = examples[0].k.shape[1], examples[0].v.shape[1]
-    net = learnsched.SchedulerNet.init(
-        d_k, d_v, args.hidden, grid, int(header["p_high"]), int(header["p_low"]),
-        seed=args.seed, feature_block=int(header.get("feature_block", -1)))
+    net = learnsched.SchedulerNet.init(d_k, d_v, args.hidden, grid, p_high, p_low,
+                                       seed=args.seed, feature_block=feature_block)
     result = learnsched.train(net, examples, learnsched.TrainConfig(
         lr=args.lr, epochs=args.epochs, batch=args.batch, seed=args.seed))
     payload = result.net.to_json()

@@ -167,10 +167,6 @@ class LearnedScheduler:
         self.net = net
         self.p_prefill = net.p_high if p_prefill is None else int(p_prefill)
 
-    @property
-    def horizon(self) -> int:
-        return self.net.grid.horizon
-
     def resolve(self, cache) -> PrecisionSchedule:
         return predict_schedule(self.net, cache, self.p_prefill)
 

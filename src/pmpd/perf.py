@@ -13,6 +13,7 @@ GPU kernel latencies by the number of decode steps spent at each precision.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -235,7 +236,13 @@ def weighted_gpu_latency(latency_us: Mapping[int, float], schedule: PrecisionSch
     and its speedup over the fp16 kernel."""
     if gen_len < 1:
         raise InputError(f"gen_len must be >= 1, got {gen_len}")
-    table = {int(k): float(v) for k, v in latency_us.items()}
+    try:
+        table = {int(k): float(v) for k, v in latency_us.items()}
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InputError(f"latency table must map integer precisions to "
+                         f"microseconds: {exc}") from exc
+    if not all(math.isfinite(v) and v > 0 for v in table.values()):
+        raise InputError(f"latency table values must be positive and finite: {table}")
     if FP16 not in table:
         raise InputError("latency table lacks the fp16 (16) entry")
     counts: dict[int, int] = {}

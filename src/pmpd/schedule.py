@@ -6,10 +6,11 @@ generated at ``p`` (its switch point). Switch points live in the closed range
 precedence: a higher precision never starts after a lower one. The highest
 decode precision always starts at 0.
 
-This module owns the schedule representation and JSON form, the validator,
-the switch-point counting formula, phase-aware precision allocation, the
-grid-restricted static solver and its exhaustive brute-force oracle, and the
-scheduler objects the generation loop consumes.
+This module owns the schedule representation, which enforces these rules
+when it is built, and its JSON form, the switch-point counting formula,
+phase-aware precision allocation, the grid-restricted static solver and its
+exhaustive brute-force oracle, and the scheduler objects the generation loop
+consumes.
 """
 from __future__ import annotations
 
@@ -74,6 +75,17 @@ class PrecisionSchedule:
         self.switch_points = {int(p): int(i) for p, i in switch_points.items()}
         self.horizon = int(horizon)
         self.feasible = bool(feasible)
+        ps = precisions.precisions
+        if sorted(self.switch_points) != sorted(ps):
+            raise ConfigError(f"switch points {self.switch_points} must name exactly "
+                              f"the precisions {list(ps)}")
+        starts = [self.switch_points[p] for p in ps]
+        if starts[0] != 0:
+            raise ConfigError(f"highest decode precision {ps[0]} must start at 0, "
+                              f"got {starts[0]}")
+        if starts != sorted(starts) or starts[-1] > self.horizon:
+            raise ConfigError(f"switch points {starts} of precisions {list(ps)} must be "
+                              f"non-decreasing within [0, {self.horizon}]")
 
     @classmethod
     def constant(cls, p: int, horizon: int, p_prefill: int | None = None,
@@ -88,39 +100,11 @@ class PrecisionSchedule:
                    {p_high: 0, p_low: switch}, horizon)
 
     def precision_at(self, i: int) -> int:
-        """Lowest precision whose switch point is <= i; O(|precisions|), no allocation."""
+        """Lowest precision whose switch point is <= i; O(|precisions|), no allocation.
+        Defined for every i >= 0 because the highest precision starts at 0."""
         for p in reversed(self.precisions.precisions):
             if self.switch_points[p] <= i:
                 return p
-        # unreachable for a valid schedule: the highest precision starts at 0
-        return self.precisions.p_max
-
-    def validate(self) -> list[str]:
-        """All violated constraints, empty when the schedule is well formed."""
-        ps = self.precisions.precisions
-        violations = []
-        for p in ps:
-            if p not in self.switch_points:
-                violations.append(f"precision {p} has no switch point")
-        covered = [p for p in ps if p in self.switch_points]
-        for p in covered:
-            st = self.switch_points[p]
-            if not 0 <= st <= self.horizon:
-                violations.append(
-                    f"switch point of precision {p} is {st}, outside [0, {self.horizon}]"
-                )
-        for hi, lo in itertools.combinations(covered, 2):
-            if hi > lo and self.switch_points[hi] > self.switch_points[lo]:
-                violations.append(
-                    f"precedence violated: {hi} > {lo} but switch "
-                    f"{self.switch_points[hi]} > {self.switch_points[lo]}"
-                )
-        if ps and ps[0] in self.switch_points and self.switch_points[ps[0]] != 0:
-            violations.append(
-                f"highest decode precision {ps[0]} must start at 0, "
-                f"got {self.switch_points[ps[0]]}"
-            )
-        return violations
 
     def bit_token_sum(self, tokens: int | None = None) -> int:
         n = self.horizon if tokens is None else tokens
@@ -141,7 +125,7 @@ class PrecisionSchedule:
             return cls(tuple(obj["precisions"]), obj["prefill"],
                        {int(p): int(i) for p, i in obj["st"].items()},
                        obj["OL"], obj.get("feasible", True))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
             raise InputError(f"malformed schedule JSON: {exc}") from exc
 
     def __repr__(self):
@@ -187,10 +171,6 @@ class StaticScheduler:
     def p_prefill(self) -> int:
         return self.schedule.p_prefill
 
-    @property
-    def horizon(self) -> int:
-        return self.schedule.horizon
-
     def resolve(self, cache) -> PrecisionSchedule:
         return self.schedule
 
@@ -233,83 +213,31 @@ def decode_candidates(variants, prompt: Sequence[int],
     """Greedy generation of every schedule on one prompt, decoding each shared
     precision prefix once.
 
-    Schedules are grouped by prefill precision and each group is prefilled
-    once. The group is then walked depth first as a trie over
-    ``precision_at(step)``: where its members split into k precisions for the
-    next step, the KV cache is forked k - 1 times. Every branch runs
-    ``tinylm.decode_step`` and ``tinylm.sample`` on the same single-row inputs,
-    in the same order, as ``tinylm.generate(variants, prompt,
-    StaticScheduler(s), SamplerConfig(), eos_id, max_new)``, so each returned
-    trace equals that call's bit for bit, ``logits_hashes`` included. EOS ends
-    a branch and all its descendants. Decoding is greedy only: a sampler's
-    RNG state would have to be forked along with the cache.
+    Schedules are grouped by prefill precision; each group is prefilled once
+    and decoded by :func:`pmpd.tinylm.decode_schedules`, the walk
+    ``tinylm.generate`` runs for its one schedule, so each returned trace
+    equals ``tinylm.generate(variants, prompt, StaticScheduler(s),
+    SamplerConfig(), eos_id, max_new)`` bit for bit, ``logits_hashes``
+    included.
 
     Returns the traces in ``schedules`` order, and the cache of each prefill
     precision's root, whose rows ``[:len(prompt)]`` hold the prefill's K/V.
     """
     from . import tinylm
 
-    eos = variants.config.vocab_size - 1 if eos_id is None else eos_id
-    if max_new < 1:
-        raise InputError(f"max_new must be >= 1, got {max_new}")
-    for sched in schedules:
-        if max_new > sched.horizon:
-            raise InputError(f"max_new {max_new} exceeds the schedule horizon {sched.horizon}")
-        tinylm.check_schedule(variants, sched)
-
-    trie = _Trie(variants, schedules, max_new, eos)
     groups: dict[int, list[int]] = {}
     for i, sched in enumerate(schedules):
         groups.setdefault(sched.p_prefill, []).append(i)
+    traces: list = [None] * len(schedules)
     roots = {}
     for pf, members in groups.items():
         logits, roots[pf] = tinylm.prefill(variants, pf, prompt)
-        trie.walk(members, roots[pf], [tinylm.sample(logits, tinylm.SamplerConfig())],
-                  [tinylm.logits_hash(logits)])
-
-    traces = [tinylm.GenerationTrace(list(prompt), list(tokens),
-                                     [s.precision_at(j) for j in range(len(tokens))],
-                                     list(hashes), "eos" if tokens[-1] == eos else "length",
-                                     s.p_prefill, s)
-              for s, (tokens, hashes) in zip(schedules, trie.ends)]
+        walked = tinylm.decode_schedules(variants, prompt, pf, logits, roots[pf],
+                                         [schedules[i] for i in members],
+                                         tinylm.SamplerConfig(), eos_id, max_new)
+        for i, trace in zip(members, walked):
+            traces[i] = trace
     return traces, roots
-
-
-class _Trie:
-    """Depth-first decoding below one prefill for :func:`decode_candidates`.
-    An object rather than a recursive closure: the closure would be a
-    reference cycle that keeps the model alive until a full collection."""
-
-    def __init__(self, variants, schedules, max_new, eos):
-        self.variants = variants
-        self.schedules = schedules
-        self.max_new = max_new
-        self.eos = eos
-        self.ends: list = [None] * len(schedules)
-
-    def advance(self, p, cache, tokens, hashes):
-        from . import tinylm
-
-        logits, cache = tinylm.decode_step(self.variants, p, tokens[-1], cache)
-        return (cache, tokens + [tinylm.sample(logits, tinylm.SamplerConfig())],
-                hashes + [tinylm.logits_hash(logits)])
-
-    def walk(self, members, cache, tokens, hashes):
-        """Decode the candidates ``members``, which share ``tokens``, to their
-        ends; ``cache`` holds the prompt and ``tokens[:-1]``."""
-        while tokens[-1] != self.eos and len(tokens) < self.max_new:
-            split: dict[int, list[int]] = {}
-            for i in members:
-                split.setdefault(self.schedules[i].precision_at(len(tokens) - 1),
-                                 []).append(i)
-            p, *lower = sorted(split, reverse=True)
-            # each recursion lowers the precision, so depth <= |precisions|
-            for q in lower:
-                self.walk(split[q], *self.advance(q, cache.fork(), tokens, hashes))
-            members = split[p]
-            cache, tokens, hashes = self.advance(p, cache, tokens, hashes)
-        for i in members:
-            self.ends[i] = (tokens, hashes)
 
 
 def reference_output(variants, prompt: Sequence[int], max_new: int,

@@ -58,9 +58,14 @@ class VocabTokenizer:
     @classmethod
     def from_json(cls, path) -> "VocabTokenizer":
         obj = read_json(path)
-        if not isinstance(obj, dict) or "tokens" not in obj:
-            raise FormatError(f"vocabulary file {path} lacks a 'tokens' list")
-        return cls(obj["tokens"], obj.get("eos"))
+        tokens = obj.get("tokens") if isinstance(obj, dict) else None
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise FormatError(f"vocabulary file {path} lacks a 'tokens' list of strings")
+        eos = obj.get("eos")
+        if eos is not None and (type(eos) is not int or eos < 0):
+            raise FormatError(f"vocabulary file {path}: 'eos' must be a non-negative "
+                              f"integer, got {eos!r}")
+        return cls(tokens, eos)
 
     def encode(self, text: str) -> list[int]:
         out, pos = [], 0
@@ -267,6 +272,8 @@ class KVCache:
 
     def layer_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """(K, V) of shape [T, width] for one layer; -1 addresses the last block."""
+        if not -len(self.k) <= layer < len(self.k):
+            raise ConfigError(f"layer {layer} outside the cache's {len(self.k)} layers")
         return self.k[layer, : self.T], self.v[layer, : self.T]
 
     def fork(self) -> "KVCache":
@@ -435,20 +442,6 @@ def logits_hash(logits: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(logits, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
-def check_schedule(model: ModelVariants, sched: PrecisionSchedule) -> None:
-    """Raise :class:`ContractViolation` unless ``sched`` validates and uses
-    only precisions the model can serve."""
-    violations = sched.validate()
-    if violations:
-        raise ContractViolation("scheduler produced an invalid schedule: "
-                                + "; ".join(violations))
-    allowed = model.allowed_precisions()
-    for p in sched.precisions:
-        if p not in allowed:
-            raise ContractViolation(
-                f"schedule uses precision {p} outside the model's set {sorted(allowed)}")
-
-
 @dataclass
 class GenerationTrace:
     """Everything needed to reproduce and audit one generation."""
@@ -481,6 +474,91 @@ class GenerationTrace:
             raise InputError(f"malformed trace JSON: {exc}") from exc
 
 
+class _Walk:
+    """Depth-first decoding of several schedules below one prefill, for
+    :func:`decode_schedules`. An object rather than a recursive closure: the
+    closure would be a reference cycle that keeps the model alive until a
+    full collection."""
+
+    def __init__(self, model, schedules, sampler_cfg, eos, max_new):
+        self.model = model
+        self.schedules = schedules
+        self.sampler_cfg = sampler_cfg
+        self.rng = named_rng(sampler_cfg.seed, "sampler")
+        self.eos = eos
+        self.max_new = max_new
+        self.ends: list = [None] * len(schedules)
+
+    def advance(self, p, cache, tokens, hashes):
+        """One decode step at ``p``; appends the sampled token and its logits'
+        hash to ``tokens`` and ``hashes``."""
+        logits, cache = decode_step(self.model, p, tokens[-1], cache)
+        tokens.append(sample(logits, self.sampler_cfg, self.rng))
+        hashes.append(logits_hash(logits))
+        return cache, tokens, hashes
+
+    def walk(self, members, cache, tokens, hashes):
+        """Decode the schedules ``members``, which share ``tokens``, to their
+        ends; ``cache`` holds the prompt and ``tokens[:-1]``."""
+        while tokens[-1] != self.eos and len(tokens) < self.max_new:
+            split: dict[int, list[int]] = {}
+            for i in members:
+                split.setdefault(self.schedules[i].precision_at(len(tokens) - 1),
+                                 []).append(i)
+            p, *lower = sorted(split, reverse=True)
+            # each recursion lowers the precision, so depth <= |precisions|
+            for q in lower:
+                self.walk(split[q], *self.advance(q, cache.fork(), tokens[:], hashes[:]))
+            members = split[p]
+            cache, tokens, hashes = self.advance(p, cache, tokens, hashes)
+        for i in members:
+            self.ends[i] = (tokens, hashes)
+
+
+def decode_schedules(model: ModelVariants, prompt: Sequence[int], p_prefill: int,
+                     logits: np.ndarray, cache: KVCache,
+                     schedules: Sequence[PrecisionSchedule],
+                     sampler_cfg: SamplerConfig | None = None,
+                     eos_id: int | None = None, max_new: int = 64) -> list[GenerationTrace]:
+    """The one decode loop: every schedule from one prefill of ``prompt`` at
+    ``p_prefill``, given its last-position ``logits`` and its ``cache``,
+    which the branch keeping the highest precision extends in place.
+
+    Token 0 is sampled from the prefill logits, and decode step ``i``
+    consumes token ``i`` at ``precision_at(i)``, the precision token ``i`` is
+    attributed; EOS or ``max_new`` tokens end a schedule. The schedules are
+    walked depth first as a trie over that precision: a shared prefix is
+    decoded once and the cache is forked where they split. Each branch makes
+    the same single-row ``decode_step`` and ``sample`` calls as a walk over
+    its schedule alone, so its trace is bit-identical to that walk's. The
+    sampler's RNG is not forked, so only a greedy sampler may walk more than
+    one schedule.
+    """
+    cfg = sampler_cfg if sampler_cfg is not None else SamplerConfig()
+    eos = model.config.vocab_size - 1 if eos_id is None else eos_id
+    if max_new < 1:
+        raise InputError(f"max_new must be >= 1, got {max_new}")
+    if cfg.mode != "greedy" and len(schedules) > 1:
+        raise ConfigError(f"a {cfg.mode} sampler decodes one schedule at a time, "
+                          f"got {len(schedules)}: its RNG is not forked")
+    allowed = model.allowed_precisions()
+    for sched in schedules:
+        if max_new > sched.horizon:
+            raise InputError(f"max_new {max_new} exceeds the schedule horizon {sched.horizon}")
+        for p in sched.precisions:
+            if p not in allowed:
+                raise ContractViolation(
+                    f"schedule uses precision {p} outside the model's set {sorted(allowed)}")
+
+    walker = _Walk(model, schedules, cfg, eos, max_new)
+    walker.walk(range(len(schedules)), cache, [sample(logits, cfg, walker.rng)],
+                [logits_hash(logits)])
+    return [GenerationTrace(list(prompt), list(tokens),
+                            [s.precision_at(j) for j in range(len(tokens))], list(hashes),
+                            "eos" if tokens[-1] == eos else "length", p_prefill, s)
+            for s, (tokens, hashes) in zip(schedules, walker.ends)]
+
+
 def generate(model: ModelVariants, prompt: Sequence[int], scheduler,
              sampler_cfg: SamplerConfig | None = None,
              eos_id: int | None = None, max_new: int = 64) -> GenerationTrace:
@@ -488,37 +566,9 @@ def generate(model: ModelVariants, prompt: Sequence[int], scheduler,
 
     A learned scheduler derives its schedule from the prefilled cache before
     the first decode step; static and fixed schedulers return theirs as-is.
-    Token ``j`` is attributed the schedule's precision at index ``j``, so the
-    recorded precision sequence is non-increasing; decode step ``i`` (which
-    consumes token ``i``) runs the model at that same index.
+    Decoding is :func:`decode_schedules` over that one schedule.
     """
-    cfg = sampler_cfg if sampler_cfg is not None else SamplerConfig()
-    eos = model.config.vocab_size - 1 if eos_id is None else eos_id
-    if max_new < 1:
-        raise InputError(f"max_new must be >= 1, got {max_new}")
-    if max_new > scheduler.horizon:
-        raise InputError(f"max_new {max_new} exceeds the schedule horizon {scheduler.horizon}")
-
-    rng = named_rng(cfg.seed, "sampler")
     logits, cache = prefill(model, scheduler.p_prefill, prompt)
-    sched = scheduler.resolve(cache)
-    check_schedule(model, sched)
-
-    tokens: list[int] = []
-    precisions: list[int] = []
-    hashes: list[str] = []
-
-    def push(tok: int, lg: np.ndarray) -> None:
-        tokens.append(tok)
-        precisions.append(sched.precision_at(len(tokens) - 1))
-        hashes.append(logits_hash(lg))
-
-    push(sample(logits, cfg, rng), logits)
-    while tokens[-1] != eos and len(tokens) < max_new:
-        step = len(tokens) - 1  # consumes tokens[step]
-        logits, cache = decode_step(model, sched.precision_at(step), tokens[-1], cache)
-        push(sample(logits, cfg, rng), logits)
-
-    termination = "eos" if tokens[-1] == eos else "length"
-    return GenerationTrace(list(prompt), tokens, precisions, hashes,
-                           termination, scheduler.p_prefill, sched)
+    (trace,) = decode_schedules(model, prompt, scheduler.p_prefill, logits, cache,
+                                [scheduler.resolve(cache)], sampler_cfg, eos_id, max_new)
+    return trace

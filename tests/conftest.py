@@ -1,6 +1,7 @@
 import pytest
 
 from pmpd import cli, quant, tinylm
+from pmpd.util import named_rng
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +25,30 @@ def corpus_prompts():
     tok = tinylm.ByteTokenizer()
     lines = cli.load_prompt_lines(None)
     return [tok.encode(line)[:48] for line in lines]
+
+
+def _naive_generate(model, prompt, scheduler, sampler_cfg=None, eos_id=None, max_new=64):
+    """The plain decode loop, written out as the reference for the shared
+    walk in ``tinylm.decode_schedules``: prefill, resolve, then one
+    ``decode_step`` at ``precision_at(step)`` and one ``sample`` per token."""
+    cfg = sampler_cfg if sampler_cfg is not None else tinylm.SamplerConfig()
+    eos = model.config.vocab_size - 1 if eos_id is None else eos_id
+    rng = named_rng(cfg.seed, "sampler")
+    logits, cache = tinylm.prefill(model, scheduler.p_prefill, prompt)
+    sched = scheduler.resolve(cache)
+    tokens = [tinylm.sample(logits, cfg, rng)]
+    hashes = [tinylm.logits_hash(logits)]
+    while tokens[-1] != eos and len(tokens) < max_new:
+        logits, cache = tinylm.decode_step(model, sched.precision_at(len(tokens) - 1),
+                                           tokens[-1], cache)
+        tokens.append(tinylm.sample(logits, cfg, rng))
+        hashes.append(tinylm.logits_hash(logits))
+    return tinylm.GenerationTrace(list(prompt), tokens,
+                                  [sched.precision_at(j) for j in range(len(tokens))],
+                                  hashes, "eos" if tokens[-1] == eos else "length",
+                                  scheduler.p_prefill, sched)
+
+
+@pytest.fixture(scope="session")
+def naive_generate():
+    return _naive_generate

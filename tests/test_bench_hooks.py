@@ -3,7 +3,10 @@ by attribute name, so renaming or deleting one breaks the traced benchmark.
 Installing and removing the tracer here makes such a change fail the suite."""
 from pathlib import Path
 
+import pytest
+
 from pmpd import learnsched, metrics, perf, quant, schedule, tinylm
+from pmpd.schedule import FixedScheduler
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 OWNERS = (learnsched, metrics, perf, quant, schedule, tinylm, tinylm.ModelVariants)
@@ -24,3 +27,24 @@ def test_tracer_installs_and_uninstalls_cleanly(monkeypatch):
     for owner, attrs in zip(OWNERS, before):
         assert dict(vars(owner)).keys() == attrs.keys()
         assert all(vars(owner)[name] is value for name, value in attrs.items())
+
+
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_stamps_record_one_decode_step_per_token_after_the_first(monkeypatch, small_model, n):
+    # TTFT runs to the first stamp and the inter-token gaps are the stamps'
+    # spacing, so a run ending by length must stamp exactly n - 1 steps
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    patches, stamps = tracing.Patches(), tracing.Stamps()
+    stamps.install(patches)
+    try:
+        t0 = stamps.begin()
+        trace = tinylm.generate(small_model, list(b"The river"), FixedScheduler(4),
+                                eos_id=small_model.config.vocab_size, max_new=n)
+        assert len(stamps.steps) == n - 1
+        timing = stamps.finish(t0)
+    finally:
+        patches.restore()
+    assert trace.termination == "length" and len(trace.output_tokens) == n
+    assert len(timing.gaps_s) == n - 1

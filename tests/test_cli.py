@@ -105,6 +105,22 @@ def test_malformed_vocab_json_is_input_error(tmp_path, monkeypatch):
     assert code == cli.EXIT_INPUT_ERROR
 
 
+BAD_VOCAB = {"tokens-not-a-list": '{"tokens": 5}',
+             "non-integer-eos": '{"tokens": ["a"], "eos": "x"}'}
+
+
+@pytest.mark.parametrize("text", BAD_VOCAB.values(), ids=BAD_VOCAB.keys())
+def test_vocab_with_wrong_field_types_is_format_error(tmp_path, monkeypatch, text):
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    Path("vocab.json").write_text(text)
+    with pytest.raises(FormatError):
+        tinylm.VocabTokenizer.from_json("vocab.json")
+    code = run(["generate", "--model", "model.pmpd", "--vocab", "vocab.json",
+                "--prompt", "a", "--fixed-precision", "3", "--out", "t.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+
+
 def _rewrite_metadata(path, mutate) -> None:
     data = Path(path).read_bytes()
     (meta_len,) = struct.unpack_from("<I", data, 8)
@@ -147,6 +163,28 @@ def test_bad_schedule_precision_is_contract_violation(tmp_path, monkeypatch):
     assert code == cli.EXIT_CONTRACT_VIOLATION
 
 
+INVALID_SCHEDULES = {
+    "missing-switch-point": {"precisions": [4, 2], "prefill": 4, "st": {"4": 0}, "OL": 8},
+    "precedence-violation": {"precisions": [4, 2], "prefill": 4, "st": {"4": 5, "2": 1},
+                             "OL": 8},
+    "st-not-a-dict": {"precisions": [4, 2], "prefill": 4, "st": [0, 4], "OL": 8},
+}
+
+
+@pytest.mark.parametrize("obj", INVALID_SCHEDULES.values(), ids=INVALID_SCHEDULES.keys())
+def test_invalid_schedule_is_input_error(tmp_path, monkeypatch, obj):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(json.dumps(obj))
+    code = run(["perf", "--preset", "vicuna-7b", "--schedule", "bad.json",
+                "--prompt-len", "8", "--gen-len", "8", "--out", "perf.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("perf.json").exists()
+    quantize("model.pmpd")
+    code = run(["generate", "--model", "model.pmpd", "--limit", "1",
+                "--schedule", "bad.json", "--max-new", "8", "--out", "t.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+
+
 def test_conflicting_scheduler_flags_rejected(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     quantize("model.pmpd")
@@ -169,6 +207,21 @@ def test_perf_with_gpu_kernels_and_csv(tmp_path, monkeypatch):
     assert report["gpu"]["weighted_latency_us"] == pytest.approx(7.44)
     assert report["report"]["speedup_vs_fp16"] > 1.0
     assert Path("sweep.csv").read_text().startswith("scheme,")
+
+
+BAD_KERNELS = {"non-integer-key": {"3": 8.1, "x": 7.0, "16": 97.1},
+               "non-numeric-value": {"3": "fast", "16": 97.1},
+               "zero-latency": {"3": 0, "16": 97.1}}
+
+
+@pytest.mark.parametrize("table", BAD_KERNELS.values(), ids=BAD_KERNELS.keys())
+def test_malformed_gpu_kernels_is_input_error(tmp_path, monkeypatch, table):
+    monkeypatch.chdir(tmp_path)
+    Path("kern.json").write_text(json.dumps(table))
+    code = run(["perf", "--preset", "vicuna-7b", "--fixed-precision", "3",
+                "--prompt-len", "8", "--gen-len", "8", "--gpu-kernels", "kern.json",
+                "--out", "perf.json"])
+    assert code == cli.EXIT_INPUT_ERROR
 
 
 def test_read_json_errors_are_typed(tmp_path):

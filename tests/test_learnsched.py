@@ -108,7 +108,7 @@ def test_predictions_always_validate():
                        n=int(rng.integers(2, 6)), seed=trial, horizon=20)
         t = int(rng.integers(1, 10))
         cache = FakeCache(rng.normal(size=(t, net.d_k)), rng.normal(size=(t, net.d_v)))
-        assert predict_schedule(net, cache).validate() == []
+        predict_schedule(net, cache)  # an invalid schedule raises when built
 
 
 def test_learned_scheduler_runs_inside_generate(small_model):
@@ -117,7 +117,6 @@ def test_learned_scheduler_runs_inside_generate(small_model):
     trace = tinylm.generate(small_model, list(b"A lantern in the window"),
                             LearnedScheduler(net, p_prefill=4), max_new=12)
     assert trace.p_prefill == 4
-    assert trace.schedule.validate() == []
     assert all(p in (3, 2) for p in trace.precisions)
 
 
@@ -291,3 +290,11 @@ def test_net_json_round_trip():
         assert np.array_equal(net.params()[name], back.params()[name])
     assert back.grid.points == net.grid.points
     assert (back.p_high, back.p_low) == (net.p_high, net.p_low)
+
+
+def test_feature_block_outside_the_model_is_config_error(small_model):
+    d = small_model.config.d_model
+    for block in (2, -3):  # small_model has two layers
+        net = SchedulerNet.init(d, d, 8, SwitchGrid(5, 16), 3, 2, seed=0, feature_block=block)
+        with pytest.raises(ConfigError, match="outside the cache"):
+            tinylm.generate(small_model, list(b"A lantern"), LearnedScheduler(net), max_new=4)

@@ -40,19 +40,34 @@ def test_precision_at_never_switches():
 
 def test_validate_ok():
     s = PrecisionSchedule(PrecisionSet((4, 3, 2)), 4, {4: 0, 3: 2, 2: 5}, 8)
-    assert s.validate() == []
+    assert [s.precision_at(i) for i in range(8)] == [4, 4, 3, 3, 3, 2, 2, 2]
+    # equal starts skip a precision; OL means "never used"
+    s = PrecisionSchedule(PrecisionSet((4, 3, 2)), 4, {4: 0, 3: 2, 2: 2}, 8)
+    assert [s.precision_at(i) for i in range(4)] == [4, 4, 2, 2]
+    PrecisionSchedule(PrecisionSet((4, 3, 2)), 4, {4: 0, 3: 8, 2: 8}, 8)
 
 
 def test_validate_precedence_violation():
-    s = PrecisionSchedule(PrecisionSet((4, 3)), 4, {4: 3, 3: 1}, 8)
-    problems = s.validate()
-    assert any("precedence" in v for v in problems)
-    assert any("must start at 0" in v for v in problems)
+    with pytest.raises(ConfigError, match="must start at 0"):
+        PrecisionSchedule(PrecisionSet((4, 3)), 4, {4: 3, 3: 1}, 8)
+    with pytest.raises(ConfigError, match="non-decreasing"):
+        PrecisionSchedule(PrecisionSet((4, 3, 2)), 4, {4: 0, 3: 5, 2: 1}, 8)
 
 
 def test_validate_range_violation():
-    s = PrecisionSchedule(PrecisionSet((3, 2)), 3, {3: 0, 2: 9}, 8)
-    assert any("outside [0, 8]" in v for v in s.validate())
+    with pytest.raises(ConfigError, match=r"within \[0, 8\]"):
+        PrecisionSchedule(PrecisionSet((3, 2)), 3, {3: 0, 2: 9}, 8)
+    with pytest.raises(ConfigError, match="must start at 0"):
+        PrecisionSchedule(PrecisionSet((3, 2)), 3, {3: -1, 2: 0}, 8)
+    with pytest.raises(ConfigError):
+        PrecisionSchedule.constant(3, -1)
+
+
+@pytest.mark.parametrize("st", [{4: 0}, {4: 0, 3: 2, 2: 4}, {4: 0, 2: 4}, {}],
+                         ids=["missing", "extra", "wrong", "empty"])
+def test_switch_points_must_name_exactly_the_precisions(st):
+    with pytest.raises(ConfigError, match="must name exactly"):
+        PrecisionSchedule(PrecisionSet((4, 3)), 4, st, 8)
 
 
 def test_precision_at_non_increasing_on_random_valid_schedules():
@@ -65,7 +80,6 @@ def test_precision_at_non_increasing_on_random_valid_schedules():
         lows = sorted(int(x) for x in rng.integers(0, horizon + 1, k - 1))
         st = {ps.p_max: 0, **dict(zip(ps.precisions[1:], lows))}
         s = PrecisionSchedule(ps, ps.p_max, st, horizon)
-        assert s.validate() == []
         seq = [s.precision_at(i) for i in range(horizon)]
         assert all(a >= b for a, b in zip(seq, seq[1:]))
         assert ps.p_min <= avg_bitwidth(s, horizon) <= ps.p_max
@@ -243,7 +257,6 @@ def test_solver_flags_infeasible_and_returns_all_high():
                         precisions=PS32, p_prefill=3, quality_fn=lambda s: 1.0)
     assert not best.feasible
     assert best.switch_points == {3: 0, 2: 8}
-    assert best.validate() == []
 
 
 def test_solver_equals_brute_force_on_full_range_grids():
@@ -295,10 +308,9 @@ def test_solver_results_always_validate():
     for _ in range(30):
         grid = SwitchGrid(4, 9)
         target = QualityTarget(float(rng.uniform(0, 1.2)), 0.05)
-        best = solve_static(None, None, target, grid,
-                            precisions=PrecisionSet((4, 3, 2)), p_prefill=4,
-                            quality_fn=lambda s: float(rng.uniform(0, 1)))
-        assert best.validate() == []
+        # every candidate and the result are built, and so validated
+        solve_static(None, None, target, grid, precisions=PrecisionSet((4, 3, 2)),
+                     p_prefill=4, quality_fn=lambda s: float(rng.uniform(0, 1)))
 
 
 def test_details_out_records_every_candidate():
@@ -327,6 +339,12 @@ def test_schedule_json_round_trip():
 def test_schedule_from_json_rejects_garbage():
     with pytest.raises(InputError):
         PrecisionSchedule.from_json({"precisions": [3, 2]})
+    good = {"precisions": [3, 2], "prefill": 3, "st": {"3": 0, "2": 4}, "OL": 8}
+    for bad in ({**good, "st": [0, 4]}, {**good, "OL": 1e400}, [good], None):
+        with pytest.raises(InputError):
+            PrecisionSchedule.from_json(bad)
+    with pytest.raises(ConfigError):
+        PrecisionSchedule.from_json({**good, "st": {"3": 0}})
 
 
 def test_full_precision_schedule_survives_json_round_trip():
@@ -334,21 +352,25 @@ def test_full_precision_schedule_survives_json_round_trip():
     s = PrecisionSchedule.constant(16, 24)
     back = PrecisionSchedule.from_json(s.to_json())
     assert back.precision_at(0) == 16
-    assert back.validate() == []
 
 
 # ---------------------------------------------------------------------------
 # shared-prefix candidate decoding
 # ---------------------------------------------------------------------------
 
-def independent_traces(model, prompt, schedules, max_new, eos_id=None):
-    return [tinylm.generate(model, prompt, StaticScheduler(s), SamplerConfig(), eos_id, max_new)
+def independent_traces(naive_generate, model, prompt, schedules, max_new, eos_id=None):
+    return [naive_generate(model, prompt, StaticScheduler(s), SamplerConfig(), eos_id, max_new)
             for s in schedules]
 
 
-def assert_matches_generate(model, prompt, schedules, max_new, eos_id=None):
+def assert_matches_generate(naive_generate, model, prompt, schedules, max_new, eos_id=None):
+    """Each candidate's trace equals the naive loop's over its schedule alone,
+    and ``tinylm.generate``'s, bit for bit."""
     traces, _ = decode_candidates(model, prompt, schedules, max_new, eos_id)
-    expected = independent_traces(model, prompt, schedules, max_new, eos_id)
+    expected = independent_traces(naive_generate, model, prompt, schedules, max_new, eos_id)
+    generated = [tinylm.generate(model, prompt, StaticScheduler(s), SamplerConfig(), eos_id,
+                                 max_new) for s in schedules]
+    assert [t.to_json() for t in generated] == [t.to_json() for t in expected]
     assert len(traces) == len(expected)
     for got, want in zip(traces, expected):
         assert got.to_json() == want.to_json()
@@ -361,13 +383,15 @@ def c12_candidates(horizon=24):
             for st in enumerate_switch_maps(ps.precisions, SwitchGrid(5, horizon).points)]
 
 
-def test_trie_matches_generate_in_the_criterion_12_configuration(toy_model, corpus_prompts):
+def test_trie_matches_generate_in_the_criterion_12_configuration(toy_model, corpus_prompts,
+                                                                 naive_generate):
     for prompt in corpus_prompts[:2]:
-        traces = assert_matches_generate(toy_model, prompt, c12_candidates(), 24)
+        traces = assert_matches_generate(naive_generate, toy_model, prompt, c12_candidates(), 24)
         assert len({tuple(t.output_tokens) for t in traces}) > 1
 
 
-def test_trie_matches_generate_in_the_brute_force_configuration(small_model, corpus_prompts):
+def test_trie_matches_generate_in_the_brute_force_configuration(small_model, corpus_prompts,
+                                                                naive_generate):
     ps = PrecisionSet((4, 3, 2))
     horizon = 8
     maps = list(enumerate_switch_maps(ps.precisions, range(horizon + 1)))
@@ -375,17 +399,18 @@ def test_trie_matches_generate_in_the_brute_force_configuration(small_model, cor
     schedules = ([PrecisionSchedule(ps, 4, st, horizon) for st in maps]
                  + [PrecisionSchedule(ps, 3, st, horizon) for st in maps[::2]])
     for prompt in corpus_prompts[:2]:
-        assert_matches_generate(small_model, prompt, schedules, horizon)
+        assert_matches_generate(naive_generate, small_model, prompt, schedules, horizon)
 
 
-def test_trie_matches_generate_when_branches_hit_eos(toy_model, corpus_prompts):
+def test_trie_matches_generate_when_branches_hit_eos(toy_model, corpus_prompts, naive_generate):
     prompt, horizon = corpus_prompts[0], 24
     schedules = c12_candidates(horizon)
     # make EOS a token the all-high spine emits mid-way, so it ends a shared
     # prefix (and every descendant) while branches that left earlier go on
-    spine = independent_traces(toy_model, prompt, schedules[-1:], horizon)[0].output_tokens
+    spine = independent_traces(naive_generate, toy_model, prompt, schedules[-1:],
+                               horizon)[0].output_tokens
     eos = next(t for j, t in enumerate(spine) if j >= 8 and t not in spine[:j])
-    traces = assert_matches_generate(toy_model, prompt, schedules, horizon, eos)
+    traces = assert_matches_generate(naive_generate, toy_model, prompt, schedules, horizon, eos)
     assert any(t.termination == "eos" and len(t.output_tokens) < horizon for t in traces)
     assert any(t.output_tokens != traces[-1].output_tokens for t in traces)
 
@@ -396,9 +421,8 @@ def test_trie_keeps_the_checks_of_generate(small_model):
         decode_candidates(small_model, prompt, [two_phase(4, 2, 2, 8)], 9)
     with pytest.raises(InputError):
         decode_candidates(small_model, prompt, [two_phase(4, 2, 2, 8)], 0)
-    bad = PrecisionSchedule(PrecisionSet((4, 2)), 4, {4: 3, 2: 1}, 8)
-    with pytest.raises(ContractViolation):
-        decode_candidates(small_model, prompt, [two_phase(4, 2, 2, 8), bad], 8)
+    with pytest.raises(ConfigError):  # an invalid schedule cannot even be built
+        PrecisionSchedule(PrecisionSet((4, 2)), 4, {4: 3, 2: 1}, 8)
     with pytest.raises(ContractViolation):
         decode_candidates(small_model, prompt, [two_phase(5, 2, 2, 8)], 8)
 

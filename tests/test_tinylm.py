@@ -3,7 +3,8 @@ import pytest
 
 from pmpd import quant, tinylm
 from pmpd.errors import ConfigError, ContractViolation, FormatError, InputError
-from pmpd.schedule import FixedScheduler, PrecisionSchedule, StaticScheduler
+from pmpd.learnsched import LearnedScheduler, SchedulerNet
+from pmpd.schedule import FixedScheduler, PrecisionSchedule, StaticScheduler, SwitchGrid
 from pmpd.tinylm import (FULL_PRECISION, ByteTokenizer, ModelConfig, SamplerConfig,
                          VocabTokenizer, decode_step, forward_full, generate, prefill,
                          sample)
@@ -225,16 +226,64 @@ def test_scheduler_outside_model_set_is_contract_violation(small_model):
         generate(small_model, PROMPT, sched, max_new=8)
 
 
-def test_invalid_schedule_is_contract_violation(small_model):
-    bad = PrecisionSchedule(quant.PrecisionSet((4, 3)), 4, {4: 5, 3: 1}, 16)
-    with pytest.raises(ContractViolation):
-        generate(small_model, PROMPT, StaticScheduler(bad), max_new=8)
+def test_invalid_schedule_is_rejected_when_built():
+    with pytest.raises(ConfigError):
+        PrecisionSchedule(quant.PrecisionSet((4, 3)), 4, {4: 5, 3: 1}, 16)
 
 
 def test_max_new_beyond_horizon_rejected(small_model):
     sched = StaticScheduler(PrecisionSchedule.two_phase(3, 2, 2, 8))
     with pytest.raises(InputError):
         generate(small_model, PROMPT, sched, max_new=9)
+
+
+def test_max_new_below_one_rejected(small_model):
+    with pytest.raises(InputError):
+        generate(small_model, PROMPT, FixedScheduler(4), max_new=0)
+
+
+SAMPLERS = {"greedy": SamplerConfig(),
+            "temperature": SamplerConfig(mode="temperature", temperature=0.8, seed=5)}
+
+
+def learned_scheduler(model):
+    d = model.config.d_model
+    net = SchedulerNet.init(d, d, 8, SwitchGrid(5, 16), 4, 2, seed=3)
+    return LearnedScheduler(net)
+
+
+SCHEDULERS = {
+    "fixed": lambda model: FixedScheduler(3),
+    "static": lambda model: StaticScheduler(
+        PrecisionSchedule(quant.PrecisionSet((4, 3, 2)), 4, {4: 0, 3: 3, 2: 7}, 16)),
+    "learned": learned_scheduler,
+}
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS.values(), ids=SAMPLERS.keys())
+@pytest.mark.parametrize("make_scheduler", SCHEDULERS.values(), ids=SCHEDULERS.keys())
+def test_generate_matches_the_naive_loop(small_model, naive_generate, make_scheduler,
+                                         sampler):
+    scheduler = make_scheduler(small_model)
+    for prompt in (PROMPT, list(b"A lantern")):
+        want = naive_generate(small_model, prompt, scheduler, sampler, max_new=16)
+        assert generate(small_model, prompt, scheduler, sampler,
+                        max_new=16).to_json() == want.to_json()
+        assert want.termination == "length"
+        # the token emitted at index 5 as EOS ends the run by index 5
+        eos = want.output_tokens[5]
+        want = naive_generate(small_model, prompt, scheduler, sampler, eos, max_new=16)
+        assert generate(small_model, prompt, scheduler, sampler, eos,
+                        max_new=16).to_json() == want.to_json()
+        assert want.termination == "eos" and len(want.output_tokens) <= 6
+
+
+def test_non_greedy_sampler_walks_one_schedule_only(small_model):
+    logits, cache = prefill(small_model, 4, PROMPT)
+    schedules = [PrecisionSchedule.two_phase(4, 2, k, 8) for k in (2, 4)]
+    with pytest.raises(ConfigError, match="not forked"):
+        tinylm.decode_schedules(small_model, PROMPT, 4, logits, cache, schedules,
+                                SAMPLERS["temperature"], max_new=8)
 
 
 def test_generate_at_full_precision_uses_real_weights(small_model):
