@@ -264,11 +264,17 @@ def cmd_perf(args) -> int:
     return 0
 
 
+def _load_traces(path) -> list[tinylm.GenerationTrace]:
+    obj = read_json(path)
+    traces = obj.get("traces") if isinstance(obj, dict) else None
+    if not isinstance(traces, list) or not traces:
+        raise InputError(f"{path} holds no non-empty \"traces\" list")
+    return [tinylm.GenerationTrace.from_json(t) for t in traces]
+
+
 def cmd_eval(args) -> int:
-    out_traces = [tinylm.GenerationTrace.from_json(t)
-                  for t in read_json(args.traces)["traces"]]
-    ref_traces = [tinylm.GenerationTrace.from_json(t)
-                  for t in read_json(args.references)["traces"]]
+    out_traces = _load_traces(args.traces)
+    ref_traces = _load_traces(args.references)
     if len(out_traces) != len(ref_traces):
         raise InputError(f"trace count mismatch: {len(out_traces)} vs {len(ref_traces)}")
     rows = []

@@ -77,6 +77,8 @@ class SchedulerNet:
     def init(cls, d_k: int, d_v: int, hidden: int, grid: SwitchGrid,
              p_high: int, p_low: int, seed: int = 0,
              feature_block: int = -1) -> "SchedulerNet":
+        if hidden < 1:
+            raise ConfigError(f"hidden width must be >= 1, got {hidden}")
         rng = named_rng(seed, "scheduler-init")
         q = rng.normal(0.0, 1.0 / np.sqrt(d_k), d_k)
         w1 = rng.normal(0.0, np.sqrt(2.0 / d_v), (hidden, d_v))
@@ -274,13 +276,18 @@ def load_labels(path) -> tuple[list[LabeledExample], dict]:
             if not line.strip():
                 continue
             obj = json.loads(line)
-            t = obj["t"]
+            t, d_k, d_v = obj["t"], obj["d_k"], obj["d_v"]
+            if min(t, d_k, d_v) < 1:
+                raise FormatError(f"label example of {t} rows of widths {d_k}/{d_v} is empty")
             examples.append(LabeledExample(
-                b64_to_f32(obj["k"], (t, obj["d_k"])), b64_to_f32(obj["v"], (t, obj["d_v"])),
+                b64_to_f32(obj["k"], (t, d_k)), b64_to_f32(obj["v"], (t, d_v)),
                 int(obj["label"]), list(obj.get("scores", [])),
                 int(obj.get("prompt_len", 0))))
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise FormatError(f"malformed label file {path}: {exc}") from exc
+    widths = {(ex.k.shape[1], ex.v.shape[1]) for ex in examples}
+    if len(widths) > 1:
+        raise FormatError(f"label file {path} mixes K/V widths {sorted(widths)}")
     return examples, header
 
 

@@ -35,8 +35,9 @@ class HardwareConfig:
     overlap: bool = True  # compute/memory overlap => roofline max, else sum
 
     def __post_init__(self):
-        if min(self.mac_units, self.clock_hz, self.mem_bw_bytes_per_s) <= 0:
-            raise ConfigError("hardware parameters must all be positive")
+        if not all(0 < x < math.inf
+                   for x in (self.mac_units, self.clock_hz, self.mem_bw_bytes_per_s)):
+            raise ConfigError("hardware parameters must all be positive and finite")
 
     def to_json(self) -> dict:
         return {"mac_units": self.mac_units, "clock_hz": self.clock_hz,
@@ -47,7 +48,7 @@ class HardwareConfig:
         try:
             return cls(int(obj["mac_units"]), float(obj["clock_hz"]),
                        float(obj["mem_bw_bytes_per_s"]), bool(obj.get("overlap", True)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed hardware JSON: {exc}") from exc
 
 
@@ -114,7 +115,7 @@ class ModelFootprint:
             return cls(int(obj["attn_params"]), int(obj["mlp_params"]),
                        int(obj["embed_params"]), int(obj["n_layers"]),
                        int(obj["kv_bytes_per_token"]), int(obj.get("group_size", 64)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"malformed footprint JSON: {exc}") from exc
 
 

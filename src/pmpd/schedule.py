@@ -7,17 +7,20 @@ precedence: a higher precision never starts after a lower one. The highest
 decode precision always starts at 0.
 
 This module owns the schedule representation, which enforces these rules
-when it is built, and its JSON form, the switch-point counting formula,
-phase-aware precision allocation, the grid-restricted static solver and its
-exhaustive brute-force oracle, and the scheduler objects the generation loop
-consumes.
+when it is built, and its JSON form, the switch-point counting formula, the
+scheduler objects the generation loop consumes, and the offline search.
+Phase-aware precision allocation (constant candidates, one per prefill and
+decode pair) and the grid-restricted static solver (one candidate per grid
+switch map) are two callers of one selection rule: score the candidates
+against full-precision references and keep the cheapest that meets the
+quality floor.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import ConfigError, InputError
 from .quant import FULL_PRECISION, PrecisionSet
@@ -251,28 +254,6 @@ def reference_output(variants, prompt: Sequence[int], max_new: int,
     return out if out and out != [eos] else None
 
 
-def _schedule_qualities(variants, prompts, schedules, max_new, eos_id):
-    """Mean Rouge-L F1 of each schedule's greedy generations against the
-    full-precision references, over the prompts with a non-empty reference;
-    also the number of prompts skipped."""
-    from . import metrics
-
-    eos = variants.config.vocab_size - 1 if eos_id is None else eos_id
-    totals = [0.0] * len(schedules)
-    kept = 0
-    for prompt in prompts:
-        ref = reference_output(variants, prompt, max_new, eos)
-        if ref is None:
-            continue
-        kept += 1
-        traces, _ = decode_candidates(variants, prompt, schedules, max_new, eos)
-        for j, trace in enumerate(traces):
-            totals[j] += metrics.rouge_l(trace.output_tokens, ref).f1
-    if not kept:
-        raise InputError("every calibration/validation prompt produced an empty reference")
-    return [t / kept for t in totals], len(prompts) - kept
-
-
 # ---------------------------------------------------------------------------
 # phase-aware precision allocation
 # ---------------------------------------------------------------------------
@@ -304,84 +285,31 @@ def allocate_phase_precisions(variants, calib_prompts: Sequence[Sequence[int]],
                               precisions: PrecisionSet | None = None,
                               max_new: int = 32,
                               eos_id: int | None = None,
-                              evaluator: Callable[[int, int], float] | None = None,
+                              quality_fn: Callable[[PrecisionSchedule], float] | None = None,
                               ) -> CalibrationReport:
     """Pick the smallest (prefill, decode) precision pair meeting the floor.
 
     Every pair of ``precisions`` (the model's set by default) with prefill >=
-    decode is scored by mean quality over the calibration prompts; the winner
+    decode is a constant schedule over ``max_new`` tokens, scored by mean
+    quality over the calibration prompts (or by ``quality_fn``). The winner
     minimizes decode precision first, then prefill precision. If nothing
     qualifies the highest pair is returned with the fallback flag set.
-    ``evaluator(p_prefill, p_decode) -> quality`` overrides the default
-    generation-based scoring.
     """
     ps = precisions if precisions is not None else getattr(variants, "precisions", None)
     if ps is None:
         raise ConfigError("no precision set supplied")
     pairs = sorted((pf, pd) for pd in ps for pf in ps if pf >= pd)
-    skipped = 0
-    if evaluator is not None:
-        qualities = [float(evaluator(*pair)) for pair in pairs]
-    else:
-        if not calib_prompts:
-            raise InputError("calibration prompt set is empty")
-        candidates = [PrecisionSchedule.constant(pd, max_new, pf) for pf, pd in pairs]
-        qualities, skipped = _schedule_qualities(variants, calib_prompts, candidates,
-                                                 max_new, eos_id)
-    table = dict(zip(pairs, qualities))
-
-    qualifying = [pair for pair in pairs if table[pair] >= target.floor]
-    if qualifying:
-        chosen = min(qualifying, key=lambda pair: (pair[1], pair[0]))
-        fallback = False
-    else:
-        chosen = (ps.p_max, ps.p_max)
-        fallback = True
-    return CalibrationReport(table, chosen, target.q_ref, target.tolerance,
-                             fallback, skipped)
+    candidates = [PrecisionSchedule.constant(pd, max_new, pf) for pf, pd in pairs]
+    best, qualities, skipped = _cheapest_feasible(variants, calib_prompts, candidates,
+                                                  target, max_new, eos_id, quality_fn)
+    return CalibrationReport(dict(zip(pairs, qualities)),
+                             (best.p_prefill, best.precisions.p_max),
+                             target.q_ref, target.tolerance, not best.feasible, skipped)
 
 
 # ---------------------------------------------------------------------------
 # static schedule search
 # ---------------------------------------------------------------------------
-
-def _select_best(variants, valset, eos_id,
-                 quality_fn: Callable[[PrecisionSchedule], float] | None,
-                 precisions: PrecisionSet, p_prefill: int, horizon: int,
-                 candidates: Iterable[dict[int, int]], target: QualityTarget,
-                 details_out: list | None) -> PrecisionSchedule:
-    """Shared selection core: score every candidate (by ``quality_fn`` when
-    given, else by generation over ``valset``), then among the feasible ones
-    minimize the bit-token sum, tie-broken by earlier switches for higher
-    precisions."""
-    scheds = [PrecisionSchedule(precisions, p_prefill, st, horizon) for st in candidates]
-    if quality_fn is not None:
-        qualities = [float(quality_fn(s)) for s in scheds]
-    else:
-        if not valset:
-            raise InputError("validation prompt set is empty")
-        qualities, _ = _schedule_qualities(variants, valset, scheds, horizon, eos_id)
-
-    desc = precisions.precisions
-    best_key, best = None, None
-    for sched, quality in zip(scheds, qualities):
-        st = sched.switch_points
-        feasible = quality >= target.floor
-        bits = sched.bit_token_sum()
-        if details_out is not None:
-            details_out.append({"st": {str(p): st[p] for p in desc},
-                                "quality": quality, "bit_token_sum": bits,
-                                "feasible": feasible})
-        if not feasible:
-            continue
-        key = (bits, tuple(st[p] for p in desc))
-        if best_key is None or key < best_key:
-            best_key, best = key, sched
-    if best is None:
-        st = {p: (0 if p == desc[0] else horizon) for p in desc}
-        return PrecisionSchedule(precisions, p_prefill, st, horizon, feasible=False)
-    return best
-
 
 def solve_static(variants, valset: Sequence[Sequence[int]], target: QualityTarget,
                  grid: SwitchGrid, *, precisions: PrecisionSet, p_prefill: int,
@@ -392,31 +320,74 @@ def solve_static(variants, valset: Sequence[Sequence[int]], target: QualityTarge
 
     Enumerates every precedence-respecting assignment of grid points to the
     lower precisions, scores each schedule by mean generation quality against
-    full-precision references over the validation set, and returns the
-    cheapest feasible schedule (fewest bit-tokens). Infeasible searches
-    return the all-high schedule flagged infeasible. ``quality_fn`` replaces
-    the generation-based scoring when supplied (synthetic experiments/tests).
+    full-precision references over the validation set (or by ``quality_fn``),
+    and returns the cheapest feasible schedule (fewest bit-tokens, then
+    earlier switch points in precision order). Infeasible searches return
+    the all-high schedule flagged infeasible. ``details_out`` receives one
+    record per candidate.
     """
-    candidates = enumerate_switch_maps(precisions.precisions, grid.points)
-    return _select_best(variants, valset, eos_id, quality_fn, precisions, p_prefill,
-                        grid.horizon, candidates, target, details_out)
+    candidates = [PrecisionSchedule(precisions, p_prefill, st, grid.horizon)
+                  for st in enumerate_switch_maps(precisions.precisions, grid.points)]
+    best, _, _ = _cheapest_feasible(variants, valset, candidates, target, grid.horizon,
+                                    eos_id, quality_fn, details_out)
+    return best
 
 
-def brute_force_best(variants, valset: Sequence[Sequence[int]], target: QualityTarget,
-                     horizon: int, *, precisions: PrecisionSet, p_prefill: int,
-                     eos_id: int | None = None,
-                     quality_fn: Callable[[PrecisionSchedule], float] | None = None,
-                     details_out: list | None = None) -> PrecisionSchedule:
-    """Exact optimum over every integer switch point; the test oracle.
+# ---------------------------------------------------------------------------
+# the one selection rule
+# ---------------------------------------------------------------------------
 
-    Guarded to small horizons (<= 16) and at most 3 precisions because the
-    candidate count grows combinatorially.
+def _cheapest_feasible(variants, prompts, candidates: Sequence[PrecisionSchedule],
+                       target: QualityTarget, max_new: int, eos_id: int | None,
+                       quality_fn: Callable[[PrecisionSchedule], float] | None,
+                       details_out: list | None = None):
+    """Score ``candidates`` and pick the cheapest one meeting the floor, by
+    (bit-token sum, prefill precision, switch points in precision order).
+    When none does, the costliest candidate by that key, which is the
+    all-high one in both callers, is returned flagged infeasible.
+
+    A candidate's quality is ``quality_fn(candidate)`` when given, else the
+    mean Rouge-L F1 of its greedy generations against the full-precision
+    references over the prompts whose reference is not empty.
+
+    Returns the choice, the qualities in candidate order and the number of
+    prompts skipped for an empty reference.
     """
-    if horizon > 16 or len(precisions) > 3:
-        raise ConfigError(
-            f"brute force refused: horizon {horizon} > 16 or "
-            f"{len(precisions)} precisions > 3"
-        )
-    candidates = enumerate_switch_maps(precisions.precisions, range(horizon + 1))
-    return _select_best(variants, valset, eos_id, quality_fn, precisions, p_prefill,
-                        horizon, candidates, target, details_out)
+    from . import metrics
+
+    if quality_fn is not None:
+        qualities, skipped = [float(quality_fn(s)) for s in candidates], 0
+    else:
+        if not prompts:
+            raise InputError("calibration/validation prompt set is empty")
+        eos = variants.config.vocab_size - 1 if eos_id is None else eos_id
+        totals = [0.0] * len(candidates)
+        kept = 0
+        for prompt in prompts:
+            ref = reference_output(variants, prompt, max_new, eos)
+            if ref is None:
+                continue
+            kept += 1
+            traces, _ = decode_candidates(variants, prompt, candidates, max_new, eos)
+            for j, trace in enumerate(traces):
+                totals[j] += metrics.rouge_l(trace.output_tokens, ref).f1
+        if not kept:
+            raise InputError("every calibration/validation prompt produced an empty reference")
+        qualities, skipped = [t / kept for t in totals], len(prompts) - kept
+
+    def cost(s):
+        return (s.bit_token_sum(), s.p_prefill,
+                tuple(s.switch_points[p] for p in s.precisions))
+
+    feasible = [q >= target.floor for q in qualities]
+    if details_out is not None:
+        for s, q, ok in zip(candidates, qualities, feasible):
+            details_out.append({"st": {str(p): s.switch_points[p] for p in s.precisions},
+                                "quality": q, "bit_token_sum": s.bit_token_sum(),
+                                "feasible": ok})
+    met = [s for s, ok in zip(candidates, feasible) if ok]
+    if met:
+        return min(met, key=cost), qualities, skipped
+    top = max(candidates, key=cost)
+    return (PrecisionSchedule(top.precisions, top.p_prefill, top.switch_points, top.horizon,
+                              feasible=False), qualities, skipped)

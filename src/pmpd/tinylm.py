@@ -321,8 +321,8 @@ def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     return np.concatenate([x1 * c - x2 * s, x2 * c + x1 * s], axis=-1)
 
 
-def _forward(model: ModelVariants, p: int, tokens: Sequence[int], cache: KVCache,
-             collect_attn: list | None = None) -> np.ndarray:
+def _forward(model: ModelVariants, p: int, tokens: Sequence[int],
+             cache: KVCache) -> np.ndarray:
     """Run ``tokens`` through the model at weight precision ``p``, extending
     the cache; returns logits for each new position."""
     cfg = model.config
@@ -355,8 +355,6 @@ def _forward(model: ModelVariants, p: int, tokens: Sequence[int], cache: KVCache
             seen = np.arange(T0 + n)[None, :] <= (T0 + np.arange(n))[:, None]
             scores = np.where(seen[None, :, :], scores, -np.inf)
         attn = _softmax(scores, axis=-1)
-        if collect_attn is not None:
-            collect_attn.append(attn)
         ctx = np.einsum("hnt,thd->nhd", attn, v_all).reshape(n, cfg.d_model)
         x = x + ctx @ model.weights(f"layers.{i}.wo", p)
 
@@ -376,8 +374,8 @@ def _check_precision(model: ModelVariants, p: int) -> None:
             f"precision {p} not in the model's set {sorted(model.allowed_precisions())}")
 
 
-def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
-            collect_attn: list | None = None) -> tuple[np.ndarray, KVCache]:
+def prefill(model: ModelVariants, p: int,
+            prompt: Sequence[int]) -> tuple[np.ndarray, KVCache]:
     """Causal pass over the whole prompt; last-position logits plus the cache."""
     if not prompt:
         raise InputError("prompt is empty")
@@ -386,7 +384,7 @@ def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
             f"prompt length {len(prompt)} must be < max_context {model.config.max_context}")
     _check_precision(model, p)
     cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
-    logits = _forward(model, p, prompt, cache, collect_attn)
+    logits = _forward(model, p, prompt, cache)
     return logits[-1], cache
 
 
@@ -470,7 +468,7 @@ class GenerationTrace:
                        list(obj["precisions"]), list(obj["logits_hashes"]),
                        obj["termination"], obj["p_prefill"],
                        PrecisionSchedule.from_json(sched) if sched else None)
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"malformed trace JSON: {exc}") from exc
 
 

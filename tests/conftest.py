@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from pmpd import cli, quant, tinylm
+from pmpd.schedule import PrecisionSchedule
 from pmpd.util import named_rng
 
 
@@ -52,3 +55,33 @@ def _naive_generate(model, prompt, scheduler, sampler_cfg=None, eos_id=None, max
 @pytest.fixture(scope="session")
 def naive_generate():
     return _naive_generate
+
+
+def _naive_best(precisions, p_prefill, horizon, quality_fn, target):
+    """The exhaustive reference for ``schedule.solve_static`` on a grid that
+    holds every integer switch point, sharing none of its code: every tuple
+    of starts in ``[0, horizon]``, precedence checked here, bit-tokens
+    summed from ``precision_at``, and an argmin by (bit-tokens, starts in
+    precision order) among the schedules whose quality meets the floor. When
+    none does, the all-high schedule flagged infeasible."""
+    desc = sorted(precisions, reverse=True)
+    best_key, best = None, None
+    for lower in itertools.product(range(horizon + 1), repeat=len(desc) - 1):
+        starts = (0, *lower)
+        if any(a > b for a, b in zip(starts, starts[1:])):
+            continue
+        sched = PrecisionSchedule(desc, p_prefill, dict(zip(desc, starts)), horizon)
+        if quality_fn(sched) < target.floor:
+            continue
+        key = (sum(sched.precision_at(i) for i in range(horizon)), starts)
+        if best_key is None or key < best_key:
+            best_key, best = key, sched
+    if best is None:
+        all_high = {p: 0 if p == desc[0] else horizon for p in desc}
+        return PrecisionSchedule(desc, p_prefill, all_high, horizon, feasible=False)
+    return best
+
+
+@pytest.fixture(scope="session")
+def naive_best():
+    return _naive_best

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
+import itertools
 import time
 from contextlib import contextmanager
 from functools import lru_cache
@@ -14,8 +15,7 @@ from pmpd.learnsched import LabeledExample, SchedulerNet, TrainConfig, train
 from pmpd.perf import FP16, HardwareConfig, ModelFootprint
 from pmpd.schedule import (FixedScheduler, PrecisionSchedule, QualityTarget,
                            StaticScheduler, SwitchGrid, avg_bitwidth,
-                           brute_force_best, count_schedules,
-                           enumerate_switch_maps, solve_static)
+                           count_schedules, enumerate_switch_maps, solve_static)
 from pmpd.tinylm import FULL_PRECISION
 
 
@@ -77,24 +77,24 @@ def test_criterion_03_schedule_count_formula():
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
 
 
-def test_criterion_04_solver_matches_brute_force_oracle():
+def test_criterion_04_solver_matches_brute_force_oracle(naive_best):
     with criterion(4, "grid solver equals brute-force oracle on 50 random quality maps"):
-        ps = quant.PrecisionSet((3, 2))
         rng = np.random.default_rng(104)
         for trial in range(50):
+            ps = quant.PrecisionSet([(3, 2), (4, 3, 2)][trial % 2])
             n = int(rng.integers(2, 6))          # N <= 5
             horizon = n - 1                      # grid covers every integer point
             grid = SwitchGrid(n, horizon)
-            qmap = {st: float(rng.uniform(0, 1)) for st in range(horizon + 1)}
+            qmap = {st: float(rng.uniform(0, 1))
+                    for st in itertools.product(range(horizon + 1), repeat=len(ps))}
             target = QualityTarget(float(rng.uniform(0.2, 1.1)), 0.1)
 
             def quality(s):
-                return qmap[s.switch_points[2]]
+                return qmap[tuple(s.switch_points[p] for p in ps)]
 
-            a = solve_static(None, None, target, grid, precisions=ps, p_prefill=3,
+            a = solve_static(None, None, target, grid, precisions=ps, p_prefill=ps.p_max,
                              quality_fn=quality)
-            b = brute_force_best(None, None, target, horizon, precisions=ps,
-                                 p_prefill=3, quality_fn=quality)
+            b = naive_best(ps, ps.p_max, horizon, quality, target)
             assert a.feasible == b.feasible
             assert avg_bitwidth(a, horizon) == avg_bitwidth(b, horizon)
             assert a.switch_points == b.switch_points

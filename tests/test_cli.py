@@ -2,10 +2,12 @@ import json
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pmpd import cli, tinylm
+from pmpd import cli, learnsched, tinylm
 from pmpd.errors import FormatError, InputError
+from pmpd.schedule import SwitchGrid
 from pmpd.util import read_json
 
 TINY = ["--layers", "2", "--heads", "2", "--d-model", "64", "--d-ff", "128",
@@ -70,6 +72,19 @@ def test_eval_against_full_precision_references(tmp_path, monkeypatch):
     assert run(["eval", "--traces", "t.json", "--references", "refs.json",
                 "--out", "e.json"]) == 0
     assert 0.0 <= read_json("e.json")["mean_fidelity"] <= 1.0
+
+
+BAD_TRACES = {"no-traces": {"foo": 1}, "non-object-trace": {"traces": [5]},
+              "no-trace": {"traces": []}}
+
+
+@pytest.mark.parametrize("obj", BAD_TRACES.values(), ids=BAD_TRACES.keys())
+def test_malformed_eval_traces_are_input_error(tmp_path, monkeypatch, obj):
+    monkeypatch.chdir(tmp_path)
+    Path("t.json").write_text(json.dumps(obj))
+    code = run(["eval", "--traces", "t.json", "--references", "t.json", "--out", "e.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("e.json").exists()
 
 
 def test_missing_model_is_input_error(tmp_path, monkeypatch):
@@ -221,6 +236,44 @@ def test_malformed_gpu_kernels_is_input_error(tmp_path, monkeypatch, table):
     code = run(["perf", "--preset", "vicuna-7b", "--fixed-precision", "3",
                 "--prompt-len", "8", "--gen-len", "8", "--gpu-kernels", "kern.json",
                 "--out", "perf.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+
+
+# (rows, K width, V width) of each label example, and --hidden
+BAD_TRAINING = {"mixed-widths": ([(3, 8, 8), (3, 8, 6)], "4"),
+                "zero-rows": ([(3, 8, 8), (0, 8, 8)], "4"),
+                "zero-width": ([(3, 8, 0)], "4"),
+                "zero-hidden": ([(3, 8, 8)], "0")}
+
+
+@pytest.mark.parametrize("shapes, hidden", BAD_TRAINING.values(), ids=BAD_TRAINING.keys())
+def test_unusable_training_input_is_input_error(tmp_path, monkeypatch, shapes, hidden):
+    monkeypatch.chdir(tmp_path)
+    examples = [learnsched.LabeledExample(np.ones((t, d_k), np.float32),
+                                          np.ones((t, d_v), np.float32), 0, [0.5] * 3, t)
+                for t, d_k, d_v in shapes]
+    learnsched.save_labels("labels.jsonl", examples, SwitchGrid(3, 8), 4, 2)
+    code = run(["train-scheduler", "--labels", "labels.jsonl", "--hidden", hidden,
+                "--epochs", "1", "--out", "net.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+
+
+OVERFLOWING = {"int-hardware": ("--hardware", '{"mac_units": 1e400, "clock_hz": 1e9, '
+                                             '"mem_bw_bytes_per_s": 32e9}'),
+               "float-hardware": ("--hardware", '{"mac_units": 4096, "clock_hz": 1e400, '
+                                                '"mem_bw_bytes_per_s": 1e400}'),
+               "int-footprint": ("--footprint", '{"attn_params": 1e400, "mlp_params": 1, '
+                                                '"embed_params": 1, "n_layers": 1, '
+                                                '"kv_bytes_per_token": 1}')}
+
+
+@pytest.mark.parametrize("flag, text", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+def test_overflowing_perf_config_is_input_error(tmp_path, monkeypatch, flag, text):
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(text)
+    source = [] if flag == "--footprint" else ["--preset", "vicuna-7b"]
+    code = run(["perf", *source, flag, "cfg.json", "--fixed-precision", "3",
+                "--prompt-len", "8", "--gen-len", "8", "--out", "perf.json"])
     assert code == cli.EXIT_INPUT_ERROR
 
 

@@ -1,6 +1,7 @@
 """Seeded mutation fuzzing of every file pmpd reads back: a truncated or
-bit-flipped weight file, schedule, scheduler net or label file, used through
-``cli.main``, must end in a ``PmpdError`` (exit 2 or 3), never a traceback."""
+bit-flipped weight file, schedule, scheduler net, label file or trace file,
+used through ``cli.main``, must end in a ``PmpdError`` (exit 2 or 3), never
+a traceback."""
 import json
 import random
 
@@ -32,8 +33,10 @@ def files(tmp_path_factory):
                                              group_size=8)
     model.save(d / "model.pmpd")
     (d / "vocab.json").write_text(json.dumps({"tokens": list("abcdefghijklmno")}))
-    (d / "schedule.json").write_text(json.dumps(
-        schedule.PrecisionSchedule((4, 2), 4, {4: 0, 2: 3}, 8).to_json()))
+    sched = schedule.PrecisionSchedule((4, 2), 4, {4: 0, 2: 3}, 8)
+    (d / "schedule.json").write_text(json.dumps(sched.to_json()))
+    trace = tinylm.generate(model, [1, 2, 3], schedule.StaticScheduler(sched), max_new=8)
+    (d / "traces.json").write_text(json.dumps({"traces": [trace.to_json()]}))
     net = learnsched.SchedulerNet.init(8, 8, 4, GRID, 4, 2, seed=0)
     (d / "net.json").write_text(json.dumps(net.to_json()))
     rng = np.random.default_rng(0)
@@ -60,6 +63,9 @@ USES = {
     "labels.jsonl": lambda d: [
         ["train-scheduler", "--labels", str(d / "labels.jsonl"), "--hidden", "4",
          "--epochs", "1", "--out", str(d / "out.json")]],
+    "traces.json": lambda d: [
+        ["eval", "--traces", str(d / "traces.json"), "--references", str(d / "traces.json"),
+         "--out", str(d / "out.json")]],
 }
 
 

@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from pmpd.metrics import rouge_l
 from pmpd.quant import PrecisionSet
 from pmpd.schedule import (FixedScheduler, PrecisionSchedule, QualityTarget,
                            StaticScheduler, SwitchGrid, allocate_phase_precisions,
-                           avg_bitwidth, brute_force_best, count_schedules,
-                           decode_candidates, enumerate_switch_maps, solve_static)
+                           avg_bitwidth, count_schedules, decode_candidates,
+                           enumerate_switch_maps, solve_static)
 from pmpd.tinylm import FULL_PRECISION, SamplerConfig
 
 
@@ -175,14 +176,14 @@ TABLE = {(2, 2): 0.50, (3, 2): 0.80, (3, 3): 0.82, (4, 4): 0.83,
          (4, 2): 0.79, (4, 3): 0.81}
 
 
-def table_eval(pf, pd):
-    return TABLE[(pf, pd)]
+def table_quality(s):
+    return TABLE[(s.p_prefill, s.precisions.p_max)]
 
 
 def test_allocation_lexicographic_rule():
     report = allocate_phase_precisions(None, [[1]], QualityTarget(0.83, 0.03),
                                        precisions=PrecisionSet((4, 3, 2)),
-                                       evaluator=table_eval)
+                                       quality_fn=table_quality)
     assert report.chosen == (3, 2)
     assert not report.fallback
 
@@ -190,14 +191,14 @@ def test_allocation_lexicographic_rule():
 def test_allocation_huge_tolerance_picks_minimum():
     report = allocate_phase_precisions(None, [[1]], QualityTarget(0.83, 10.0),
                                        precisions=PrecisionSet((4, 3, 2)),
-                                       evaluator=table_eval)
+                                       quality_fn=table_quality)
     assert report.chosen == (2, 2)
 
 
 def test_allocation_fallback_when_nothing_qualifies():
     report = allocate_phase_precisions(None, [[1]], QualityTarget(0.99, 0.0),
                                        precisions=PrecisionSet((4, 3, 2)),
-                                       evaluator=table_eval)
+                                       quality_fn=table_quality)
     assert report.chosen == (4, 4)
     assert report.fallback
 
@@ -211,14 +212,14 @@ def test_allocation_rejects_empty_calibration_set():
 def test_allocation_report_json_round_shape():
     report = allocate_phase_precisions(None, [[1]], QualityTarget(0.83, 0.03),
                                        precisions=PrecisionSet((4, 3, 2)),
-                                       evaluator=table_eval)
+                                       quality_fn=table_quality)
     obj = report.to_json()
     assert obj["chosen"] == {"prefill": 3, "decode": 2}
     assert obj["pairs"]["3/2"] == 0.80
 
 
 # ---------------------------------------------------------------------------
-# static solver and brute-force oracle
+# static solver
 # ---------------------------------------------------------------------------
 
 PS32 = PrecisionSet((3, 2))
@@ -259,47 +260,38 @@ def test_solver_flags_infeasible_and_returns_all_high():
     assert best.switch_points == {3: 0, 2: 8}
 
 
-def test_solver_equals_brute_force_on_full_range_grids():
+def test_solver_equals_brute_force_on_full_range_grids(naive_best):
+    # three precisions make equal bit-token sums common, so the tie-break counts
     rng = np.random.default_rng(1)
-    for trial in range(50):
-        n = int(rng.integers(2, 6))
-        horizon = n - 1  # grid covers every integer switch point
-        grid = SwitchGrid(n, horizon)
-        qmap = {st: float(rng.uniform(0.0, 1.0)) for st in range(horizon + 1)}
+    for trial in range(60):
+        ps = PrecisionSet([(3, 2), (4, 3, 2), (8, 6, 4)][trial % 3])
+        horizon = int(rng.integers(1, 7))
+        grid = SwitchGrid(horizon + 1, horizon)  # every integer switch point
+        qmap = {st: float(rng.uniform(0.0, 1.0))
+                for st in itertools.product(range(horizon + 1), repeat=len(ps))}
 
         def q(s):
-            return qmap[s.switch_points[2]]
+            return qmap[tuple(s.switch_points[p] for p in ps)]
 
         target = QualityTarget(float(rng.uniform(0.2, 0.9)), 0.1)
-        a = solve_static(None, None, target, grid, precisions=PS32, p_prefill=3,
+        a = solve_static(None, None, target, grid, precisions=ps, p_prefill=ps.p_max,
                          quality_fn=q)
-        b = brute_force_best(None, None, target, horizon, precisions=PS32,
-                             p_prefill=3, quality_fn=q)
+        b = naive_best(ps, ps.p_max, horizon, q, target)
         assert a.switch_points == b.switch_points
         assert a.feasible == b.feasible
         assert avg_bitwidth(a, horizon) == avg_bitwidth(b, horizon)
 
 
-def test_brute_force_guard():
-    with pytest.raises(ConfigError):
-        brute_force_best(None, None, QualityTarget(0, 0), 17, precisions=PS32,
-                         p_prefill=3, quality_fn=lambda s: 1.0)
-    with pytest.raises(ConfigError):
-        brute_force_best(None, None, QualityTarget(0, 0), 8,
-                         precisions=PrecisionSet((5, 4, 3, 2)), p_prefill=5,
-                         quality_fn=lambda s: 1.0)
-
-
-def test_brute_force_horizon_one():
-    best = brute_force_best(None, None, QualityTarget(0.0, 0.0), 1,
-                            precisions=PS32, p_prefill=3, quality_fn=lambda s: 1.0)
+def test_solver_horizon_one():
+    best = solve_static(None, None, QualityTarget(0.0, 0.0), SwitchGrid(2, 1),
+                        precisions=PS32, p_prefill=3, quality_fn=lambda s: 1.0)
     assert best.switch_points == {3: 0, 2: 0}
 
 
-def test_brute_force_constant_quality_returns_all_low():
-    best = brute_force_best(None, None, QualityTarget(0.5, 0.1), 8,
-                            precisions=PrecisionSet((4, 3, 2)), p_prefill=4,
-                            quality_fn=lambda s: 0.9)
+def test_solver_constant_quality_returns_all_low():
+    best = solve_static(None, None, QualityTarget(0.5, 0.1), SwitchGrid(9, 8),
+                        precisions=PrecisionSet((4, 3, 2)), p_prefill=4,
+                        quality_fn=lambda s: 0.9)
     assert best.switch_points == {4: 0, 3: 0, 2: 0}
 
 
