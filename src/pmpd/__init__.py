@@ -13,7 +13,7 @@ from .metrics import RougeScore, fidelity, lcs_len, rouge_l
 from .schedule import (CalibrationReport, FixedScheduler, PrecisionSchedule,
                        QualityTarget, StaticScheduler, SwitchGrid,
                        allocate_phase_precisions, avg_bitwidth, count_schedules,
-                       decode_candidates, enumerate_switch_maps, solve_static)
+                       enumerate_switch_maps, solve_static)
 from .tinylm import (BYTE_EOS_ID, FULL_PRECISION, ByteTokenizer, GenerationTrace,
                      KVCache, ModelConfig, ModelVariants, SamplerConfig,
                      VocabTokenizer, decode_step, forward_full, generate, prefill,

@@ -211,7 +211,7 @@ def _footprint_from_args(args) -> perf.ModelFootprint:
         raise InputError("pick exactly one of --model/--footprint/--preset")
     if args.model is not None:
         model = tinylm.ModelVariants.load(args.model)
-        return perf.ModelFootprint.from_model_config(model.config, group_size=args.group_size)
+        return perf.ModelFootprint.from_model_config(model.config, model.group_size)
     if args.footprint is not None:
         return perf.ModelFootprint.from_json(read_json(args.footprint))
     if args.preset not in perf.FOOTPRINT_PRESETS:
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model")
     p.add_argument("--footprint", help="footprint JSON")
     p.add_argument("--preset", help=f"one of {sorted(perf.FOOTPRINT_PRESETS)}")
-    p.add_argument("--group-size", type=int, default=64)
     p.add_argument("--hardware", help="hardware JSON")
     p.add_argument("--hw-preset", choices=["npu-4k", "npu-16k"], default="npu-16k")
     p.add_argument("--no-overlap", action="store_true")

@@ -17,9 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import tinylm
 from .errors import ConfigError, FormatError, InputError
 from .metrics import rouge_l
-from .schedule import PrecisionSchedule, SwitchGrid, decode_candidates, reference_output
+from .schedule import PrecisionSchedule, StaticScheduler, SwitchGrid, reference_output
 from .util import b64_to_f32, f32_to_b64, named_rng, read_text
 
 log = logging.getLogger(__name__)
@@ -112,14 +113,9 @@ class SchedulerNet:
             raise FormatError(f"malformed scheduler net JSON: {exc}") from exc
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
-    e = np.exp(x - np.max(x))
-    return e / e.sum()
-
-
 def _pool_forward(net: SchedulerNet, K: np.ndarray, V: np.ndarray) -> dict:
     s = (K @ net.q) / np.sqrt(net.d_k)
-    a = _softmax(s)
+    a = tinylm._softmax(s)
     pooled = a @ V
     z1 = net.w1 @ pooled + net.b1
     h = np.maximum(z1, 0.0)
@@ -205,9 +201,9 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
     """Build the training set: truncate each seed prompt at a random point,
     score one generation per grid switch point against the full-precision
     reference, and keep the prefill K/V of the designated block as features.
-    The candidates share one prefill and their common decode prefix
-    (:func:`pmpd.schedule.decode_candidates`); the features are that
-    prefill's rows.
+    The candidates are decoded by one :func:`pmpd.tinylm.decode_schedules`
+    call per prompt, so they share one prefill and their common decode
+    prefix; the features are that prefill's rows.
 
     Returns the examples plus the number of prompts skipped for producing an
     empty reference. Bit-identical for a fixed seed.
@@ -215,7 +211,6 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
     if not seed_prompts:
         raise InputError("seed prompt set is empty")
     rng = named_rng(seed, "truncation")
-    eos = variants.config.vocab_size - 1 if eos_id is None else eos_id
     pf = p_high if p_prefill is None else p_prefill
     horizon = grid.horizon
     max_prompt = variants.config.max_context - horizon
@@ -223,7 +218,8 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
         raise ConfigError(
             f"grid horizon {horizon} leaves no room for prompts in a "
             f"max_context of {variants.config.max_context}")
-    candidates = [PrecisionSchedule.two_phase(p_high, p_low, point, horizon, pf)
+    candidates = [StaticScheduler(PrecisionSchedule.two_phase(p_high, p_low, point,
+                                                              horizon, pf))
                   for point in grid.points]
 
     examples: list[LabeledExample] = []
@@ -233,13 +229,14 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
         cut = int(rng.integers(1, len(toks) + 1))  # drawn before any skip
         prompt = toks[: max(1, min(cut, max_prompt))]
 
-        ref = reference_output(variants, prompt, horizon, eos)
+        ref = reference_output(variants, prompt, horizon, eos_id)
         if ref is None:
             skipped += 1
             log.info("label generation skipped prompt %d: empty reference", n)
             continue
 
-        traces, roots = decode_candidates(variants, prompt, candidates, horizon, eos)
+        traces, roots = tinylm.decode_schedules(variants, prompt, candidates,
+                                                eos_id=eos_id, max_new=horizon)
         scores = [rouge_l(trace.output_tokens, ref).f1 for trace in traces]
         K, V = roots[pf].layer_kv(feature_block)
         t = len(prompt)

@@ -13,7 +13,10 @@ Phase-aware precision allocation (constant candidates, one per prefill and
 decode pair) and the grid-restricted static solver (one candidate per grid
 switch map) are two callers of one selection rule: score the candidates
 against full-precision references and keep the cheapest that meets the
-quality floor.
+quality floor. The candidates of a prompt are decoded as ``StaticScheduler``s
+by one call to :func:`pmpd.tinylm.decode_schedules`, the engine's one
+generation entry point, which prefills once per prefill precision and
+decodes their shared prefixes once.
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ class QualityTarget:
 
     q_ref: float
     tolerance: float
-    metric: str = "rouge_l_f1"
 
     def __post_init__(self):
         if self.tolerance < 0:
@@ -207,51 +209,20 @@ def avg_bitwidth(subject, tokens_generated: int | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# candidate scoring on a shared-prefix trie
+# quality references
 # ---------------------------------------------------------------------------
 
-def decode_candidates(variants, prompt: Sequence[int],
-                      schedules: Sequence[PrecisionSchedule], max_new: int,
-                      eos_id: int | None = None):
-    """Greedy generation of every schedule on one prompt, decoding each shared
-    precision prefix once.
-
-    Schedules are grouped by prefill precision; each group is prefilled once
-    and decoded by :func:`pmpd.tinylm.decode_schedules`, the walk
-    ``tinylm.generate`` runs for its one schedule, so each returned trace
-    equals ``tinylm.generate(variants, prompt, StaticScheduler(s),
-    SamplerConfig(), eos_id, max_new)`` bit for bit, ``logits_hashes``
-    included.
-
-    Returns the traces in ``schedules`` order, and the cache of each prefill
-    precision's root, whose rows ``[:len(prompt)]`` hold the prefill's K/V.
-    """
-    from . import tinylm
-
-    groups: dict[int, list[int]] = {}
-    for i, sched in enumerate(schedules):
-        groups.setdefault(sched.p_prefill, []).append(i)
-    traces: list = [None] * len(schedules)
-    roots = {}
-    for pf, members in groups.items():
-        logits, roots[pf] = tinylm.prefill(variants, pf, prompt)
-        walked = tinylm.decode_schedules(variants, prompt, pf, logits, roots[pf],
-                                         [schedules[i] for i in members],
-                                         tinylm.SamplerConfig(), eos_id, max_new)
-        for i, trace in zip(members, walked):
-            traces[i] = trace
-    return traces, roots
-
-
 def reference_output(variants, prompt: Sequence[int], max_new: int,
-                     eos: int) -> list[int] | None:
+                     eos_id: int | None = None) -> list[int] | None:
     """Greedy full-precision output of ``prompt``, the quality reference its
-    candidates are scored against; ``None`` when it is empty or ``[eos]``."""
+    candidates are scored against; ``None`` when it is just EOS, an empty
+    reference."""
     from . import tinylm
 
-    out = tinylm.generate(variants, prompt, FixedScheduler(FULL_PRECISION),
-                          eos_id=eos, max_new=max_new).output_tokens
-    return out if out and out != [eos] else None
+    trace = tinylm.generate(variants, prompt, FixedScheduler(FULL_PRECISION),
+                            eos_id=eos_id, max_new=max_new)
+    empty = trace.termination == "eos" and len(trace.output_tokens) == 1
+    return None if empty else trace.output_tokens
 
 
 # ---------------------------------------------------------------------------
@@ -353,22 +324,23 @@ def _cheapest_feasible(variants, prompts, candidates: Sequence[PrecisionSchedule
     Returns the choice, the qualities in candidate order and the number of
     prompts skipped for an empty reference.
     """
-    from . import metrics
+    from . import metrics, tinylm
 
     if quality_fn is not None:
         qualities, skipped = [float(quality_fn(s)) for s in candidates], 0
     else:
         if not prompts:
             raise InputError("calibration/validation prompt set is empty")
-        eos = variants.config.vocab_size - 1 if eos_id is None else eos_id
+        schedulers = [StaticScheduler(s) for s in candidates]
         totals = [0.0] * len(candidates)
         kept = 0
         for prompt in prompts:
-            ref = reference_output(variants, prompt, max_new, eos)
+            ref = reference_output(variants, prompt, max_new, eos_id)
             if ref is None:
                 continue
             kept += 1
-            traces, _ = decode_candidates(variants, prompt, candidates, max_new, eos)
+            traces, _ = tinylm.decode_schedules(variants, prompt, schedulers,
+                                                eos_id=eos_id, max_new=max_new)
             for j, trace in enumerate(traces):
                 totals[j] += metrics.rouge_l(trace.output_tokens, ref).f1
         if not kept:

@@ -168,6 +168,8 @@ class ModelVariants:
         self.norms = {k: np.asarray(v, dtype=np.float32) for k, v in norms.items()}
         self.full_weights = full_weights
         self.init_info = init_info
+        self._allowed = frozenset(precisions.precisions) | (
+            {FULL_PRECISION} if full_weights is not None else frozenset())
         self._norm64 = {k: _readonly(v.astype(np.float64)) for k, v in self.norms.items()}
         self._weights64: dict[tuple[str, int], np.ndarray] = {}
         expected = dict(_weight_shapes(config))
@@ -245,11 +247,9 @@ class ModelVariants:
         except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
             raise FormatError(f"weight file metadata is malformed: {exc}") from exc
 
-    def allowed_precisions(self) -> set[int]:
-        allowed = set(self.precisions.precisions)
-        if self.full_weights is not None:
-            allowed.add(FULL_PRECISION)
-        return allowed
+    def allowed_precisions(self) -> frozenset[int]:
+        """The declared set, plus 16 when the real weights are available."""
+        return self._allowed
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -325,6 +325,9 @@ def _forward(model: ModelVariants, p: int, tokens: Sequence[int],
              cache: KVCache) -> np.ndarray:
     """Run ``tokens`` through the model at weight precision ``p``, extending
     the cache; returns logits for each new position."""
+    if p not in model.allowed_precisions():
+        raise ContractViolation(
+            f"precision {p} not in the model's set {sorted(model.allowed_precisions())}")
     cfg = model.config
     n, T0 = len(tokens), cache.T
     if T0 + n > cfg.max_context:
@@ -368,12 +371,6 @@ def _forward(model: ModelVariants, p: int, tokens: Sequence[int],
     return x @ model.weights("head", p)
 
 
-def _check_precision(model: ModelVariants, p: int) -> None:
-    if p not in model.allowed_precisions():
-        raise ContractViolation(
-            f"precision {p} not in the model's set {sorted(model.allowed_precisions())}")
-
-
 def prefill(model: ModelVariants, p: int,
             prompt: Sequence[int]) -> tuple[np.ndarray, KVCache]:
     """Causal pass over the whole prompt; last-position logits plus the cache."""
@@ -382,7 +379,6 @@ def prefill(model: ModelVariants, p: int,
     if len(prompt) >= model.config.max_context:
         raise InputError(
             f"prompt length {len(prompt)} must be < max_context {model.config.max_context}")
-    _check_precision(model, p)
     cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
     logits = _forward(model, p, prompt, cache)
     return logits[-1], cache
@@ -395,7 +391,6 @@ def decode_step(model: ModelVariants, p: int, token: int,
         raise InputError("decode_step requires a prefilled cache")
     if cache.T >= model.config.max_context:
         raise InputError(f"context window full at {cache.T} tokens")
-    _check_precision(model, p)
     logits = _forward(model, p, [token], cache)
     return logits[-1], cache
 
@@ -403,7 +398,6 @@ def decode_step(model: ModelVariants, p: int, token: int,
 def forward_full(model: ModelVariants, p: int, tokens: Sequence[int]) -> np.ndarray:
     """From-scratch causal pass returning logits at every position (the
     consistency oracle for incremental decoding)."""
-    _check_precision(model, p)
     cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
     return _forward(model, p, tokens, cache)
 
@@ -440,6 +434,11 @@ def logits_hash(logits: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(logits, dtype="<f8").tobytes()).hexdigest()[:16]
 
 
+# element type of each list field of a trace's JSON form, in field order
+_TRACE_LISTS = {"prompt_tokens": int, "output_tokens": int, "precisions": int,
+                "logits_hashes": str}
+
+
 @dataclass
 class GenerationTrace:
     """Everything needed to reproduce and audit one generation."""
@@ -463,13 +462,19 @@ class GenerationTrace:
     @classmethod
     def from_json(cls, obj: dict) -> "GenerationTrace":
         try:
+            lists = [obj[key] for key in _TRACE_LISTS]
+            termination, p_prefill = obj["termination"], obj["p_prefill"]
             sched = obj.get("schedule")
-            return cls(list(obj["prompt_tokens"]), list(obj["output_tokens"]),
-                       list(obj["precisions"]), list(obj["logits_hashes"]),
-                       obj["termination"], obj["p_prefill"],
-                       PrecisionSchedule.from_json(sched) if sched else None)
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise InputError(f"malformed trace JSON: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"malformed trace JSON: {exc!r}") from exc
+        if not (all(isinstance(v, list) and all(type(x) is kind for x in v)
+                    for v, kind in zip(lists, _TRACE_LISTS.values()))
+                and termination in ("eos", "length") and type(p_prefill) is int):
+            raise InputError("malformed trace JSON: tokens, precisions and p_prefill must "
+                             "be integers, logits_hashes strings, and termination 'eos' "
+                             "or 'length'")
+        return cls(*lists, termination, p_prefill,
+                   PrecisionSchedule.from_json(sched) if sched else None)
 
 
 class _Walk:
@@ -513,60 +518,70 @@ class _Walk:
             self.ends[i] = (tokens, hashes)
 
 
-def decode_schedules(model: ModelVariants, prompt: Sequence[int], p_prefill: int,
-                     logits: np.ndarray, cache: KVCache,
-                     schedules: Sequence[PrecisionSchedule],
-                     sampler_cfg: SamplerConfig | None = None,
-                     eos_id: int | None = None, max_new: int = 64) -> list[GenerationTrace]:
-    """The one decode loop: every schedule from one prefill of ``prompt`` at
-    ``p_prefill``, given its last-position ``logits`` and its ``cache``,
-    which the branch keeping the highest precision extends in place.
+def decode_schedules(model: ModelVariants, prompt: Sequence[int], schedulers: Sequence,
+                     sampler_cfg: SamplerConfig | None = None, eos_id: int | None = None,
+                     max_new: int = 64) -> tuple[list[GenerationTrace], dict[int, KVCache]]:
+    """The one generation entry point: every scheduler on one prompt.
+
+    The schedulers are grouped by ``p_prefill`` in first-seen order and each
+    group is prefilled once. Each member resolves its schedule from its
+    group's prefilled cache before the first decode step, so a learned
+    scheduler sees exactly the prompt's rows; static and fixed schedulers
+    return theirs as-is.
 
     Token 0 is sampled from the prefill logits, and decode step ``i``
     consumes token ``i`` at ``precision_at(i)``, the precision token ``i`` is
-    attributed; EOS or ``max_new`` tokens end a schedule. The schedules are
-    walked depth first as a trie over that precision: a shared prefix is
-    decoded once and the cache is forked where they split. Each branch makes
-    the same single-row ``decode_step`` and ``sample`` calls as a walk over
-    its schedule alone, so its trace is bit-identical to that walk's. The
-    sampler's RNG is not forked, so only a greedy sampler may walk more than
-    one schedule.
+    attributed; EOS (``vocab_size - 1`` by default) or ``max_new`` tokens
+    end a schedule. A group's schedules are walked depth first as a trie
+    over that precision: a shared prefix is decoded once and the cache is
+    forked where they split. Each branch makes the same single-row
+    ``decode_step`` and ``sample`` calls as a walk over its schedule alone,
+    so its trace is bit-identical to that walk's. The sampler's RNG is not
+    forked, so only a greedy sampler may walk more than one schedule.
+
+    Returns the traces in ``schedulers`` order, and the cache of each
+    prefill precision, whose rows ``[:len(prompt)]`` hold the prefill's K/V
+    (the branch keeping the highest precision extends it in place).
     """
     cfg = sampler_cfg if sampler_cfg is not None else SamplerConfig()
     eos = model.config.vocab_size - 1 if eos_id is None else eos_id
     if max_new < 1:
         raise InputError(f"max_new must be >= 1, got {max_new}")
-    if cfg.mode != "greedy" and len(schedules) > 1:
+    if cfg.mode != "greedy" and len(schedulers) > 1:
         raise ConfigError(f"a {cfg.mode} sampler decodes one schedule at a time, "
-                          f"got {len(schedules)}: its RNG is not forked")
+                          f"got {len(schedulers)}: its RNG is not forked")
+    groups: dict[int, list[int]] = {}
+    for i, scheduler in enumerate(schedulers):
+        groups.setdefault(scheduler.p_prefill, []).append(i)
     allowed = model.allowed_precisions()
-    for sched in schedules:
-        if max_new > sched.horizon:
-            raise InputError(f"max_new {max_new} exceeds the schedule horizon {sched.horizon}")
-        for p in sched.precisions:
-            if p not in allowed:
-                raise ContractViolation(
-                    f"schedule uses precision {p} outside the model's set {sorted(allowed)}")
-
-    walker = _Walk(model, schedules, cfg, eos, max_new)
-    walker.walk(range(len(schedules)), cache, [sample(logits, cfg, walker.rng)],
-                [logits_hash(logits)])
-    return [GenerationTrace(list(prompt), list(tokens),
-                            [s.precision_at(j) for j in range(len(tokens))], list(hashes),
-                            "eos" if tokens[-1] == eos else "length", p_prefill, s)
-            for s, (tokens, hashes) in zip(schedules, walker.ends)]
+    traces: list = [None] * len(schedulers)
+    roots = {}
+    for pf, members in groups.items():
+        logits, roots[pf] = prefill(model, pf, prompt)
+        schedules = [schedulers[i].resolve(roots[pf]) for i in members]
+        for sched in schedules:
+            if max_new > sched.horizon:
+                raise InputError(
+                    f"max_new {max_new} exceeds the schedule horizon {sched.horizon}")
+            for p in sched.precisions:
+                if p not in allowed:
+                    raise ContractViolation(f"schedule uses precision {p} outside the "
+                                            f"model's set {sorted(allowed)}")
+        walker = _Walk(model, schedules, cfg, eos, max_new)
+        walker.walk(range(len(schedules)), roots[pf], [sample(logits, cfg, walker.rng)],
+                    [logits_hash(logits)])
+        for i, s, (tokens, hashes) in zip(members, schedules, walker.ends):
+            traces[i] = GenerationTrace(list(prompt), list(tokens),
+                                        [s.precision_at(j) for j in range(len(tokens))],
+                                        list(hashes), "eos" if tokens[-1] == eos else "length",
+                                        pf, s)
+    return traces, roots
 
 
 def generate(model: ModelVariants, prompt: Sequence[int], scheduler,
              sampler_cfg: SamplerConfig | None = None,
              eos_id: int | None = None, max_new: int = 64) -> GenerationTrace:
-    """Prefill once, then decode under the scheduler's precision switching.
-
-    A learned scheduler derives its schedule from the prefilled cache before
-    the first decode step; static and fixed schedulers return theirs as-is.
-    Decoding is :func:`decode_schedules` over that one schedule.
-    """
-    logits, cache = prefill(model, scheduler.p_prefill, prompt)
-    (trace,) = decode_schedules(model, prompt, scheduler.p_prefill, logits, cache,
-                                [scheduler.resolve(cache)], sampler_cfg, eos_id, max_new)
+    """Prefill once, then decode under the scheduler's precision switching:
+    :func:`decode_schedules` over that one scheduler."""
+    (trace,), _ = decode_schedules(model, prompt, [scheduler], sampler_cfg, eos_id, max_new)
     return trace

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pmpd import cli, learnsched, tinylm
+from pmpd import cli, learnsched, perf, tinylm
 from pmpd.errors import FormatError, InputError
 from pmpd.schedule import SwitchGrid
 from pmpd.util import read_json
@@ -74,8 +74,19 @@ def test_eval_against_full_precision_references(tmp_path, monkeypatch):
     assert 0.0 <= read_json("e.json")["mean_fidelity"] <= 1.0
 
 
+GOOD_TRACE = {"prompt_tokens": [1, 2], "output_tokens": [3, 4], "precisions": [4, 2],
+              "logits_hashes": ["ab", "cd"], "termination": "length", "p_prefill": 4}
+MISTYPED_FIELDS = {"prompt-token-string": {"prompt_tokens": ["a", 2]},
+                   "output-token-string": {"output_tokens": [3, "x"]},
+                   "precision-strings": {"precisions": ["a", "b"]},
+                   "precision-null": {"precisions": [4, None]},
+                   "hash-number": {"logits_hashes": ["ab", 5]},
+                   "unknown-termination": {"termination": "stop"},
+                   "float-prefill": {"p_prefill": 4.0}}
 BAD_TRACES = {"no-traces": {"foo": 1}, "non-object-trace": {"traces": [5]},
-              "no-trace": {"traces": []}}
+              "no-trace": {"traces": []},
+              **{name: {"traces": [{**GOOD_TRACE, **fields}]}
+                 for name, fields in MISTYPED_FIELDS.items()}}
 
 
 @pytest.mark.parametrize("obj", BAD_TRACES.values(), ids=BAD_TRACES.keys())
@@ -284,6 +295,22 @@ def test_read_json_errors_are_typed(tmp_path):
         read_json(bad)
     with pytest.raises(InputError):
         read_json(tmp_path / "missing.json")
+
+
+def test_perf_models_the_weight_file_group_size(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(["quantize", "--random", "--precisions", "4,3,2", "--group-size", "8",
+                *TINY, "--out", "model.pmpd"]) == 0
+    assert run(["perf", "--model", "model.pmpd", "--fixed-precision", "2",
+                "--prompt-len", "8", "--gen-len", "8", "--out", "perf.json"]) == 0
+    footprint = read_json("perf.json")["footprint"]
+    assert footprint["group_size"] == 8
+    # the stored bytes of a p2 pass: two bit planes plus an f32 min and step
+    # per group; the file rounds each row up to whole groups, the model does not
+    tensors = tinylm.ModelVariants.load("model.pmpd").tensors.values()
+    stored = sum(t.rows * t.cols * 2 / 8 + 8 * t.mins.size for t in tensors)
+    modeled = perf.ModelFootprint.from_json(footprint).weight_bytes(2)
+    assert modeled == pytest.approx(stored, rel=0.01)
 
 
 def test_perf_with_malformed_schedule_json_is_input_error(tmp_path, monkeypatch):

@@ -11,8 +11,8 @@ from pmpd.metrics import rouge_l
 from pmpd.quant import PrecisionSet
 from pmpd.schedule import (FixedScheduler, PrecisionSchedule, QualityTarget,
                            StaticScheduler, SwitchGrid, allocate_phase_precisions,
-                           avg_bitwidth, count_schedules, decode_candidates,
-                           enumerate_switch_maps, solve_static)
+                           avg_bitwidth, count_schedules, enumerate_switch_maps,
+                           solve_static)
 from pmpd.tinylm import FULL_PRECISION, SamplerConfig
 
 
@@ -350,6 +350,12 @@ def test_full_precision_schedule_survives_json_round_trip():
 # shared-prefix candidate decoding
 # ---------------------------------------------------------------------------
 
+def decode_all(model, prompt, schedules, max_new, eos_id=None):
+    """Every schedule through the engine's one entry point, greedily."""
+    return tinylm.decode_schedules(model, prompt, [StaticScheduler(s) for s in schedules],
+                                   eos_id=eos_id, max_new=max_new)
+
+
 def independent_traces(naive_generate, model, prompt, schedules, max_new, eos_id=None):
     return [naive_generate(model, prompt, StaticScheduler(s), SamplerConfig(), eos_id, max_new)
             for s in schedules]
@@ -358,7 +364,7 @@ def independent_traces(naive_generate, model, prompt, schedules, max_new, eos_id
 def assert_matches_generate(naive_generate, model, prompt, schedules, max_new, eos_id=None):
     """Each candidate's trace equals the naive loop's over its schedule alone,
     and ``tinylm.generate``'s, bit for bit."""
-    traces, _ = decode_candidates(model, prompt, schedules, max_new, eos_id)
+    traces, _ = decode_all(model, prompt, schedules, max_new, eos_id)
     expected = independent_traces(naive_generate, model, prompt, schedules, max_new, eos_id)
     generated = [tinylm.generate(model, prompt, StaticScheduler(s), SamplerConfig(), eos_id,
                                  max_new) for s in schedules]
@@ -410,13 +416,13 @@ def test_trie_matches_generate_when_branches_hit_eos(toy_model, corpus_prompts, 
 def test_trie_keeps_the_checks_of_generate(small_model):
     prompt = [1, 2, 3]
     with pytest.raises(InputError):
-        decode_candidates(small_model, prompt, [two_phase(4, 2, 2, 8)], 9)
+        decode_all(small_model, prompt, [two_phase(4, 2, 2, 8)], 9)
     with pytest.raises(InputError):
-        decode_candidates(small_model, prompt, [two_phase(4, 2, 2, 8)], 0)
+        decode_all(small_model, prompt, [two_phase(4, 2, 2, 8)], 0)
     with pytest.raises(ConfigError):  # an invalid schedule cannot even be built
         PrecisionSchedule(PrecisionSet((4, 2)), 4, {4: 3, 2: 1}, 8)
     with pytest.raises(ContractViolation):
-        decode_candidates(small_model, prompt, [two_phase(5, 2, 2, 8)], 8)
+        decode_all(small_model, prompt, [two_phase(5, 2, 2, 8)], 8)
 
 
 def test_trie_leaves_no_reference_cycles(small_model):
@@ -425,7 +431,7 @@ def test_trie_leaves_no_reference_cycles(small_model):
     gc.collect()
     gc.disable()
     try:
-        decode_candidates(small_model, [1, 2, 3], [two_phase(4, 2, k, 8) for k in (0, 4, 8)], 8)
+        decode_all(small_model, [1, 2, 3], [two_phase(4, 2, k, 8) for k in (0, 4, 8)], 8)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -451,7 +457,7 @@ def test_trie_traffic_in_the_criterion_12_configuration(toy_model, corpus_prompt
     full = 0
     for prompt in corpus_prompts[:3]:
         del prefills[:], steps[:]
-        traces, _ = decode_candidates(toy_model, prompt, c12_candidates(), 24)
+        traces, _ = decode_all(toy_model, prompt, c12_candidates(), 24)
         assert prefills == [4]
         if all(t.termination == "length" for t in traces):
             full += 1

@@ -278,12 +278,41 @@ def test_generate_matches_the_naive_loop(small_model, naive_generate, make_sched
         assert want.termination == "eos" and len(want.output_tokens) <= 6
 
 
-def test_non_greedy_sampler_walks_one_schedule_only(small_model):
-    logits, cache = prefill(small_model, 4, PROMPT)
-    schedules = [PrecisionSchedule.two_phase(4, 2, k, 8) for k in (2, 4)]
+def test_non_greedy_sampler_walks_one_schedule_only(small_model, monkeypatch):
+    schedulers = [StaticScheduler(PrecisionSchedule.two_phase(4, 2, k, 8)) for k in (2, 4)]
+    # the rule is checked before any prefill
+    monkeypatch.setattr(tinylm, "prefill", None)
     with pytest.raises(ConfigError, match="not forked"):
-        tinylm.decode_schedules(small_model, PROMPT, 4, logits, cache, schedules,
-                                SAMPLERS["temperature"], max_new=8)
+        tinylm.decode_schedules(small_model, PROMPT, schedulers, SAMPLERS["temperature"],
+                                max_new=8)
+
+
+class RecordingScheduler:
+    """A scheduler that records the cache length each ``resolve`` sees."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.p_prefill = inner.p_prefill
+        self.seen = []
+
+    def resolve(self, cache):
+        self.seen.append(cache.T)
+        return self.inner.resolve(cache)
+
+
+def test_one_call_decodes_every_kind_of_scheduler(small_model, naive_generate):
+    # three prefill groups (16, 3 and the learned scheduler's 4), each
+    # resolved on its own prefill before any decode step
+    inner = [FixedScheduler(FULL_PRECISION),
+             StaticScheduler(PrecisionSchedule.two_phase(4, 2, 5, 16, p_prefill=3)),
+             learned_scheduler(small_model)]
+    recording = [RecordingScheduler(s) for s in inner]
+    traces, roots = tinylm.decode_schedules(small_model, PROMPT, recording, max_new=16)
+    assert sorted(roots) == [3, 4, FULL_PRECISION]
+    for scheduler, trace, rec in zip(inner, traces, recording):
+        want = naive_generate(small_model, PROMPT, scheduler, max_new=16)
+        assert trace.to_json() == want.to_json()
+        assert rec.seen == [len(PROMPT)]
 
 
 def test_generate_at_full_precision_uses_real_weights(small_model):
@@ -363,3 +392,7 @@ def test_model_without_init_info_rejects_full_precision(tmp_path, small_model):
     loaded = tinylm.ModelVariants.load(path)
     with pytest.raises(ConfigError):
         loaded.weights("embed", FULL_PRECISION)
+    # generating at 16 is a broken contract (exit 3), found before any weight read
+    assert FULL_PRECISION not in loaded.allowed_precisions()
+    with pytest.raises(ContractViolation):
+        generate(loaded, PROMPT, FixedScheduler(FULL_PRECISION), max_new=2)
