@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -212,17 +213,27 @@ def avg_bitwidth(subject, tokens_generated: int | None = None) -> float:
 # quality references
 # ---------------------------------------------------------------------------
 
+# per model: (prompt, max_new, eos_id) -> reference tokens or None; a model's
+# entries go when the model does
+_REFERENCES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def reference_output(variants, prompt: Sequence[int], max_new: int,
                      eos_id: int | None = None) -> list[int] | None:
     """Greedy full-precision output of ``prompt``, the quality reference its
     candidates are scored against; ``None`` when it is just EOS, an empty
-    reference."""
+    reference. Generated once per model and (prompt, ``max_new``,
+    ``eos_id``); a call that raises stores nothing."""
     from . import tinylm
 
-    trace = tinylm.generate(variants, prompt, FixedScheduler(FULL_PRECISION),
-                            eos_id=eos_id, max_new=max_new)
-    empty = trace.termination == "eos" and len(trace.output_tokens) == 1
-    return None if empty else trace.output_tokens
+    memo = _REFERENCES.setdefault(variants, {})
+    key = (tuple(prompt), max_new, eos_id)
+    if key not in memo:
+        trace = tinylm.generate(variants, prompt, FixedScheduler(FULL_PRECISION),
+                                eos_id=eos_id, max_new=max_new)
+        empty = trace.termination == "eos" and len(trace.output_tokens) == 1
+        memo[key] = None if empty else tuple(trace.output_tokens)
+    return None if memo[key] is None else list(memo[key])
 
 
 # ---------------------------------------------------------------------------

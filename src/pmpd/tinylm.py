@@ -8,7 +8,7 @@ prompt, schedule and sampler seed reproduce a generation bit for bit.
 Weight precision applies to the quantized matrices only; activations, the KV
 cache, accumulators and RMSNorm gains stay full precision. Precision 16 is
 the full-precision sentinel: it reads the original real weights instead of a
-dequantized view.
+dequantized view. Each precision's arrays are resolved once, RoPE tables too.
 """
 from __future__ import annotations
 
@@ -153,9 +153,9 @@ INIT_SCHEME = "gaussian-inv-sqrt-dmodel"
 class ModelVariants:
     """One quantized weight store readable at any precision in its set.
 
-    Instances are immutable after construction apart from a cache holding
-    the float64 weights of every (tensor, precision) read so far; nothing is
-    evicted. Each generation owns its private KV cache and trace.
+    Instances are immutable after construction apart from never-evicted caches
+    of the float64 weights per (tensor, precision) and of :meth:`resolved`'s
+    tuples of them. Each generation owns its private KV cache and trace.
     """
 
     def __init__(self, config: ModelConfig, precisions: PrecisionSet,
@@ -172,6 +172,8 @@ class ModelVariants:
             {FULL_PRECISION} if full_weights is not None else frozenset())
         self._norm64 = {k: _readonly(v.astype(np.float64)) for k, v in self.norms.items()}
         self._weights64: dict[tuple[str, int], np.ndarray] = {}
+        self._resolved: dict[int, tuple] = {}
+        self.rope = _rope_tables(config)
         expected = dict(_weight_shapes(config))
         for name, shape in expected.items():
             t = tensors.get(name)
@@ -220,6 +222,18 @@ class ModelVariants:
                 f"precision {p} not in declared set {list(self.precisions)}")
         # setdefault keeps the first array stored, so concurrent misses agree
         return self._weights64.setdefault((name, p), _readonly(w))
+
+    def resolved(self, p: int) -> tuple:
+        """The arrays a forward pass at ``p`` reads, gathered once from :meth:`weights`
+        and :meth:`norm`: ``(embed, layers, final_norm, head)``, a layer being
+        ``(norm_attn, wq, wk, wv, wo, norm_mlp, w_up, w_down)``."""
+        if p not in self._resolved:
+            embed, *mats, head = [self.weights(name, p) for name, _ in _weight_shapes(self.config)]
+            layers = tuple((self.norm(f"layers.{i}.norm_attn"), *mats[6 * i : 6 * i + 4],
+                            self.norm(f"layers.{i}.norm_mlp"), *mats[6 * i + 4 : 6 * i + 6])
+                           for i in range(self.config.n_layers))
+            self._resolved[p] = (embed, layers, self.norm("final_norm"), head)
+        return self._resolved[p]
 
     def save(self, path) -> None:
         meta = {
@@ -293,7 +307,8 @@ class KVCache:
 # ---------------------------------------------------------------------------
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    # np.mean is this reduce followed by this divide, minus its wrapper's cost
+    rms = np.sqrt(np.add.reduce(x * x, -1, keepdims=True) / x.shape[-1] + eps)
     return x / rms * gain
 
 
@@ -302,22 +317,21 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
+    shifted = x - np.maximum.reduce(x, axis, keepdims=True)
     e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    return e / np.add.reduce(e, axis, keepdims=True)
 
 
-def _rope_tables(positions: np.ndarray, d_head: int, theta: float):
-    inv_freq = theta ** (-np.arange(0, d_head, 2) / d_head)
-    angles = positions[:, None] * inv_freq[None, :]
+def _rope_tables(cfg: ModelConfig):
+    inv_freq = cfg.rope_theta ** (-np.arange(0, cfg.d_head, 2) / cfg.d_head)
+    angles = np.arange(cfg.max_context, dtype=np.float64)[:, None, None] * inv_freq
     return np.cos(angles), np.sin(angles)
 
 
-def _apply_rope(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    # x: [n, heads, d_head]; cos/sin: [n, d_head/2]
+def _apply_rope(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    # x: [n, heads, d_head]; c/s: [n, 1, d_head/2]
     half = x.shape[-1] // 2
     x1, x2 = x[..., :half], x[..., half:]
-    c, s = cos[:, None, :], sin[:, None, :]
     return np.concatenate([x1 * c - x2 * s, x2 * c + x1 * s], axis=-1)
 
 
@@ -336,16 +350,16 @@ def _forward(model: ModelVariants, p: int, tokens: Sequence[int],
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise InputError(f"token id outside vocabulary of size {cfg.vocab_size}")
 
-    x = model.weights("embed", p)[ids]
-    positions = np.arange(T0, T0 + n, dtype=np.float64)
-    cos, sin = _rope_tables(positions, cfg.d_head, cfg.rope_theta)
+    embed, layers, final_norm, head = model.resolved(p)
+    x = embed[ids]
+    cos, sin = (table[T0 : T0 + n] for table in model.rope)
     scale = 1.0 / math.sqrt(cfg.d_head)
 
-    for i in range(cfg.n_layers):
-        h = _rmsnorm(x, model.norm(f"layers.{i}.norm_attn"))
-        q = (h @ model.weights(f"layers.{i}.wq", p)).reshape(n, cfg.n_heads, cfg.d_head)
-        k = (h @ model.weights(f"layers.{i}.wk", p)).reshape(n, cfg.n_heads, cfg.d_head)
-        v = h @ model.weights(f"layers.{i}.wv", p)
+    for i, (norm_attn, wq, wk, wv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
+        h = _rmsnorm(x, norm_attn)
+        q = (h @ wq).reshape(n, cfg.n_heads, cfg.d_head)
+        k = (h @ wk).reshape(n, cfg.n_heads, cfg.d_head)
+        v = h @ wv
         q = _apply_rope(q, cos, sin)
         k = _apply_rope(k, cos, sin)
         cache.k[i, T0 : T0 + n] = k.reshape(n, cfg.d_model)
@@ -359,16 +373,16 @@ def _forward(model: ModelVariants, p: int, tokens: Sequence[int],
             scores = np.where(seen[None, :, :], scores, -np.inf)
         attn = _softmax(scores, axis=-1)
         ctx = np.einsum("hnt,thd->nhd", attn, v_all).reshape(n, cfg.d_model)
-        x = x + ctx @ model.weights(f"layers.{i}.wo", p)
+        x = x + ctx @ wo
 
-        h2 = _rmsnorm(x, model.norm(f"layers.{i}.norm_mlp"))
-        u = h2 @ model.weights(f"layers.{i}.w_up", p)
+        h2 = _rmsnorm(x, norm_mlp)
+        u = h2 @ w_up
         gate, up = u[:, : cfg.d_ff], u[:, cfg.d_ff :]
-        x = x + (_silu(gate) * up) @ model.weights(f"layers.{i}.w_down", p)
+        x = x + (_silu(gate) * up) @ w_down
 
     cache.T = T0 + n
-    x = _rmsnorm(x, model.norm("final_norm"))
-    return x @ model.weights("head", p)
+    x = _rmsnorm(x, final_norm)
+    return x @ head
 
 
 def prefill(model: ModelVariants, p: int,
@@ -473,6 +487,11 @@ class GenerationTrace:
             raise InputError("malformed trace JSON: tokens, precisions and p_prefill must "
                              "be integers, logits_hashes strings, and termination 'eos' "
                              "or 'length'")
+        _, out, precisions, hashes = lists
+        if not out or not len(out) == len(precisions) == len(hashes):
+            raise InputError(f"malformed trace JSON: {len(out)} output tokens, "
+                             f"{len(precisions)} precisions and {len(hashes)} logits hashes; "
+                             "a trace has one of each per token, at least one token")
         return cls(*lists, termination, p_prefill,
                    PrecisionSchedule.from_json(sched) if sched else None)
 

@@ -1,5 +1,7 @@
 import itertools
+import math
 
+import numpy as np
 import pytest
 
 from pmpd import cli, quant, tinylm
@@ -28,6 +30,55 @@ def corpus_prompts():
     tok = tinylm.ByteTokenizer()
     lines = cli.load_prompt_lines(None)
     return [tok.encode(line)[:48] for line in lines]
+
+
+def _naive_forward(model, p, tokens, cache):
+    """The forward pass written out as the bitwise reference for
+    ``tinylm._forward``: every matrix read through ``model.weights(name, p)``
+    and every gain through ``model.norm(name)`` at its use, the RoPE tables
+    computed for the call's positions, and ``np.mean``/``np.max``/``np.sum``.
+    Extends ``cache`` and returns the logits of every new position."""
+    cfg = model.config
+    n, T0, H, dh = len(tokens), cache.T, cfg.n_heads, cfg.d_head
+
+    def rmsnorm(x, name):
+        return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6) * model.norm(name)
+
+    def rope(x):
+        inv_freq = cfg.rope_theta ** (-np.arange(0, dh, 2) / dh)
+        angles = np.arange(T0, T0 + n, dtype=np.float64)[:, None] * inv_freq[None, :]
+        c, s = np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+        x1, x2 = x[..., : dh // 2], x[..., dh // 2 :]
+        return np.concatenate([x1 * c - x2 * s, x2 * c + x1 * s], axis=-1)
+
+    x = model.weights("embed", p)[np.asarray(tokens, dtype=np.int64)]
+    for i in range(cfg.n_layers):
+        def w(name):
+            return model.weights(f"layers.{i}.{name}", p)
+
+        h = rmsnorm(x, f"layers.{i}.norm_attn")
+        q = rope((h @ w("wq")).reshape(n, H, dh))
+        cache.k[i, T0 : T0 + n] = rope((h @ w("wk")).reshape(n, H, dh)).reshape(n, -1)
+        cache.v[i, T0 : T0 + n] = h @ w("wv")
+        k_all = cache.k[i, : T0 + n].reshape(T0 + n, H, dh)
+        v_all = cache.v[i, : T0 + n].reshape(T0 + n, H, dh)
+        scores = np.einsum("nhd,thd->hnt", q, k_all) * (1.0 / math.sqrt(dh))
+        if n > 1:
+            seen = np.arange(T0 + n)[None, :] <= (T0 + np.arange(n))[:, None]
+            scores = np.where(seen[None, :, :], scores, -np.inf)
+        e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+        attn = e / np.sum(e, axis=-1, keepdims=True)
+        x = x + np.einsum("hnt,thd->nhd", attn, v_all).reshape(n, -1) @ w("wo")
+        u = rmsnorm(x, f"layers.{i}.norm_mlp") @ w("w_up")
+        gate, up = u[:, : cfg.d_ff], u[:, cfg.d_ff :]
+        x = x + (gate / (1.0 + np.exp(-gate)) * up) @ w("w_down")
+    cache.T = T0 + n
+    return rmsnorm(x, "final_norm") @ model.weights("head", p)
+
+
+@pytest.fixture(scope="session")
+def naive_forward():
+    return _naive_forward
 
 
 def _naive_generate(model, prompt, scheduler, sampler_cfg=None, eos_id=None, max_new=64):

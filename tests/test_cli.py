@@ -76,17 +76,19 @@ def test_eval_against_full_precision_references(tmp_path, monkeypatch):
 
 GOOD_TRACE = {"prompt_tokens": [1, 2], "output_tokens": [3, 4], "precisions": [4, 2],
               "logits_hashes": ["ab", "cd"], "termination": "length", "p_prefill": 4}
-MISTYPED_FIELDS = {"prompt-token-string": {"prompt_tokens": ["a", 2]},
-                   "output-token-string": {"output_tokens": [3, "x"]},
-                   "precision-strings": {"precisions": ["a", "b"]},
-                   "precision-null": {"precisions": [4, None]},
-                   "hash-number": {"logits_hashes": ["ab", 5]},
-                   "unknown-termination": {"termination": "stop"},
-                   "float-prefill": {"p_prefill": 4.0}}
+BAD_FIELDS = {"prompt-token-string": {"prompt_tokens": ["a", 2]},
+              "output-token-string": {"output_tokens": [3, "x"]},
+              "precision-strings": {"precisions": ["a", "b"]},
+              "precision-null": {"precisions": [4, None]},
+              "hash-number": {"logits_hashes": ["ab", 5]},
+              "unknown-termination": {"termination": "stop"},
+              "float-prefill": {"p_prefill": 4.0},
+              # scored as 2 tokens at avg_bitwidth 2.4 over 5 precisions
+              "lists-disagree": {"precisions": [4, 2, 2, 2, 2], "logits_hashes": []}}
 BAD_TRACES = {"no-traces": {"foo": 1}, "non-object-trace": {"traces": [5]},
               "no-trace": {"traces": []},
               **{name: {"traces": [{**GOOD_TRACE, **fields}]}
-                 for name, fields in MISTYPED_FIELDS.items()}}
+                 for name, fields in BAD_FIELDS.items()}}
 
 
 @pytest.mark.parametrize("obj", BAD_TRACES.values(), ids=BAD_TRACES.keys())
@@ -94,6 +96,18 @@ def test_malformed_eval_traces_are_input_error(tmp_path, monkeypatch, obj):
     monkeypatch.chdir(tmp_path)
     Path("t.json").write_text(json.dumps(obj))
     code = run(["eval", "--traces", "t.json", "--references", "t.json", "--out", "e.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("e.json").exists()
+
+
+def test_empty_reference_trace_is_input_error(tmp_path, monkeypatch):
+    # a reference trace is scored against but never averaged, so only the
+    # parser can refuse one without tokens
+    monkeypatch.chdir(tmp_path)
+    empty = {**GOOD_TRACE, "output_tokens": [], "precisions": [], "logits_hashes": []}
+    Path("t.json").write_text(json.dumps({"traces": [GOOD_TRACE]}))
+    Path("r.json").write_text(json.dumps({"traces": [empty]}))
+    code = run(["eval", "--traces", "t.json", "--references", "r.json", "--out", "e.json"])
     assert code == cli.EXIT_INPUT_ERROR
     assert not Path("e.json").exists()
 

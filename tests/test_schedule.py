@@ -1,10 +1,11 @@
 import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 
-from pmpd import tinylm
+from pmpd import schedule, tinylm
 from pmpd.errors import ConfigError, ContractViolation, InputError
 from pmpd.learnsched import generate_labels
 from pmpd.metrics import rouge_l
@@ -12,7 +13,7 @@ from pmpd.quant import PrecisionSet
 from pmpd.schedule import (FixedScheduler, PrecisionSchedule, QualityTarget,
                            StaticScheduler, SwitchGrid, allocate_phase_precisions,
                            avg_bitwidth, count_schedules, enumerate_switch_maps,
-                           solve_static)
+                           reference_output, solve_static)
 from pmpd.tinylm import FULL_PRECISION, SamplerConfig
 
 
@@ -471,6 +472,55 @@ def test_trie_traffic_in_the_criterion_12_configuration(toy_model, corpus_prompt
     solve_static(toy_model, prompts, QualityTarget(0.3, 0.1), SwitchGrid(5, 24),
                  precisions=PrecisionSet((4, 2)), p_prefill=4)
     assert [p for p in prefills if p != FULL_PRECISION] == [4] * len(prompts)
+
+
+def fresh_small_model():
+    cfg = tinylm.ModelConfig(n_layers=2, n_heads=2, d_model=64, d_ff=128, max_context=128)
+    return tinylm.ModelVariants.from_random(cfg, PrecisionSet((4, 3, 2)), seed=7)
+
+
+def test_references_are_generated_once_per_model_and_key(corpus_prompts, monkeypatch):
+    references = []
+    generate = tinylm.generate
+
+    def counted(model, prompt, scheduler, *args, **kwargs):
+        if scheduler.p_prefill == FULL_PRECISION:
+            references.append((tuple(prompt), kwargs["max_new"], kwargs["eos_id"]))
+        return generate(model, prompt, scheduler, *args, **kwargs)
+
+    monkeypatch.setattr(tinylm, "generate", counted)
+    model, target, grid = fresh_small_model(), QualityTarget(0.15, 0.05), SwitchGrid(4, 12)
+    kw = dict(precisions=PrecisionSet((4, 2)), p_prefill=4)
+    first, second = corpus_prompts[:4], corpus_prompts[2:6]
+    solve_static(model, first, target, grid, **kw)
+    details: list = []
+    best = solve_static(model, second, target, grid, details_out=details, **kw)
+    keys = {(tuple(p), 12, None) for p in corpus_prompts[:6]}
+    assert sorted(references) == sorted(keys)
+    # the memoized references select exactly what freshly generated ones do
+    del references[:]
+    fresh_details: list = []
+    again = solve_static(fresh_small_model(), second, target, grid,
+                         details_out=fresh_details, **kw)
+    assert again.to_json() == best.to_json() and best.feasible
+    assert fresh_details == details and len(references) == len(second)
+
+
+def test_reference_memo_stores_nothing_for_a_failed_call_and_dies_with_its_model():
+    model = fresh_small_model()
+    for _ in range(2):
+        with pytest.raises(InputError):
+            reference_output(model, [], 8)
+        with pytest.raises(InputError):
+            reference_output(model, [1, 2], 0)
+    assert not schedule._REFERENCES.get(model)
+    ref = reference_output(model, [1, 2], 8)
+    ref.append(-1)  # callers get a copy
+    assert reference_output(model, [1, 2], 8) == ref[:-1]
+    before, alive = len(schedule._REFERENCES), weakref.ref(model)
+    del model
+    gc.collect()
+    assert alive() is None and len(schedule._REFERENCES) < before
 
 
 def test_generate_labels_prefills_once_per_prompt(toy_model, corpus_prompts, monkeypatch):

@@ -77,6 +77,33 @@ def test_incremental_matches_full_forward_each_position(small_model):
             assert rel_err(got[pos], full[pos]) < 1e-9, (p, pos)
 
 
+@pytest.mark.parametrize("p", [FULL_PRECISION, 4, 3, 2])
+@pytest.mark.parametrize("model_name", ["small_model", "toy_model"])
+def test_forward_matches_the_naive_pass_bit_for_bit(request, naive_forward, model_name, p):
+    # the resolved tuple, the once-built RoPE tables and the bare reduces
+    # must not move a bit, at every position up to max_context - 1
+    model = request.getfixturevalue(model_name)
+    cfg = model.config
+    tokens = [int(t) for t in np.random.default_rng(p).integers(0, cfg.vocab_size,
+                                                               cfg.max_context)]
+
+    def naive(toks, cache):
+        return naive_forward(model, p, toks, cache).tobytes()
+
+    def fresh():
+        return tinylm.KVCache(cfg.n_layers, cfg.d_model, cfg.max_context)
+
+    assert forward_full(model, p, tokens).tobytes() == naive(tokens, fresh())
+    logits, cache = prefill(model, p, tokens[:8])
+    ref = fresh()
+    assert logits.tobytes() == naive_forward(model, p, tokens[:8], ref)[-1].tobytes()
+    for t in tokens[8:]:
+        logits, cache = decode_step(model, p, t, cache)
+        assert logits.tobytes() == naive([t], ref), cache.T
+    assert cache.T == ref.T == cfg.max_context
+    assert cache.k.tobytes() == ref.k.tobytes() and cache.v.tobytes() == ref.v.tobytes()
+
+
 def test_prefill_is_bit_deterministic(small_model):
     a, _ = prefill(small_model, 4, PROMPT)
     b, _ = prefill(small_model, 4, PROMPT)
@@ -365,6 +392,32 @@ def test_weights_are_one_readonly_array_per_tensor_and_precision():
     assert forward_full(model, 3, PROMPT).tobytes() == cold.tobytes()
 
 
+def test_resolved_tuple_holds_the_cached_weight_arrays():
+    # no second float64 copy: every entry is the array weights()/norm() hold
+    cfg = ModelConfig(n_layers=2, n_heads=2, d_model=64, d_ff=128, max_context=64)
+    model = tinylm.ModelVariants.from_random(cfg, quant.PrecisionSet((4, 3, 2)), seed=9)
+    for p in (4, 3, 2, FULL_PRECISION):
+        embed, layers, final_norm, head = model.resolved(p)
+        assert model.resolved(p)[1] is layers and len(layers) == cfg.n_layers
+        assert embed is model.weights("embed", p) and head is model.weights("head", p)
+        assert final_norm is model.norm("final_norm")
+        for i, layer in enumerate(layers):
+            names = ("norm_attn", "wq", "wk", "wv", "wo", "norm_mlp", "w_up", "w_down")
+            for name, arr in zip(names, layer, strict=True):
+                name = f"layers.{i}.{name}"
+                assert arr is (model.norm(name) if "norm" in name else model.weights(name, p))
+
+
+def test_undeclared_precision_leaves_the_kv_cache_untouched(small_model):
+    _, cache = prefill(small_model, 4, PROMPT)
+    k, v = cache.k.tobytes(), cache.v.tobytes()
+    for p in (5, 1, 8):
+        with pytest.raises(ContractViolation):
+            decode_step(small_model, p, 65, cache)
+    assert cache.T == len(PROMPT)
+    assert cache.k.tobytes() == k and cache.v.tobytes() == v
+
+
 @pytest.mark.parametrize("declared", [(6, 4), (16, 4), (3, 2)])
 def test_precision_set_must_match_tensor_p_max(tmp_path, small_model, declared):
     with pytest.raises(ConfigError, match="p_max"):
@@ -396,3 +449,9 @@ def test_model_without_init_info_rejects_full_precision(tmp_path, small_model):
     assert FULL_PRECISION not in loaded.allowed_precisions()
     with pytest.raises(ContractViolation):
         generate(loaded, PROMPT, FixedScheduler(FULL_PRECISION), max_new=2)
+    with pytest.raises(ConfigError):
+        loaded.resolved(FULL_PRECISION)
+    _, cache = prefill(loaded, 4, PROMPT)
+    with pytest.raises(ContractViolation):
+        decode_step(loaded, FULL_PRECISION, 65, cache)
+    assert cache.T == len(PROMPT)
