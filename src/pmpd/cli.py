@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from . import learnsched, metrics, perf, quant, schedule, tinylm
-from .errors import ContractViolation, FormatError, InputError, PmpdError
-from .util import config_hash, read_json, read_text, write_json
+from .errors import ContractViolation, InputError, PmpdError
+from .util import config_hash, parsing, read_json, read_text, write_json
 
 EXIT_INPUT_ERROR = 2
 EXIT_CONTRACT_VIOLATION = 3
@@ -45,10 +45,8 @@ def _tokenizer(args) -> tinylm.ByteTokenizer | tinylm.VocabTokenizer:
 
 
 def _precisions(text: str) -> quant.PrecisionSet:
-    try:
+    with parsing(f"precision list {text!r}"):
         return quant.PrecisionSet(tuple(int(x) for x in text.split(",")))
-    except ValueError as exc:
-        raise InputError(f"bad precision list {text!r}: {exc}") from exc
 
 
 def _encode_prompts(tok, lines: list[str], limit: int | None) -> list[list[int]]:
@@ -145,18 +143,11 @@ def cmd_gen_labels(args) -> int:
 
 
 def cmd_train_scheduler(args) -> int:
-    examples, header = learnsched.load_labels(args.labels)
+    examples, fields = learnsched.load_labels(args.labels)
     if not examples:
         raise InputError(f"label file {args.labels} holds no examples")
-    try:
-        grid = schedule.SwitchGrid(int(header["grid"]["n"]), int(header["grid"]["OL"]))
-        p_high, p_low = int(header["p_high"]), int(header["p_low"])
-        feature_block = int(header.get("feature_block", -1))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"label file {args.labels} has a malformed header: {exc}") from exc
     d_k, d_v = examples[0].k.shape[1], examples[0].v.shape[1]
-    net = learnsched.SchedulerNet.init(d_k, d_v, args.hidden, grid, p_high, p_low,
-                                       seed=args.seed, feature_block=feature_block)
+    net = learnsched.SchedulerNet.init(d_k, d_v, args.hidden, seed=args.seed, **fields)
     result = learnsched.train(net, examples, learnsched.TrainConfig(
         lr=args.lr, epochs=args.epochs, batch=args.batch, seed=args.seed))
     payload = result.net.to_json()

@@ -18,7 +18,7 @@ class InputError(PmpdError):
 
 
 class FormatError(InputError):
-    """A serialized artifact failed validation; message carries offset/tensor context."""
+    """A file pmpd reads failed validation; raised for a malformed value by ``util.parsing``."""
 
 
 class ContractViolation(PmpdError):

@@ -21,7 +21,7 @@ from . import tinylm
 from .errors import ConfigError, FormatError, InputError
 from .metrics import rouge_l
 from .schedule import PrecisionSchedule, StaticScheduler, SwitchGrid, reference_output
-from .util import b64_to_f32, f32_to_b64, named_rng, read_text
+from .util import b64_to_f32, canonical_json, f32_to_b64, named_rng, parsing, read_text
 
 log = logging.getLogger(__name__)
 
@@ -98,19 +98,22 @@ class SchedulerNet:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SchedulerNet":
-        if obj.get("tag") != NET_TAG:
-            raise FormatError(f"not a scheduler net artifact (tag {obj.get('tag')!r})")
-
         def arr(entry):
             return np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
 
-        try:
-            grid = SwitchGrid(int(obj["grid"]["n"]), int(obj["grid"]["OL"]))
+        with parsing("scheduler net JSON"):
+            if obj.get("tag") != NET_TAG:
+                raise FormatError(f"not a scheduler net artifact (tag {obj.get('tag')!r})")
             return cls(arr(obj["q"]), arr(obj["w1"]), arr(obj["b1"]),
-                       arr(obj["w2"]), arr(obj["b2"]), grid,
-                       obj["p_high"], obj["p_low"], obj.get("feature_block", -1))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed scheduler net JSON: {exc}") from exc
+                       arr(obj["w2"]), arr(obj["b2"]), **_grid_fields(obj))
+
+
+def _grid_fields(obj: dict) -> dict:
+    """The grid, precisions and feature block a net file and a label file's header
+    both carry, as keyword arguments of :class:`SchedulerNet` and its ``init``."""
+    return {"grid": SwitchGrid(int(obj["grid"]["n"]), int(obj["grid"]["OL"])),
+            "p_high": int(obj["p_high"]), "p_low": int(obj["p_low"]),
+            "feature_block": int(obj.get("feature_block", -1))}
 
 
 def _pool_forward(net: SchedulerNet, K: np.ndarray, V: np.ndarray) -> dict:
@@ -249,25 +252,28 @@ def save_labels(path, examples: Sequence[LabeledExample], grid: SwitchGrid,
                 p_high: int, p_low: int, feature_block: int = -1) -> None:
     header = {"tag": LABELS_TAG, "grid": {"n": grid.n, "OL": grid.horizon},
               "p_high": p_high, "p_low": p_low, "feature_block": feature_block}
-    lines = [json.dumps(header, sort_keys=True, separators=(",", ":"))]
+    lines = [canonical_json(header)]
     for ex in examples:
-        lines.append(json.dumps({
+        lines.append(canonical_json({
             "label": ex.label, "t": int(ex.k.shape[0]),
             "d_k": int(ex.k.shape[1]), "d_v": int(ex.v.shape[1]),
             "k": f32_to_b64(ex.k), "v": f32_to_b64(ex.v),
             "scores": [float(s) for s in ex.scores], "prompt_len": ex.prompt_len,
-        }, sort_keys=True, separators=(",", ":")))
+        }))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_labels(path) -> tuple[list[LabeledExample], dict]:
+    """The examples of a label file and its header's grid, ``p_high``,
+    ``p_low`` and ``feature_block``, as :meth:`SchedulerNet.init` takes them."""
     lines = read_text(path).splitlines()
     if not lines:
         raise FormatError(f"label file {path} is empty")
-    try:
+    with parsing(f"label file {path}"):
         header = json.loads(lines[0])
         if header.get("tag") != LABELS_TAG:
             raise FormatError(f"not a label artifact (tag {header.get('tag')!r})")
+        fields = _grid_fields(header)
         examples = []
         for line in lines[1:]:
             if not line.strip():
@@ -280,12 +286,10 @@ def load_labels(path) -> tuple[list[LabeledExample], dict]:
                 b64_to_f32(obj["k"], (t, d_k)), b64_to_f32(obj["v"], (t, d_v)),
                 int(obj["label"]), list(obj.get("scores", [])),
                 int(obj.get("prompt_len", 0))))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise FormatError(f"malformed label file {path}: {exc}") from exc
     widths = {(ex.k.shape[1], ex.v.shape[1]) for ex in examples}
     if len(widths) > 1:
         raise FormatError(f"label file {path} mixes K/V widths {sorted(widths)}")
-    return examples, header
+    return examples, fields
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from typing import Mapping
 from .errors import ConfigError, InputError
 from .quant import FULL_PRECISION
 from .schedule import PrecisionSchedule
+from .util import parsing
 
 FP16 = FULL_PRECISION
 SCALE_BYTES_PER_GROUP = 8  # f32 min + f32 step
@@ -45,11 +46,9 @@ class HardwareConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HardwareConfig":
-        try:
+        with parsing("hardware JSON"):
             return cls(int(obj["mac_units"]), float(obj["clock_hz"]),
                        float(obj["mem_bw_bytes_per_s"]), bool(obj.get("overlap", True)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed hardware JSON: {exc}") from exc
 
 
 # the two accelerator configurations used throughout: 4K MACs for
@@ -70,8 +69,8 @@ class ModelFootprint:
     group_size: int = 64
 
     def __post_init__(self):
-        if min(self.attn_params, self.mlp_params, self.embed_params) < 0:
-            raise ConfigError("parameter counts must be non-negative")
+        if min(self.attn_params, self.mlp_params, self.embed_params, self.kv_bytes_per_token) < 0:
+            raise ConfigError("parameter counts and KV bytes must be non-negative")
         if self.total_params <= 0 or self.group_size < 1:
             raise ConfigError("footprint must have parameters and group_size >= 1")
 
@@ -111,12 +110,10 @@ class ModelFootprint:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelFootprint":
-        try:
+        with parsing("footprint JSON"):
             return cls(int(obj["attn_params"]), int(obj["mlp_params"]),
                        int(obj["embed_params"]), int(obj["n_layers"]),
                        int(obj["kv_bytes_per_token"]), int(obj.get("group_size", 64)))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"malformed footprint JSON: {exc}") from exc
 
 
 FOOTPRINT_PRESETS = {
@@ -237,11 +234,8 @@ def weighted_gpu_latency(latency_us: Mapping[int, float], schedule: PrecisionSch
     and its speedup over the fp16 kernel."""
     if gen_len < 1:
         raise InputError(f"gen_len must be >= 1, got {gen_len}")
-    try:
+    with parsing("latency table (integer precisions to microseconds)"):
         table = {int(k): float(v) for k, v in latency_us.items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise InputError(f"latency table must map integer precisions to "
-                         f"microseconds: {exc}") from exc
     if not all(math.isfinite(v) and v > 0 for v in table.values()):
         raise InputError(f"latency table values must be positive and finite: {table}")
     if FP16 not in table:

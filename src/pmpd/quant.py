@@ -23,12 +23,14 @@ Weight file layout (little-endian):
 from __future__ import annotations
 
 import json
+import operator
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, InputError
+from .util import canonical_json, parsing
 
 MAGIC = b"PMPD"
 FORMAT_VERSION = 1
@@ -37,13 +39,13 @@ FULL_PRECISION = 16  # the unquantized reference weights, not a bit-plane prefix
 
 @dataclass(frozen=True)
 class PrecisionSet:
-    """Ordered set of weight bitwidths, highest first: quantized widths 1..8
-    and :data:`FULL_PRECISION`."""
+    """Ordered set of integer weight bitwidths, highest first: quantized widths
+    1..8 and :data:`FULL_PRECISION` (``4.7`` is refused, not truncated)."""
 
     precisions: tuple[int, ...]
 
     def __post_init__(self):
-        ps = tuple(int(p) for p in self.precisions)
+        ps = tuple(operator.index(p) for p in self.precisions)
         object.__setattr__(self, "precisions", ps)
         if not ps:
             raise ConfigError("precision set must be non-empty")
@@ -251,7 +253,7 @@ def serialize_model(tensors: dict[str, QuantizedTensor], meta: dict) -> bytes:
     meta_out["tensors"] = [
         {"name": name, "rows": t.rows, "cols": t.cols} for name, t in tensors.items()
     ]
-    meta_blob = json.dumps(meta_out, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    meta_blob = canonical_json(meta_out).encode("utf-8")
 
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(meta_blob)), meta_blob]
     for t in tensors.values():
@@ -274,31 +276,27 @@ def parse_model(data: bytes) -> tuple[dict[str, QuantizedTensor], dict]:
     off = 12
     if off + meta_len > len(data):
         raise FormatError(f"truncated metadata: need {meta_len} bytes at offset {off}")
-    try:
+    with parsing(f"weight file metadata at offset {off}"):
         meta = json.loads(data[off : off + meta_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"metadata is not valid JSON at offset {off}: {exc}") from exc
+        p_max, group_size = operator.index(meta["p_max"]), operator.index(meta["group_size"])
+        entries = meta["tensors"]
     off += meta_len
 
-    for key in ("p_max", "group_size", "tensors"):
-        if key not in meta:
-            raise FormatError(f"metadata is missing required key '{key}'")
-    p_max, group_size, entries = meta["p_max"], meta["group_size"], meta["tensors"]
-    if not isinstance(p_max, int) or not 1 <= p_max <= 8:
+    if not 1 <= p_max <= 8:
         raise FormatError(f"metadata p_max must be an integer in [1, 8], got {p_max!r}")
-    if not isinstance(group_size, int) or group_size < 1:
+    if group_size < 1:
         raise FormatError(f"metadata group_size must be an integer >= 1, got {group_size!r}")
     if not isinstance(entries, list):
         raise FormatError(f"metadata 'tensors' must be a list, got {type(entries).__name__}")
 
     tensors: dict[str, QuantizedTensor] = {}
     for entry in entries:
-        try:
-            name, rows, cols = entry["name"], int(entry["rows"]), int(entry["cols"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"malformed tensor entry {entry!r} in metadata: {exc}") from exc
-        if rows < 0 or cols < 0:
-            raise FormatError(f"tensor '{name}' has negative shape ({rows}, {cols}) in metadata")
+        with parsing(f"tensor entry {entry!r} in metadata"):
+            name = entry["name"]
+            rows, cols = operator.index(entry["rows"]), operator.index(entry["cols"])
+        if not isinstance(name, str) or rows < 0 or cols < 0:
+            raise FormatError(f"tensor entry {entry!r} in metadata needs a string name "
+                              "and a non-negative shape")
         gpr = _groups_per_row(cols, group_size)
         scale_bytes = rows * gpr * 4
 

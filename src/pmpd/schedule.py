@@ -28,6 +28,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import ConfigError, InputError
 from .quant import FULL_PRECISION, PrecisionSet
+from .util import parsing
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,10 @@ class PrecisionSchedule:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PrecisionSchedule":
-        try:
+        with parsing("schedule JSON"):
             return cls(tuple(obj["precisions"]), obj["prefill"],
                        {int(p): int(i) for p, i in obj["st"].items()},
                        obj["OL"], obj.get("feasible", True))
-        except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
-            raise InputError(f"malformed schedule JSON: {exc}") from exc
 
     def __repr__(self):
         return (f"PrecisionSchedule(precisions={list(self.precisions)}, "

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -24,7 +25,7 @@ from .errors import ConfigError, ContractViolation, FormatError, InputError
 from .quant import (FULL_PRECISION, PrecisionSet, QuantizedTensor, dequantize, parse_model,
                     quantize_tensor, serialize_model)
 from .schedule import PrecisionSchedule
-from .util import named_rng, read_bytes, read_json
+from .util import named_rng, parsing, read_bytes, read_json
 
 BYTE_EOS_ID = 256
 BYTE_VOCAB_SIZE = 257
@@ -96,6 +97,10 @@ class ModelConfig:
     rope_theta: float = 10000.0
 
     def __post_init__(self):
+        for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_context"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        if min(self.n_layers, self.n_heads, self.d_model, self.d_ff) < 1:
+            raise ConfigError("n_layers, n_heads, d_model and d_ff must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if (self.d_model // self.n_heads) % 2 != 0:
@@ -104,8 +109,8 @@ class ModelConfig:
             raise ConfigError(f"max_context must be >= 2, got {self.max_context}")
         if self.vocab_size < 2:
             raise ConfigError(f"vocab_size must be >= 2, got {self.vocab_size}")
-        if min(self.n_layers, self.d_ff) < 1:
-            raise ConfigError("n_layers and d_ff must be >= 1")
+        if not 0 < self.rope_theta < math.inf:
+            raise ConfigError(f"rope_theta must be positive and finite, got {self.rope_theta}")
 
     @property
     def d_head(self) -> int:
@@ -180,8 +185,9 @@ class ModelVariants:
             if t is None or (t.rows, t.cols) != shape:
                 raise ConfigError(f"tensor '{name}' missing or mis-shaped for this config")
         for name in _norm_names(config):
-            if self._norm64.get(name) is None or self._norm64[name].shape != (config.d_model,):
-                raise ConfigError(f"norm gain '{name}' missing or mis-shaped for this config")
+            gain = self._norm64.get(name)
+            if gain is None or gain.shape != (config.d_model,) or not np.isfinite(gain).all():
+                raise ConfigError(f"norm gain '{name}' missing, mis-shaped or non-finite")
         p_maxes = sorted({t.p_max for t in tensors.values()})
         if p_maxes != [precisions.p_max]:
             raise ConfigError(f"precision set {list(precisions)} does not match the "
@@ -220,7 +226,6 @@ class ModelVariants:
         else:
             raise ContractViolation(
                 f"precision {p} not in declared set {list(self.precisions)}")
-        # setdefault keeps the first array stored, so concurrent misses agree
         return self._weights64.setdefault((name, p), _readonly(w))
 
     def resolved(self, p: int) -> tuple:
@@ -248,18 +253,17 @@ class ModelVariants:
     @classmethod
     def load(cls, path) -> "ModelVariants":
         tensors, meta = parse_model(read_bytes(path))
-        try:
-            config = ModelConfig(**meta["config"])
-            precisions = PrecisionSet(tuple(meta["precisions"]))
-            norms = {k: np.asarray(v, dtype=np.float32) for k, v in meta["norms"].items()}
-            init, full = meta.get("init"), None
-            if init is not None and init.get("scheme") == INIT_SCHEME:
-                if not isinstance(init.get("seed"), int):
-                    raise FormatError(f"init seed must be an integer, got {init.get('seed')!r}")
-                full, _ = random_weights(config, init["seed"])
-            return cls(config, precisions, tensors, norms, full_weights=full, init_info=init)
-        except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
-            raise FormatError(f"weight file metadata is malformed: {exc}") from exc
+        with parsing("weight file metadata"):
+            try:
+                config = ModelConfig(**meta["config"])
+                precisions = PrecisionSet(tuple(meta["precisions"]))
+                norms = {k: np.asarray(v, dtype=np.float32) for k, v in meta["norms"].items()}
+                init, full = meta.get("init"), None
+                if init is not None and init.get("scheme") == INIT_SCHEME:
+                    full, _ = random_weights(config, operator.index(init["seed"]))
+                return cls(config, precisions, tensors, norms, full_weights=full, init_info=init)
+            except ConfigError as exc:  # a domain error in a file is a format error
+                raise FormatError(f"malformed weight file metadata: {exc}") from exc
 
     def allowed_precisions(self) -> frozenset[int]:
         """The declared set, plus 16 when the real weights are available."""
@@ -475,23 +479,21 @@ class GenerationTrace:
 
     @classmethod
     def from_json(cls, obj: dict) -> "GenerationTrace":
-        try:
+        with parsing("trace JSON"):
             lists = [obj[key] for key in _TRACE_LISTS]
             termination, p_prefill = obj["termination"], obj["p_prefill"]
             sched = obj.get("schedule")
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed trace JSON: {exc!r}") from exc
         if not (all(isinstance(v, list) and all(type(x) is kind for x in v)
                     for v, kind in zip(lists, _TRACE_LISTS.values()))
                 and termination in ("eos", "length") and type(p_prefill) is int):
-            raise InputError("malformed trace JSON: tokens, precisions and p_prefill must "
-                             "be integers, logits_hashes strings, and termination 'eos' "
-                             "or 'length'")
+            raise FormatError("malformed trace JSON: tokens, precisions and p_prefill must "
+                              "be integers, logits_hashes strings, and termination 'eos' "
+                              "or 'length'")
         _, out, precisions, hashes = lists
         if not out or not len(out) == len(precisions) == len(hashes):
-            raise InputError(f"malformed trace JSON: {len(out)} output tokens, "
-                             f"{len(precisions)} precisions and {len(hashes)} logits hashes; "
-                             "a trace has one of each per token, at least one token")
+            raise FormatError(f"malformed trace JSON: {len(out)} output tokens, "
+                              f"{len(precisions)} precisions and {len(hashes)} logits "
+                              "hashes; a trace has one of each per token, at least one token")
         return cls(*lists, termination, p_prefill,
                    PrecisionSchedule.from_json(sched) if sched else None)
 

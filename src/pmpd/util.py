@@ -1,9 +1,10 @@
-"""Small shared helpers: seeded sub-streams, canonical JSON, base64 arrays."""
+"""Small shared helpers: seeded sub-streams, the malformed-input rule, canonical JSON."""
 from __future__ import annotations
 
 import base64
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -38,20 +39,27 @@ def read_bytes(path) -> bytes:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+@contextmanager
+def parsing(what: str):
+    """The one rule for reading a file: what Python raises on a value of the wrong
+    type, shape or range (``int(1e400)``, ``[].get``, the JSON and UTF-8 decoders'
+    ``ValueError``s...) becomes :class:`FormatError`; a ``PmpdError`` passes."""
+    try:
+        yield
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+        raise FormatError(f"malformed {what}: {exc}") from exc
+
+
 def read_text(path) -> str:
     """UTF-8 text of a file; :class:`InputError` if it cannot be read,
     :class:`FormatError` if it is not UTF-8."""
-    try:
+    with parsing(f"text file {path}"):
         return read_bytes(path).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def read_json(path):
-    try:
+    with parsing(f"JSON file {path}"):
         return json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def config_hash(mapping: dict) -> str:

@@ -161,12 +161,20 @@ def test_vocab_with_wrong_field_types_is_format_error(tmp_path, monkeypatch, tex
     assert code == cli.EXIT_INPUT_ERROR
 
 
+HUGE = "1e400"  # a JSON number Python reads as float("inf")
+
+
+def _dumps(obj) -> str:
+    """JSON text of ``obj`` with every :data:`HUGE` string written as the number."""
+    return json.dumps(obj).replace(f'"{HUGE}"', HUGE)
+
+
 def _rewrite_metadata(path, mutate) -> None:
     data = Path(path).read_bytes()
     (meta_len,) = struct.unpack_from("<I", data, 8)
     meta = json.loads(data[12 : 12 + meta_len])
     mutate(meta)
-    blob = json.dumps(meta).encode("utf-8")
+    blob = _dumps(meta).encode("utf-8")
     Path(path).write_bytes(data[:8] + struct.pack("<I", len(blob)) + blob
                            + data[12 + meta_len :])
 
@@ -177,6 +185,11 @@ BAD_METADATA = {
     "norms-not-a-dict": lambda meta: meta.update(norms=[1.0]),
     "non-numeric-norm": lambda meta: meta["norms"].update(final_norm=["x"] * 64),
     "non-integer-seed": lambda meta: meta["init"].update(seed="seven"),
+    "overflowing-rows": lambda meta: meta["tensors"][0].update(rows=HUGE),
+    "overflowing-precision": lambda meta: meta.update(precisions=[HUGE]),
+    "float-heads": lambda meta: meta["config"].update(n_heads=2.0),
+    "string-precisions": lambda meta: meta.update(precisions="4"),
+    "fractional-precision": lambda meta: meta.update(precisions=[4.7, 2]),
 }
 
 
@@ -261,6 +274,44 @@ def test_malformed_gpu_kernels_is_input_error(tmp_path, monkeypatch, table):
     code = run(["perf", "--preset", "vicuna-7b", "--fixed-precision", "3",
                 "--prompt-len", "8", "--gen-len", "8", "--gpu-kernels", "kern.json",
                 "--out", "perf.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+
+
+BAD_NETS = {
+    "net-is-a-list": lambda net: [net],
+    "overflowing-grid-n": lambda net: net["grid"].update(n=HUGE),
+    "overflowing-p-high": lambda net: net.update(p_high=HUGE),
+    "overflowing-feature-block": lambda net: net.update(feature_block=HUGE),
+}
+
+
+@pytest.mark.parametrize("mutate", BAD_NETS.values(), ids=BAD_NETS.keys())
+def test_malformed_learned_net_is_format_error(tmp_path, monkeypatch, mutate):
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    net = learnsched.SchedulerNet.init(64, 64, 4, SwitchGrid(3, 8), 4, 2).to_json()
+    Path("net.json").write_text(_dumps(mutate(net) or net))
+    with pytest.raises(FormatError):
+        learnsched.SchedulerNet.from_json(read_json("net.json"))
+    code = run(["generate", "--model", "model.pmpd", "--limit", "1", "--learned",
+                "net.json", "--prefill", "4", "--max-new", "4", "--out", "t.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("field", ["label", "prompt_len"])
+def test_overflowing_label_example_is_format_error(tmp_path, monkeypatch, field):
+    monkeypatch.chdir(tmp_path)
+    example = learnsched.LabeledExample(np.ones((3, 8), np.float32),
+                                        np.ones((3, 8), np.float32), 0, [0.5] * 3, 3)
+    learnsched.save_labels("labels.jsonl", [example], SwitchGrid(3, 8), 4, 2)
+    header, line = Path("labels.jsonl").read_text().splitlines()
+    obj = json.loads(line)
+    obj[field] = HUGE
+    Path("labels.jsonl").write_text(f"{header}\n{_dumps(obj)}\n")
+    with pytest.raises(FormatError):
+        learnsched.load_labels("labels.jsonl")
+    code = run(["train-scheduler", "--labels", "labels.jsonl", "--hidden", "4",
+                "--epochs", "1", "--out", "net.json"])
     assert code == cli.EXIT_INPUT_ERROR
 
 

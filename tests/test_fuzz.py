@@ -1,19 +1,29 @@
 """Seeded mutation fuzzing of every file pmpd reads back: a truncated or
-bit-flipped weight file, schedule, scheduler net, label file or trace file,
-used through ``cli.main``, must end in a ``PmpdError`` (exit 2 or 3), never
-a traceback."""
+bit-flipped weight file, vocabulary, schedule, scheduler net, label file,
+trace file or perf config, or one whose JSON holds a value of the wrong type
+or range, used through ``cli.main``, must end in a ``PmpdError`` (exit 2 or
+3), never a traceback."""
+import copy
+import functools
 import json
+import operator
 import random
+import struct
 
 import numpy as np
 import pytest
 
-from pmpd import cli, learnsched, quant, schedule, tinylm
+from pmpd import cli, learnsched, perf, quant, schedule, tinylm
 
 CFG = tinylm.ModelConfig(n_layers=1, n_heads=1, d_model=8, d_ff=8, vocab_size=16,
                          max_context=32)
 GRID = schedule.SwitchGrid(3, 8)
 MUTATIONS = 150  # per file
+CONFUSIONS = 100  # per file
+HUGE = "1e400"  # written as that JSON number, which Python reads as float("inf")
+# No large finite integer: the switch grid, the RoPE tables and the KV cache
+# allocate eagerly, so one would exercise the allocator, not the parser.
+SUBSTITUTES = (HUGE, -1, 2.5, "x", [], {}, None, True)
 
 
 def mutations(data: bytes, rng: random.Random, n: int):
@@ -24,6 +34,59 @@ def mutations(data: bytes, rng: random.Random, n: int):
             yield data[:i]
         else:
             yield data[:i] + bytes([data[i] ^ (1 << rng.randrange(8))]) + data[i + 1:]
+
+
+def dumps(doc) -> bytes:
+    return json.dumps(doc).replace(f'"{HUGE}"', HUGE).encode("utf-8")
+
+
+def read_doc(name: str, data: bytes):
+    """The JSON a file holds: the weight file's metadata, the list of a label
+    file's lines, or the whole file."""
+    if name == "model.pmpd":
+        (n,) = struct.unpack_from("<I", data, 8)
+        return json.loads(data[12 : 12 + n])
+    if name == "labels.jsonl":
+        return [json.loads(line) for line in data.splitlines()]
+    return json.loads(data)
+
+
+def write_doc(name: str, data: bytes, doc) -> bytes:
+    """``data`` holding ``doc`` instead; the weight file's length field is rewritten."""
+    if name == "model.pmpd":
+        (n,) = struct.unpack_from("<I", data, 8)
+        blob = dumps(doc)
+        return data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + n :]
+    if name == "labels.jsonl":
+        return b"\n".join(dumps(line) for line in doc) + b"\n"
+    return dumps(doc)
+
+
+def value_paths(doc, path=()):
+    """Path of every value in ``doc``, the root first; of a list, only the
+    first and last elements."""
+    yield path
+    if isinstance(doc, dict):
+        keys = list(doc)
+    else:
+        keys = sorted({0, len(doc) - 1}) if isinstance(doc, list) and doc else []
+    for key in keys:
+        yield from value_paths(doc[key], path + (key,))
+
+
+def confusions(name: str, data: bytes, rng: random.Random, n: int):
+    """``n`` copies of ``data`` with one JSON value, or the top-level object (of
+    a label file, one line's), replaced by one of :data:`SUBSTITUTES`."""
+    doc = read_doc(name, data)
+    cases = [(path, sub) for path in value_paths(doc)
+             if path or name != "labels.jsonl" for sub in SUBSTITUTES]
+    for path, sub in rng.sample(cases, min(n, len(cases))):
+        if not path:
+            yield write_doc(name, data, sub)
+            continue
+        mutated = copy.deepcopy(doc)
+        functools.reduce(operator.getitem, path[:-1], mutated)[path[-1]] = sub
+        yield write_doc(name, data, mutated)
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +108,9 @@ def files(tmp_path_factory):
                                           label, [0.5] * GRID.n, t)
                 for t, label in ((3, 0), (5, 2))]
     learnsched.save_labels(d / "labels.jsonl", examples, GRID, 4, 2)
+    (d / "hardware.json").write_text(json.dumps(perf.NPU_16K.to_json()))
+    (d / "footprint.json").write_text(json.dumps(perf.FOOTPRINT_PRESETS["vicuna-7b"].to_json()))
+    (d / "kernels.json").write_text(json.dumps({"16": 10.0, "4": 4.0, "2": 3.0}))
     return d
 
 
@@ -53,12 +119,16 @@ def generate(d, *flags):
             "--prompt", "abcab", "--max-new", "8", *flags, "--out", str(d / "out.json")]
 
 
+def perf_run(d, *flags):
+    return ["perf", *flags, "--prompt-len", "16", "--gen-len", "8", "--out", str(d / "out.json")]
+
+
 USES = {
     "model.pmpd": lambda d: [generate(d, "--fixed-precision", "2", "--prefill", "16")],
+    "vocab.json": lambda d: [generate(d, "--fixed-precision", "2")],
     "schedule.json": lambda d: [
         generate(d, "--schedule", str(d / "schedule.json")),
-        ["perf", "--preset", "vicuna-7b", "--schedule", str(d / "schedule.json"),
-         "--prompt-len", "16", "--gen-len", "8", "--out", str(d / "out.json")]],
+        perf_run(d, "--preset", "vicuna-7b", "--schedule", str(d / "schedule.json"))],
     "net.json": lambda d: [generate(d, "--learned", str(d / "net.json"))],
     "labels.jsonl": lambda d: [
         ["train-scheduler", "--labels", str(d / "labels.jsonl"), "--hidden", "4",
@@ -66,11 +136,20 @@ USES = {
     "traces.json": lambda d: [
         ["eval", "--traces", str(d / "traces.json"), "--references", str(d / "traces.json"),
          "--out", str(d / "out.json")]],
+    "hardware.json": lambda d: [perf_run(d, "--preset", "vicuna-7b", "--hardware",
+                                         str(d / "hardware.json"), "--fixed-precision", "2")],
+    "footprint.json": lambda d: [perf_run(d, "--footprint", str(d / "footprint.json"),
+                                          "--fixed-precision", "2")],
+    "kernels.json": lambda d: [perf_run(d, "--preset", "vicuna-7b", "--schedule",
+                                        str(d / "schedule.json"), "--gpu-kernels",
+                                        str(d / "kernels.json"))],
 }
 
 
-@pytest.mark.parametrize("name", USES)
-def test_mutated_file_raises_only_pmpd_errors(files, name, capsys, monkeypatch):
+def escapes(files, name, variants, monkeypatch) -> list:
+    """Run every use of file ``name`` on each variant of its bytes; the
+    exceptions that escaped ``cli.main`` (which maps every ``PmpdError`` to
+    exit 2 or 3)."""
     parser = cli.build_parser()  # building it dominates a call on these tiny inputs
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
     argvs = USES[name](files)
@@ -80,14 +159,30 @@ def test_mutated_file_raises_only_pmpd_errors(files, name, capsys, monkeypatch):
     original = path.read_bytes()
     escaped = []
     try:
-        for k, data in enumerate(mutations(original, random.Random(name), MUTATIONS)):
+        for k, data in enumerate(variants(original)):
             path.write_bytes(data)
             for argv in argvs:
                 try:
-                    cli.main(argv)  # maps every PmpdError to exit 2 or 3
+                    cli.main(argv)
                 except Exception as exc:
                     escaped.append((k, argv[0], repr(exc)))
     finally:
         path.write_bytes(original)
+    return escaped
+
+
+@pytest.mark.parametrize("name", USES)
+def test_mutated_file_raises_only_pmpd_errors(files, name, capsys, monkeypatch):
+    escaped = escapes(files, name,
+                      lambda data: mutations(data, random.Random(name), MUTATIONS), monkeypatch)
+    capsys.readouterr()
+    assert not escaped, escaped
+
+
+@pytest.mark.parametrize("name", USES)
+def test_type_confused_json_raises_only_pmpd_errors(files, name, capsys, monkeypatch):
+    escaped = escapes(files, name,
+                      lambda data: confusions(name, data, random.Random(name), CONFUSIONS),
+                      monkeypatch)
     capsys.readouterr()
     assert not escaped, escaped

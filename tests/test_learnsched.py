@@ -240,8 +240,8 @@ def test_labels_file_round_trip(tmp_path):
                                1, [0.1, 0.2, 0.9], 3)]
     path = tmp_path / "labels.jsonl"
     save_labels(path, examples, SwitchGrid(3, 8), 3, 2)
-    loaded, header = load_labels(path)
-    assert header["p_high"] == 3 and header["grid"] == {"n": 3, "OL": 8}
+    loaded, fields = load_labels(path)
+    assert fields == {"grid": SwitchGrid(3, 8), "p_high": 3, "p_low": 2, "feature_block": -1}
     assert loaded[0].label == 1 and loaded[0].scores == [0.1, 0.2, 0.9]
     assert np.array_equal(loaded[0].k, examples[0].k)
     assert np.array_equal(loaded[0].v, examples[0].v)

@@ -157,6 +157,8 @@ def test_config_validation():
         HardwareConfig(0, 1e9, 32e9)
     with pytest.raises(ConfigError):
         ModelFootprint(0, 0, 0, 1, 0)
+    with pytest.raises(ConfigError):  # a negative KV term would shrink modeled latency
+        ModelFootprint(100, 100, 100, 1, -1)
     with pytest.raises(ConfigError):
         decode_token_latency(NO_SCALES, 0, BW_ONLY)
     with pytest.raises(InputError):

@@ -27,6 +27,21 @@ def test_config_validation():
         ModelConfig(n_layers=1, n_heads=2, d_model=64, d_ff=32, max_context=1)
     with pytest.raises(ConfigError):
         ModelConfig(n_layers=1, n_heads=2, d_model=64, d_ff=32, vocab_size=1)
+    for dims in ((1, -1, 8, 8), (1, 1, 0, 8)):  # -1 heads would divide 8 evenly
+        with pytest.raises(ConfigError):
+            ModelConfig(*dims)
+
+
+def test_dimensions_and_precisions_are_integers_numpy_ones_included():
+    cfg = ModelConfig(*(np.int64(x) for x in (1, 2, 8, 8, 16, 32)))
+    assert cfg == ModelConfig(1, 2, 8, 8, 16, 32) and type(cfg.n_heads) is int
+    assert quant.PrecisionSet((np.int64(4), np.int32(2))).precisions == (4, 2)
+    for bad in ({"n_heads": 2.0}, {"d_model": "8"}):
+        with pytest.raises(TypeError):
+            ModelConfig(**{"n_layers": 1, "n_heads": 2, "d_model": 8, "d_ff": 8, **bad})
+    for bad in ((4.7, 2), ("4",)):
+        with pytest.raises(TypeError):
+            quant.PrecisionSet(bad)
 
 
 def test_byte_tokenizer_round_trip():
