@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -20,7 +21,7 @@ import numpy as np
 from . import tinylm
 from .errors import ConfigError, FormatError, InputError
 from .metrics import rouge_l
-from .schedule import PrecisionSchedule, StaticScheduler, SwitchGrid, reference_output
+from .schedule import PrecisionSchedule, StaticScheduler, SwitchGrid, reference_outputs
 from .util import b64_to_f32, canonical_json, f32_to_b64, named_rng, parsing, read_text
 
 log = logging.getLogger(__name__)
@@ -111,9 +112,10 @@ class SchedulerNet:
 def _grid_fields(obj: dict) -> dict:
     """The grid, precisions and feature block a net file and a label file's header
     both carry, as keyword arguments of :class:`SchedulerNet` and its ``init``."""
-    return {"grid": SwitchGrid(int(obj["grid"]["n"]), int(obj["grid"]["OL"])),
-            "p_high": int(obj["p_high"]), "p_low": int(obj["p_low"]),
-            "feature_block": int(obj.get("feature_block", -1))}
+    index = operator.index
+    return {"grid": SwitchGrid(index(obj["grid"]["n"]), index(obj["grid"]["OL"])),
+            "p_high": index(obj["p_high"]), "p_low": index(obj["p_low"]),
+            "feature_block": index(obj.get("feature_block", -1))}
 
 
 def _pool_forward(net: SchedulerNet, K: np.ndarray, V: np.ndarray) -> dict:
@@ -204,9 +206,10 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
     """Build the training set: truncate each seed prompt at a random point,
     score one generation per grid switch point against the full-precision
     reference, and keep the prefill K/V of the designated block as features.
-    The candidates are decoded by one :func:`pmpd.tinylm.decode_schedules`
-    call per prompt, so they share one prefill and their common decode
-    prefix; the features are that prefill's rows.
+    The candidates of every prompt are decoded by one lockstep
+    :func:`pmpd.tinylm.decode_schedules` call, so each prompt's candidates
+    share one prefill and their common decode prefix; the features are copies
+    of that prefill's rows.
 
     Returns the examples plus the number of prompts skipped for producing an
     empty reference. Bit-identical for a fixed seed.
@@ -225,27 +228,26 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
                                                               horizon, pf))
                   for point in grid.points]
 
-    examples: list[LabeledExample] = []
-    skipped = 0
-    for n, toks in enumerate(seed_prompts):
+    prompts = []
+    for toks in seed_prompts:
         toks = list(toks)
         cut = int(rng.integers(1, len(toks) + 1))  # drawn before any skip
-        prompt = toks[: max(1, min(cut, max_prompt))]
-
-        ref = reference_output(variants, prompt, horizon, eos_id)
+        prompts.append(toks[: max(1, min(cut, max_prompt))])
+    refs = reference_outputs(variants, prompts, horizon, eos_id)
+    for n, ref in enumerate(refs):
         if ref is None:
-            skipped += 1
             log.info("label generation skipped prompt %d: empty reference", n)
-            continue
-
-        traces, roots = tinylm.decode_schedules(variants, prompt, candidates,
-                                                eos_id=eos_id, max_new=horizon)
-        scores = [rouge_l(trace.output_tokens, ref).f1 for trace in traces]
-        K, V = roots[pf].layer_kv(feature_block)
-        t = len(prompt)
-        examples.append(LabeledExample(K[:t].astype(np.float32), V[:t].astype(np.float32),
-                                       label_from_scores(scores), scores, t))
-    return examples, skipped
+    kept = [(prompt, ref) for prompt, ref in zip(prompts, refs) if ref is not None]
+    traces, features = tinylm.decode_schedules(variants, [prompt for prompt, _ in kept],
+                                               candidates, eos_id=eos_id, max_new=horizon,
+                                               feature_block=feature_block)
+    examples = []
+    for (prompt, ref), row, feats in zip(kept, traces, features):
+        scores = [rouge_l(trace.output_tokens, ref).f1 for trace in row]
+        K, V = feats[pf]
+        examples.append(LabeledExample(K.astype(np.float32), V.astype(np.float32),
+                                       label_from_scores(scores), scores, len(prompt)))
+    return examples, len(prompts) - len(kept)
 
 
 def save_labels(path, examples: Sequence[LabeledExample], grid: SwitchGrid,
@@ -284,8 +286,8 @@ def load_labels(path) -> tuple[list[LabeledExample], dict]:
                 raise FormatError(f"label example of {t} rows of widths {d_k}/{d_v} is empty")
             examples.append(LabeledExample(
                 b64_to_f32(obj["k"], (t, d_k)), b64_to_f32(obj["v"], (t, d_v)),
-                int(obj["label"]), list(obj.get("scores", [])),
-                int(obj.get("prompt_len", 0))))
+                operator.index(obj["label"]), list(obj.get("scores", [])),
+                operator.index(obj.get("prompt_len", 0))))
     widths = {(ex.k.shape[1], ex.v.shape[1]) for ex in examples}
     if len(widths) > 1:
         raise FormatError(f"label file {path} mixes K/V widths {sorted(widths)}")

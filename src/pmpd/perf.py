@@ -14,13 +14,14 @@ GPU kernel latencies by the number of decode steps spent at each precision.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, InputError
 from .quant import FULL_PRECISION
 from .schedule import PrecisionSchedule
-from .util import parsing
+from .util import json_bool, parsing
 
 FP16 = FULL_PRECISION
 SCALE_BYTES_PER_GROUP = 8  # f32 min + f32 step
@@ -47,8 +48,9 @@ class HardwareConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "HardwareConfig":
         with parsing("hardware JSON"):
-            return cls(int(obj["mac_units"]), float(obj["clock_hz"]),
-                       float(obj["mem_bw_bytes_per_s"]), bool(obj.get("overlap", True)))
+            return cls(operator.index(obj["mac_units"]), float(obj["clock_hz"]),
+                       float(obj["mem_bw_bytes_per_s"]),
+                       json_bool(obj.get("overlap", True), "hardware 'overlap'"))
 
 
 # the two accelerator configurations used throughout: 4K MACs for
@@ -111,9 +113,9 @@ class ModelFootprint:
     @classmethod
     def from_json(cls, obj: dict) -> "ModelFootprint":
         with parsing("footprint JSON"):
-            return cls(int(obj["attn_params"]), int(obj["mlp_params"]),
-                       int(obj["embed_params"]), int(obj["n_layers"]),
-                       int(obj["kv_bytes_per_token"]), int(obj.get("group_size", 64)))
+            return cls(*(operator.index(obj[key]) for key in (
+                "attn_params", "mlp_params", "embed_params", "n_layers", "kv_bytes_per_token")),
+                       operator.index(obj.get("group_size", 64)))
 
 
 FOOTPRINT_PRESETS = {

@@ -13,22 +13,23 @@ Phase-aware precision allocation (constant candidates, one per prefill and
 decode pair) and the grid-restricted static solver (one candidate per grid
 switch map) are two callers of one selection rule: score the candidates
 against full-precision references and keep the cheapest that meets the
-quality floor. The candidates of a prompt are decoded as ``StaticScheduler``s
-by one call to :func:`pmpd.tinylm.decode_schedules`, the engine's one
-generation entry point, which prefills once per prefill precision and
-decodes their shared prefixes once.
+quality floor. The candidates are decoded as ``StaticScheduler``s by one
+call to :func:`pmpd.tinylm.decode_schedules`, the engine's one generation
+entry point, which decodes the prompts in lockstep waves, prefills each
+prompt once per prefill precision and decodes shared prefixes once.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .errors import ConfigError, InputError
 from .quant import FULL_PRECISION, PrecisionSet
-from .util import parsing
+from .util import json_bool, parsing
 
 
 @dataclass(frozen=True)
@@ -129,9 +130,10 @@ class PrecisionSchedule:
     @classmethod
     def from_json(cls, obj: dict) -> "PrecisionSchedule":
         with parsing("schedule JSON"):
-            return cls(tuple(obj["precisions"]), obj["prefill"],
-                       {int(p): int(i) for p, i in obj["st"].items()},
-                       obj["OL"], obj.get("feasible", True))
+            return cls(tuple(obj["precisions"]), operator.index(obj["prefill"]),
+                       {int(p): operator.index(i) for p, i in obj["st"].items()},
+                       operator.index(obj["OL"]),
+                       json_bool(obj.get("feasible", True), "schedule 'feasible'"))
 
     def __repr__(self):
         return (f"PrecisionSchedule(precisions={list(self.precisions)}, "
@@ -217,22 +219,26 @@ def avg_bitwidth(subject, tokens_generated: int | None = None) -> float:
 _REFERENCES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def reference_output(variants, prompt: Sequence[int], max_new: int,
-                     eos_id: int | None = None) -> list[int] | None:
-    """Greedy full-precision output of ``prompt``, the quality reference its
+def reference_outputs(variants, prompts: Sequence[Sequence[int]], max_new: int,
+                      eos_id: int | None = None) -> list[list[int] | None]:
+    """Greedy full-precision output of each prompt, the quality reference its
     candidates are scored against; ``None`` when it is just EOS, an empty
     reference. Generated once per model and (prompt, ``max_new``,
-    ``eos_id``); a call that raises stores nothing."""
+    ``eos_id``): the memo's misses are decoded by one lockstep call, and a
+    call that raises stores nothing."""
     from . import tinylm
 
     memo = _REFERENCES.setdefault(variants, {})
-    key = (tuple(prompt), max_new, eos_id)
-    if key not in memo:
-        trace = tinylm.generate(variants, prompt, FixedScheduler(FULL_PRECISION),
-                                eos_id=eos_id, max_new=max_new)
-        empty = trace.termination == "eos" and len(trace.output_tokens) == 1
-        memo[key] = None if empty else tuple(trace.output_tokens)
-    return None if memo[key] is None else list(memo[key])
+    keys = [(tuple(prompt), max_new, eos_id) for prompt in prompts]
+    misses = list(dict.fromkeys(key for key in keys if key not in memo))
+    if misses:
+        traces, _ = tinylm.decode_schedules(variants, [key[0] for key in misses],
+                                            [FixedScheduler(FULL_PRECISION)],
+                                            eos_id=eos_id, max_new=max_new)
+        for key, (trace,) in zip(misses, traces):
+            empty = trace.termination == "eos" and len(trace.output_tokens) == 1
+            memo[key] = None if empty else tuple(trace.output_tokens)
+    return [None if memo[key] is None else list(memo[key]) for key in keys]
 
 
 # ---------------------------------------------------------------------------
@@ -341,21 +347,18 @@ def _cheapest_feasible(variants, prompts, candidates: Sequence[PrecisionSchedule
     else:
         if not prompts:
             raise InputError("calibration/validation prompt set is empty")
-        schedulers = [StaticScheduler(s) for s in candidates]
-        totals = [0.0] * len(candidates)
-        kept = 0
-        for prompt in prompts:
-            ref = reference_output(variants, prompt, max_new, eos_id)
-            if ref is None:
-                continue
-            kept += 1
-            traces, _ = tinylm.decode_schedules(variants, prompt, schedulers,
-                                                eos_id=eos_id, max_new=max_new)
-            for j, trace in enumerate(traces):
-                totals[j] += metrics.rouge_l(trace.output_tokens, ref).f1
+        refs = reference_outputs(variants, prompts, max_new, eos_id)
+        kept = [(prompt, ref) for prompt, ref in zip(prompts, refs) if ref is not None]
         if not kept:
             raise InputError("every calibration/validation prompt produced an empty reference")
-        qualities, skipped = [t / kept for t in totals], len(prompts) - kept
+        traces, _ = tinylm.decode_schedules(variants, [prompt for prompt, _ in kept],
+                                            [StaticScheduler(s) for s in candidates],
+                                            eos_id=eos_id, max_new=max_new)
+        totals = [0.0] * len(candidates)
+        for row, (_, ref) in zip(traces, kept):
+            for j, trace in enumerate(row):
+                totals[j] += metrics.rouge_l(trace.output_tokens, ref).f1
+        qualities, skipped = [t / len(kept) for t in totals], len(prompts) - len(kept)
 
     def cost(s):
         return (s.bit_token_sum(), s.p_prefill,

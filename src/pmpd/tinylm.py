@@ -277,32 +277,48 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 class KVCache:
-    """Per-layer key/value rows of every processed token, full precision."""
+    """Per-layer key/value rows of every processed token of a block of ``rows``
+    sequences (one by default), full precision: row ``r`` holds
+    ``lengths[r]`` tokens in ``k``/``v[:, r]``."""
 
-    def __init__(self, n_layers: int, width: int, capacity: int):
-        self.k = np.zeros((n_layers, capacity, width))
-        self.v = np.zeros((n_layers, capacity, width))
-        self.T = 0
+    def __init__(self, n_layers: int, width: int, capacity: int, rows: int = 1):
+        self.k = np.zeros((n_layers, rows, capacity, width))
+        self.v = np.zeros((n_layers, rows, capacity, width))
+        self.lengths = [0] * rows
 
     @property
     def capacity(self) -> int:
-        return self.k.shape[1]
+        return self.k.shape[2]
+
+    @property
+    def T(self) -> int:
+        """Tokens held by a one-row cache."""
+        (t,) = self.lengths
+        return t
 
     def layer_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """(K, V) of shape [T, width] for one layer; -1 addresses the last block."""
+        """(K, V) of shape [T, width] for one layer of a one-row cache; -1
+        addresses the last block."""
         if not -len(self.k) <= layer < len(self.k):
             raise ConfigError(f"layer {layer} outside the cache's {len(self.k)} layers")
-        return self.k[layer, : self.T], self.v[layer, : self.T]
+        return self.k[layer, 0, : self.T], self.v[layer, 0, : self.T]
 
-    def fork(self) -> "KVCache":
-        """Independent cache with the same live rows. Only rows ``[:T]`` are
-        copied into a fresh zero allocation: copying the whole capacity
-        would touch memory no decode step of the fork reads."""
-        n_layers, capacity, width = self.k.shape
-        twin = KVCache(n_layers, width, capacity)
-        twin.k[:, : self.T] = self.k[:, : self.T]
-        twin.v[:, : self.T] = self.v[:, : self.T]
-        twin.T = self.T
+    def put(self, row: int, src: "KVCache", src_row: int = 0) -> None:
+        """Copy the live tokens of row ``src_row`` of ``src`` into row ``row``."""
+        t = src.lengths[src_row]
+        self.k[:, row, :t] = src.k[:, src_row, :t]
+        self.v[:, row, :t] = src.v[:, src_row, :t]
+        self.lengths[row] = t
+
+    def fork(self, rows: Sequence[int] | None = None) -> "KVCache":
+        """Independent cache of the same shape holding the live tokens of
+        ``rows`` (every row by default); its other rows are empty. Only live
+        tokens are copied into a fresh zero allocation: copying the whole
+        capacity would touch memory no decode step of the fork reads."""
+        n_layers, n_rows, capacity, width = self.k.shape
+        twin = KVCache(n_layers, width, capacity, n_rows)
+        for r in range(n_rows) if rows is None else rows:
+            twin.put(r, self, r)
         return twin
 
 
@@ -327,97 +343,142 @@ def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def _rope_tables(cfg: ModelConfig):
+    """cos and sign-folded sin per position, ``[max_context, 1, d_head]`` each:
+    ``(c, c)`` and ``(-s, s)`` over the two halves of a head."""
     inv_freq = cfg.rope_theta ** (-np.arange(0, cfg.d_head, 2) / cfg.d_head)
     angles = np.arange(cfg.max_context, dtype=np.float64)[:, None, None] * inv_freq
-    return np.cos(angles), np.sin(angles)
+    c, s = np.cos(angles), np.sin(angles)
+    return np.concatenate([c, c], axis=-1), np.concatenate([-s, s], axis=-1)
 
 
 def _apply_rope(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # x: [n, heads, d_head]; c/s: [n, 1, d_head/2]
+    # x: [..., b, n, heads, d_head]; c/s: [b, n, 1, d_head], or [n, 1, d_head] for
+    # one row. Rotating the halves (x1, x2) is (x1*c - x2*s, x2*c + x1*s); with s
+    # sign-folded that is x*c + (x2, x1)*s, bit for bit: x1*c + x2*(-s) == x1*c - x2*s
     half = x.shape[-1] // 2
-    x1, x2 = x[..., :half], x[..., half:]
-    return np.concatenate([x1 * c - x2 * s, x2 * c + x1 * s], axis=-1)
+    return x * c + np.concatenate([x[..., half:], x[..., :half]], axis=-1) * s
 
 
-def _forward(model: ModelVariants, p: int, tokens: Sequence[int],
-             cache: KVCache) -> np.ndarray:
-    """Run ``tokens`` through the model at weight precision ``p``, extending
-    the cache; returns logits for each new position."""
+def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
+             rows: Sequence[int]) -> np.ndarray:
+    """Run ``tokens[j]`` (``[b, n]`` ids) through row ``rows[j]`` of the cache at
+    weight precision ``p``, extending those rows, which must increase; returns
+    the logits ``[b, n, vocab]`` of each new position.
+
+    Each row gets exactly the arithmetic a one-row call would do, so a batch
+    of rows is bit-identical to running them one by one. The projections are
+    stacked ``[b, n, d] @ W`` products, which numpy evaluates one row's
+    ``[n, d] @ W`` at a time (a gemv per row when ``n`` is 1, never one
+    ``[b, d]`` gemm, whose sums differ in the last bits). Attention is one
+    einsum per run of adjacent rows holding equal lengths, never a padded one:
+    padding changes the softmax sums. RMSNorm, RoPE, softmax and SiLU work row
+    by row.
+    """
     if p not in model.allowed_precisions():
         raise ContractViolation(
             f"precision {p} not in the model's set {sorted(model.allowed_precisions())}")
     cfg = model.config
-    n, T0 = len(tokens), cache.T
-    if T0 + n > cfg.max_context:
-        raise InputError(f"sequence length {T0 + n} exceeds max_context {cfg.max_context}")
     ids = np.asarray(tokens, dtype=np.int64)
+    b, n = ids.shape
+    if b != len(rows):
+        raise InputError(f"{b} token rows for {len(rows)} cache rows")
+    starts = [cache.lengths[r] for r in rows]
+    limit = min(cache.capacity, cfg.max_context)
+    if max(starts) + n > limit:
+        raise InputError(f"sequence length {max(starts) + n} exceeds the cache's {limit} "
+                         f"positions (max_context {cfg.max_context})")
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise InputError(f"token id outside vocabulary of size {cfg.vocab_size}")
+    # runs of adjacent rows at equal length: (first, end) batch indices
+    runs, j0 = [], 0
+    for j in range(1, b + 1):
+        if j == b or starts[j] != starts[j0] or rows[j] != rows[j - 1] + 1:
+            runs.append((j0, j))
+            j0 = j
 
     embed, layers, final_norm, head = model.resolved(p)
-    x = embed[ids]
-    cos, sin = (table[T0 : T0 + n] for table in model.rope)
-    scale = 1.0 / math.sqrt(cfg.d_head)
+    H, dh, d = cfg.n_heads, cfg.d_head, cfg.d_model
+    # one row keeps 2-D [n, d] activations: a stacked product costs more per call
+    lead = (n,) if b == 1 else (b, n)
+    x = embed[ids.reshape(lead)]
+    if b == 1:
+        cos, sin = (table[starts[0] : starts[0] + n] for table in model.rope)
+    else:
+        pos = np.add.outer(starts, np.arange(n))
+        cos, sin = (table[pos] for table in model.rope)
+    scale = 1.0 / math.sqrt(dh)
 
+    kc, vc = (a.reshape(*a.shape[:3], H, dh) for a in (cache.k, cache.v))
     for i, (norm_attn, wq, wk, wv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
         h = _rmsnorm(x, norm_attn)
-        q = (h @ wq).reshape(n, cfg.n_heads, cfg.d_head)
-        k = (h @ wk).reshape(n, cfg.n_heads, cfg.d_head)
-        v = h @ wv
-        q = _apply_rope(q, cos, sin)
-        k = _apply_rope(k, cos, sin)
-        cache.k[i, T0 : T0 + n] = k.reshape(n, cfg.d_model)
-        cache.v[i, T0 : T0 + n] = v
-
-        k_all = cache.k[i, : T0 + n].reshape(T0 + n, cfg.n_heads, cfg.d_head)
-        v_all = cache.v[i, : T0 + n].reshape(T0 + n, cfg.n_heads, cfg.d_head)
-        scores = np.einsum("nhd,thd->hnt", q, k_all) * scale
-        if n > 1:
-            seen = np.arange(T0 + n)[None, :] <= (T0 + np.arange(n))[:, None]
-            scores = np.where(seen[None, :, :], scores, -np.inf)
-        attn = _softmax(scores, axis=-1)
-        ctx = np.einsum("hnt,thd->nhd", attn, v_all).reshape(n, cfg.d_model)
-        x = x + ctx @ wo
+        qk = np.empty((2, *lead, d))
+        np.matmul(h, wq, out=qk[0])
+        np.matmul(h, wk, out=qk[1])
+        q, k = _apply_rope(qk.reshape(2, b, n, H, dh), cos, sin)
+        v = (h @ wv).reshape(b, n, H, dh)
+        ctx = []
+        for j0, j1 in runs:
+            r0, T0 = rows[j0], starts[j0]
+            ck, cv = kc[i, r0 : r0 + j1 - j0], vc[i, r0 : r0 + j1 - j0]
+            ck[:, T0 : T0 + n] = k[j0:j1]
+            cv[:, T0 : T0 + n] = v[j0:j1]
+            scores = np.einsum("bnhd,bthd->bhnt", q[j0:j1], ck[:, : T0 + n])
+            scores *= scale
+            if n > 1:
+                seen = np.arange(T0 + n)[None, :] <= (T0 + np.arange(n))[:, None]
+                scores = np.where(seen, scores, -np.inf)
+            attn = _softmax(scores, axis=-1)
+            ctx.append(np.einsum("bhnt,bthd->bnhd", attn, cv[:, : T0 + n]))
+        ctx = ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
+        x = x + ctx.reshape(*lead, d) @ wo
 
         h2 = _rmsnorm(x, norm_mlp)
         u = h2 @ w_up
-        gate, up = u[:, : cfg.d_ff], u[:, cfg.d_ff :]
+        gate, up = u[..., : cfg.d_ff], u[..., cfg.d_ff :]
         x = x + (_silu(gate) * up) @ w_down
 
-    cache.T = T0 + n
+    for r, t in zip(rows, starts):
+        cache.lengths[r] = t + n
     x = _rmsnorm(x, final_norm)
-    return x @ head
+    return (x @ head).reshape(b, n, -1)
 
 
 def prefill(model: ModelVariants, p: int,
             prompt: Sequence[int]) -> tuple[np.ndarray, KVCache]:
-    """Causal pass over the whole prompt; last-position logits plus the cache."""
+    """Causal pass over the whole prompt; last-position logits plus a one-row cache."""
     if not prompt:
         raise InputError("prompt is empty")
     if len(prompt) >= model.config.max_context:
         raise InputError(
             f"prompt length {len(prompt)} must be < max_context {model.config.max_context}")
     cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
-    logits = _forward(model, p, prompt, cache)
-    return logits[-1], cache
+    logits = _forward(model, p, [prompt], cache, (0,))
+    return logits[0, -1], cache
 
 
-def decode_step(model: ModelVariants, p: int, token: int,
-                cache: KVCache) -> tuple[np.ndarray, KVCache]:
-    """One autoregressive step on top of the cache; appends one row per layer."""
-    if cache.T < 1:
+def decode_step(model: ModelVariants, p: int, tokens, cache: KVCache,
+                rows: Sequence[int] | None = None) -> tuple[np.ndarray, KVCache]:
+    """One autoregressive step of the cache rows ``rows`` (every row by
+    default, increasing), row ``rows[j]`` consuming ``tokens[j]``; appends one
+    position per layer to each and returns their logits ``[len(rows), vocab]``.
+    A single int token steps a one-row cache and gets that row's logits."""
+    one = isinstance(tokens, (int, np.integer))
+    if rows is None:
+        rows = range(len(cache.lengths))
+    held = [cache.lengths[r] for r in rows]
+    if not held or min(held) < 1:
         raise InputError("decode_step requires a prefilled cache")
-    if cache.T >= model.config.max_context:
-        raise InputError(f"context window full at {cache.T} tokens")
-    logits = _forward(model, p, [token], cache)
-    return logits[-1], cache
+    if max(held) >= min(cache.capacity, model.config.max_context):
+        raise InputError(f"context window full at {max(held)} tokens")
+    logits = _forward(model, p, [[tokens]] if one else [[t] for t in tokens], cache, rows)[:, 0]
+    return (logits[0] if one else logits), cache
 
 
 def forward_full(model: ModelVariants, p: int, tokens: Sequence[int]) -> np.ndarray:
     """From-scratch causal pass returning logits at every position (the
     consistency oracle for incremental decoding)."""
     cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
-    return _forward(model, p, tokens, cache)
+    return _forward(model, p, [tokens], cache, (0,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -498,71 +559,143 @@ class GenerationTrace:
                    PrecisionSchedule.from_json(sched) if sched else None)
 
 
-class _Walk:
-    """Depth-first decoding of several schedules below one prefill, for
-    :func:`decode_schedules`. An object rather than a recursive closure: the
-    closure would be a reference cycle that keeps the model alive until a
-    full collection."""
+# most prompts decoded in lockstep by one decode_schedules wave: each of its
+# prefill groups walks one block of up to WAVE rows. Live KV grows with it
+# (sweep in CHANGES.md).
+WAVE = 4
 
-    def __init__(self, model, schedules, sampler_cfg, eos, max_new):
+
+class _Walk:
+    """Depth-first lockstep decoding of one wave at one prefill precision, for
+    :func:`decode_schedules`: a block with one row per prompt, each row under
+    its own schedules. An object rather than a recursive closure: the closure
+    would be a reference cycle that keeps the model alive until a full
+    collection."""
+
+    def __init__(self, model, sampler_cfg, eos, max_new):
         self.model = model
-        self.schedules = schedules
         self.sampler_cfg = sampler_cfg
-        self.rng = named_rng(sampler_cfg.seed, "sampler")
         self.eos = eos
         self.max_new = max_new
-        self.ends: list = [None] * len(schedules)
+        # per row: its schedules, its sampler stream and each schedule's end
+        self.schedules: list[list[PrecisionSchedule]] = []
+        self.rngs: list[np.random.Generator] = []
+        self.ends: list[list] = []
 
-    def advance(self, p, cache, tokens, hashes):
-        """One decode step at ``p``; appends the sampled token and its logits'
-        hash to ``tokens`` and ``hashes``."""
-        logits, cache = decode_step(self.model, p, tokens[-1], cache)
-        tokens.append(sample(logits, self.sampler_cfg, self.rng))
-        hashes.append(logits_hash(logits))
-        return cache, tokens, hashes
+    def decode(self, prompts, pf, schedulers, feature_block):
+        """Prefill ``prompts`` (one wave, shortest first) at ``pf`` into the rows
+        of one block, resolve every scheduler on each prompt's own prefill and
+        walk the block; returns per prompt its traces in ``schedulers`` order
+        and copies of its prefill's (K, V) rows of layer ``feature_block``."""
+        mc, allowed = self.model.config, self.model.allowed_precisions()
+        # one prompt walks its prefill's own cache: no block to fill
+        block = None if len(prompts) == 1 else KVCache(
+            mc.n_layers, mc.d_model, min(len(prompts[-1]) + self.max_new, mc.max_context),
+            len(prompts))
+        tokens, hashes, features = {}, {}, []
+        for r, prompt in enumerate(prompts):
+            logits, cache = prefill(self.model, pf, prompt)
+            schedules = [scheduler.resolve(cache) for scheduler in schedulers]
+            for sched in schedules:
+                if self.max_new > sched.horizon:
+                    raise InputError(f"max_new {self.max_new} exceeds the schedule horizon "
+                                     f"{sched.horizon}")
+                for p in sched.precisions:
+                    if p not in allowed:
+                        raise ContractViolation(f"schedule uses precision {p} outside the "
+                                                f"model's set {sorted(allowed)}")
+            features.append(None if feature_block is None else
+                            tuple(a.copy() for a in cache.layer_kv(feature_block)))
+            if block is None:
+                block = cache
+            else:
+                block.put(r, cache)
+            del cache  # the block holds its rows now; no prefill outlives its copy
+            rng = named_rng(self.sampler_cfg.seed, "sampler")
+            self.schedules.append(schedules)
+            self.rngs.append(rng)
+            self.ends.append([None] * len(schedules))
+            tokens[r] = [sample(logits, self.sampler_cfg, rng)]
+            hashes[r] = [logits_hash(logits)]
+        self.walk(block, {r: list(range(len(schedulers))) for r in tokens}, tokens, hashes)
+        return [([GenerationTrace(list(prompt), list(toks),
+                                  [s.precision_at(k) for k in range(len(toks))], list(hs),
+                                  "eos" if toks[-1] == self.eos else "length", pf, s)
+                  for s, (toks, hs) in zip(scheds, ends)], feats)
+                for prompt, scheds, ends, feats in zip(prompts, self.schedules, self.ends,
+                                                       features)]
 
-    def walk(self, members, cache, tokens, hashes):
-        """Decode the schedules ``members``, which share ``tokens``, to their
-        ends; ``cache`` holds the prompt and ``tokens[:-1]``."""
-        while tokens[-1] != self.eos and len(tokens) < self.max_new:
-            split: dict[int, list[int]] = {}
-            for i in members:
-                split.setdefault(self.schedules[i].precision_at(len(tokens) - 1),
-                                 []).append(i)
+    def advance(self, p, cache, rows, tokens, hashes) -> None:
+        """One decode step at ``p`` of the block rows ``rows``; appends each
+        row's sampled token and its logits' hash to ``tokens[r]``/``hashes[r]``."""
+        logits, _ = decode_step(self.model, p, [tokens[r][-1] for r in rows], cache, rows)
+        for r, row_logits in zip(rows, logits):
+            tokens[r].append(sample(row_logits, self.sampler_cfg, self.rngs[r]))
+            hashes[r].append(logits_hash(row_logits))
+
+    def walk(self, cache, members, tokens, hashes) -> None:
+        """Decode each row ``r``'s schedules ``members[r]``, which share
+        ``tokens[r]``, to their ends; row ``r`` of ``cache`` holds its prompt
+        and ``tokens[r][:-1]``. ``members`` lists rows in increasing order."""
+        while True:
+            # precision -> row -> the row's schedules decoding at it
+            split: dict[int, dict[int, list[int]]] = {}
+            for r, ms in members.items():
+                toks = tokens[r]
+                if toks[-1] == self.eos or len(toks) >= self.max_new:
+                    for i in ms:
+                        self.ends[r][i] = (toks, hashes[r])
+                    continue
+                for i in ms:
+                    split.setdefault(self.schedules[r][i].precision_at(len(toks) - 1),
+                                     {}).setdefault(r, []).append(i)
+            if not split:
+                return
             p, *lower = sorted(split, reverse=True)
             # each recursion lowers the precision, so depth <= |precisions|
             for q in lower:
-                self.walk(split[q], *self.advance(q, cache.fork(), tokens[:], hashes[:]))
+                branch = split[q]
+                fork = cache.fork(branch)
+                t = {r: tokens[r][:] for r in branch}
+                h = {r: hashes[r][:] for r in branch}
+                self.advance(q, fork, list(branch), t, h)
+                self.walk(fork, branch, t, h)
             members = split[p]
-            cache, tokens, hashes = self.advance(p, cache, tokens, hashes)
-        for i in members:
-            self.ends[i] = (tokens, hashes)
+            self.advance(p, cache, list(members), tokens, hashes)
 
 
-def decode_schedules(model: ModelVariants, prompt: Sequence[int], schedulers: Sequence,
-                     sampler_cfg: SamplerConfig | None = None, eos_id: int | None = None,
-                     max_new: int = 64) -> tuple[list[GenerationTrace], dict[int, KVCache]]:
-    """The one generation entry point: every scheduler on one prompt.
+def decode_schedules(model: ModelVariants, prompts: Sequence[Sequence[int]],
+                     schedulers: Sequence, sampler_cfg: SamplerConfig | None = None,
+                     eos_id: int | None = None, max_new: int = 64,
+                     feature_block: int | None = None):
+    """The one generation entry point: every scheduler on every prompt.
 
-    The schedulers are grouped by ``p_prefill`` in first-seen order and each
-    group is prefilled once. Each member resolves its schedule from its
-    group's prefilled cache before the first decode step, so a learned
-    scheduler sees exactly the prompt's rows; static and fixed schedulers
-    return theirs as-is.
+    The prompts are sorted by length (stably) and decoded in as few waves of
+    at most :data:`WAVE` as fit, of near-equal size. Within a wave the
+    schedulers are grouped by ``p_prefill`` in first-seen order; each group
+    prefills every prompt of the wave once and each member resolves its
+    schedule from that prompt's prefilled cache before the first decode
+    step, so a learned scheduler sees exactly the prompt's rows; static and
+    fixed schedulers return theirs as-is. The prefilled rows are copied into
+    one block of ``len(prompt) + max_new`` positions per row (the wave's
+    longest prompt, capped at ``max_context``), and the block is walked in
+    lockstep; a wave of one prompt walks its prefill's own cache.
 
     Token 0 is sampled from the prefill logits, and decode step ``i``
     consumes token ``i`` at ``precision_at(i)``, the precision token ``i`` is
     attributed; EOS (``vocab_size - 1`` by default) or ``max_new`` tokens
-    end a schedule. A group's schedules are walked depth first as a trie
-    over that precision: a shared prefix is decoded once and the cache is
-    forked where they split. Each branch makes the same single-row
-    ``decode_step`` and ``sample`` calls as a walk over its schedule alone,
-    so its trace is bit-identical to that walk's. The sampler's RNG is not
+    end a schedule. The group's schedules are walked depth first as a trie
+    over their precision, every row at once: a shared prefix is decoded once
+    per row, the block is forked (live rows only) where schedules split, and
+    every row at the same node and precision advances through one
+    ``decode_step`` call. That call is exact row by row (see ``_forward``), so
+    each trace is bit-identical to a walk of its prompt and schedule alone.
+    Each row samples from its own sampler stream, but the stream is not
     forked, so only a greedy sampler may walk more than one schedule.
 
-    Returns the traces in ``schedulers`` order, and the cache of each
-    prefill precision, whose rows ``[:len(prompt)]`` hold the prefill's K/V
-    (the branch keeping the highest precision extends it in place).
+    Returns the traces, ``traces[prompt][scheduler]``, and per prompt a dict
+    mapping each prefill precision to copies of the prefill's (K, V) rows of
+    layer ``feature_block``, empty when ``feature_block`` is None.
     """
     cfg = sampler_cfg if sampler_cfg is not None else SamplerConfig()
     eos = model.config.vocab_size - 1 if eos_id is None else eos_id
@@ -574,35 +707,29 @@ def decode_schedules(model: ModelVariants, prompt: Sequence[int], schedulers: Se
     groups: dict[int, list[int]] = {}
     for i, scheduler in enumerate(schedulers):
         groups.setdefault(scheduler.p_prefill, []).append(i)
-    allowed = model.allowed_precisions()
-    traces: list = [None] * len(schedulers)
-    roots = {}
-    for pf, members in groups.items():
-        logits, roots[pf] = prefill(model, pf, prompt)
-        schedules = [schedulers[i].resolve(roots[pf]) for i in members]
-        for sched in schedules:
-            if max_new > sched.horizon:
-                raise InputError(
-                    f"max_new {max_new} exceeds the schedule horizon {sched.horizon}")
-            for p in sched.precisions:
-                if p not in allowed:
-                    raise ContractViolation(f"schedule uses precision {p} outside the "
-                                            f"model's set {sorted(allowed)}")
-        walker = _Walk(model, schedules, cfg, eos, max_new)
-        walker.walk(range(len(schedules)), roots[pf], [sample(logits, cfg, walker.rng)],
-                    [logits_hash(logits)])
-        for i, s, (tokens, hashes) in zip(members, schedules, walker.ends):
-            traces[i] = GenerationTrace(list(prompt), list(tokens),
-                                        [s.precision_at(j) for j in range(len(tokens))],
-                                        list(hashes), "eos" if tokens[-1] == eos else "length",
-                                        pf, s)
-    return traces, roots
+    traces: list[list] = [[None] * len(schedulers) for _ in prompts]
+    features: list[dict] = [{} for _ in prompts]
+    order = sorted(range(len(prompts)), key=lambda j: len(prompts[j]))
+    waves = -(-len(order) // WAVE)  # as few as fit, of near-equal size
+    for w in range(waves):
+        wave = order[len(order) * w // waves : len(order) * (w + 1) // waves]
+        for pf, members in groups.items():
+            walker = _Walk(model, cfg, eos, max_new)
+            rows = walker.decode([prompts[j] for j in wave], pf,
+                                 [schedulers[i] for i in members], feature_block)
+            for j, (row, feats) in zip(wave, rows):
+                for i, trace in zip(members, row):
+                    traces[j][i] = trace
+                if feature_block is not None:
+                    features[j][pf] = feats
+    return traces, features
 
 
 def generate(model: ModelVariants, prompt: Sequence[int], scheduler,
              sampler_cfg: SamplerConfig | None = None,
              eos_id: int | None = None, max_new: int = 64) -> GenerationTrace:
     """Prefill once, then decode under the scheduler's precision switching:
-    :func:`decode_schedules` over that one scheduler."""
-    (trace,), _ = decode_schedules(model, prompt, [scheduler], sampler_cfg, eos_id, max_new)
+    :func:`decode_schedules` over that one prompt and scheduler."""
+    ((trace,),), _ = decode_schedules(model, [prompt], [scheduler], sampler_cfg, eos_id,
+                                      max_new)
     return trace

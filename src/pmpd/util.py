@@ -50,6 +50,14 @@ def parsing(what: str):
         raise FormatError(f"malformed {what}: {exc}") from exc
 
 
+def json_bool(value, what: str) -> bool:
+    """``value`` if it is a JSON boolean, else :class:`FormatError`: ``bool("false")``
+    is ``True``, so a flag is never read with ``bool``."""
+    if type(value) is not bool:
+        raise FormatError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
 def read_text(path) -> str:
     """UTF-8 text of a file; :class:`InputError` if it cannot be read,
     :class:`FormatError` if it is not UTF-8."""

@@ -32,12 +32,22 @@ def corpus_prompts():
     return [tok.encode(line)[:48] for line in lines]
 
 
+class NaiveCache:
+    """One sequence's K/V rows, ``[n_layers, capacity, width]``, for the naive pass."""
+
+    def __init__(self, n_layers, width, capacity):
+        self.k = np.zeros((n_layers, capacity, width))
+        self.v = np.zeros((n_layers, capacity, width))
+        self.T = 0
+
+
 def _naive_forward(model, p, tokens, cache):
     """The forward pass written out as the bitwise reference for
-    ``tinylm._forward``: every matrix read through ``model.weights(name, p)``
-    and every gain through ``model.norm(name)`` at its use, the RoPE tables
-    computed for the call's positions, and ``np.mean``/``np.max``/``np.sum``.
-    Extends ``cache`` and returns the logits of every new position."""
+    ``tinylm._forward``: one sequence, every matrix read through
+    ``model.weights(name, p)`` and every gain through ``model.norm(name)`` at
+    its use, the RoPE tables computed for the call's positions, and
+    ``np.mean``/``np.max``/``np.sum``. Extends ``cache`` (a
+    :class:`NaiveCache`) and returns the logits of every new position."""
     cfg = model.config
     n, T0, H, dh = len(tokens), cache.T, cfg.n_heads, cfg.d_head
 
@@ -79,6 +89,11 @@ def _naive_forward(model, p, tokens, cache):
 @pytest.fixture(scope="session")
 def naive_forward():
     return _naive_forward
+
+
+@pytest.fixture(scope="session")
+def naive_cache():
+    return NaiveCache
 
 
 def _naive_generate(model, prompt, scheduler, sampler_cfg=None, eos_id=None, max_new=64):

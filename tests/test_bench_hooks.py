@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from pmpd import learnsched, metrics, perf, quant, schedule, tinylm
-from pmpd.schedule import FixedScheduler
+from pmpd.schedule import FixedScheduler, PrecisionSchedule, StaticScheduler
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 OWNERS = (learnsched, metrics, perf, quant, schedule, tinylm, tinylm.ModelVariants)
@@ -48,3 +48,37 @@ def test_stamps_record_one_decode_step_per_token_after_the_first(monkeypatch, sm
         patches.restore()
     assert trace.termination == "length" and len(trace.output_tokens) == n
     assert len(timing.gaps_s) == n - 1
+
+
+def test_tracer_sees_every_prefill_and_decode_step_of_a_lockstep_call(monkeypatch, small_model):
+    # the tracer reads the prompt and p of prefill(model, p, prompt) and the p
+    # of decode_step(model, p, ...) from module globals looked up at call time
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    prompts = [list(b"The river"), list(b"A lantern"), list(b"Go"), list(b"The river"),
+               list(b"Seven stones in a row")]
+    schedulers = [StaticScheduler(PrecisionSchedule.two_phase(4, 2, k, 8)) for k in (0, 4, 8)]
+    steps = []
+    decode_step = tinylm.decode_step
+
+    def counted(model, p, tokens, cache, rows=None):
+        steps.append(len(rows))
+        return decode_step(model, p, tokens, cache, rows)
+
+    monkeypatch.setattr(tinylm, "decode_step", counted)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traces, _ = tinylm.decode_schedules(small_model, prompts, schedulers, max_new=8,
+                                            eos_id=small_model.config.vocab_size)
+    finally:
+        tracer.uninstall()
+    prefills = [attrs for name, *_, attrs in tracer.spans if name == "tinylm.prefill"]
+    assert sorted(a["n"] for a in prefills) == sorted(map(len, prompts))
+    assert {a["p"] for a in prefills} == {4}
+    spans = [attrs["p"] for name, *_, attrs in tracer.spans if name == "tinylm.decode_step"]
+    assert len(spans) == len(steps) and set(spans) == {4, 2}
+    # one call per trie node and precision steps every row of the wave there
+    assert 1 < max(steps) <= tinylm.WAVE and len(steps) < sum(steps)
+    assert all(t.termination == "length" for row in traces for t in row)

@@ -146,10 +146,28 @@ USES = {
 }
 
 
-def escapes(files, name, variants, monkeypatch) -> list:
-    """Run every use of file ``name`` on each variant of its bytes; the
-    exceptions that escaped ``cli.main`` (which maps every ``PmpdError`` to
-    exit 2 or 3)."""
+def typed_substitutions(name: str, data: bytes):
+    """``(path, bytes)`` of ``data`` with one value replaced: an integer by a
+    fractional number, a boolean by the string of its name."""
+    doc = read_doc(name, data)
+    for path in value_paths(doc):
+        value = functools.reduce(operator.getitem, path, doc)
+        if type(value) is bool:
+            sub = str(value).lower()
+        elif type(value) is int:
+            sub = value + 0.5
+        else:
+            continue
+        mutated = copy.deepcopy(doc)
+        functools.reduce(operator.getitem, path[:-1], mutated)[path[-1]] = sub
+        yield path, write_doc(name, data, mutated)
+
+
+def outcomes(files, name, variants, monkeypatch) -> list:
+    """Run every use of file ``name`` on each variant of its bytes; per run,
+    ``(variant index, command, result)``, the result being the exit code of
+    ``cli.main`` (which maps every ``PmpdError`` to 2 or 3) or the repr of
+    the exception that escaped it."""
     parser = cli.build_parser()  # building it dominates a call on these tiny inputs
     monkeypatch.setattr(cli, "build_parser", lambda: parser)
     argvs = USES[name](files)
@@ -157,18 +175,23 @@ def escapes(files, name, variants, monkeypatch) -> list:
         assert cli.main(argv) == 0, argv
     path = files / name
     original = path.read_bytes()
-    escaped = []
+    results = []
     try:
         for k, data in enumerate(variants(original)):
             path.write_bytes(data)
             for argv in argvs:
                 try:
-                    cli.main(argv)
+                    results.append((k, argv[0], cli.main(argv)))
                 except Exception as exc:
-                    escaped.append((k, argv[0], repr(exc)))
+                    results.append((k, argv[0], repr(exc)))
     finally:
         path.write_bytes(original)
-    return escaped
+    return results
+
+
+def escapes(files, name, variants, monkeypatch) -> list:
+    """The runs of :func:`outcomes` whose exception escaped ``cli.main``."""
+    return [r for r in outcomes(files, name, variants, monkeypatch) if isinstance(r[2], str)]
 
 
 @pytest.mark.parametrize("name", USES)
@@ -186,3 +209,16 @@ def test_type_confused_json_raises_only_pmpd_errors(files, name, capsys, monkeyp
                       monkeypatch)
     capsys.readouterr()
     assert not escaped, escaped
+
+
+@pytest.mark.parametrize("name", USES)
+def test_fractional_integers_and_string_booleans_exit_2(files, name, capsys, monkeypatch):
+    # int(4.5) is 4 and bool("false") is True: a reader that coerces instead
+    # of checking would run on a value the file never held
+    subs = list(typed_substitutions(name, (files / name).read_bytes()))
+    results = outcomes(files, name, lambda data: (b for _, b in subs), monkeypatch)
+    capsys.readouterr()
+    assert len(results) == len(subs) * len(USES[name](files))
+    wrong = [(subs[k][0], command, result) for k, command, result in results
+             if result != cli.EXIT_INPUT_ERROR]
+    assert not wrong, wrong

@@ -262,10 +262,11 @@ def test_malformed_labels_file_is_format_error(tmp_path, body):
 def test_generate_labels_scores_and_features_match_independent_runs(small_model,
                                                                     corpus_prompts):
     grid = SwitchGrid(3, 8)
-    prompts = [p[:20] for p in corpus_prompts[:2]]
+    # more prompts than a lockstep wave, cut to mixed lengths
+    prompts = [p[:20] for p in corpus_prompts[: tinylm.WAVE + 2]]
     examples, skipped = generate_labels(small_model, prompts, grid, 3, 2, p_prefill=4,
                                         seed=5, feature_block=0)
-    assert skipped == 0
+    assert skipped == 0 and len({ex.prompt_len for ex in examples}) > 1
     for ex, toks in zip(examples, prompts):
         prompt = toks[: ex.prompt_len]
         ref = tinylm.generate(small_model, prompt, FixedScheduler(tinylm.FULL_PRECISION),

@@ -7,13 +7,13 @@ import pytest
 
 from pmpd import schedule, tinylm
 from pmpd.errors import ConfigError, ContractViolation, InputError
-from pmpd.learnsched import generate_labels
+from pmpd.learnsched import LearnedScheduler, SchedulerNet, generate_labels
 from pmpd.metrics import rouge_l
 from pmpd.quant import PrecisionSet
 from pmpd.schedule import (FixedScheduler, PrecisionSchedule, QualityTarget,
                            StaticScheduler, SwitchGrid, allocate_phase_precisions,
                            avg_bitwidth, count_schedules, enumerate_switch_maps,
-                           reference_output, solve_static)
+                           reference_outputs, solve_static)
 from pmpd.tinylm import FULL_PRECISION, SamplerConfig
 
 
@@ -352,9 +352,11 @@ def test_full_precision_schedule_survives_json_round_trip():
 # ---------------------------------------------------------------------------
 
 def decode_all(model, prompt, schedules, max_new, eos_id=None):
-    """Every schedule through the engine's one entry point, greedily."""
-    return tinylm.decode_schedules(model, prompt, [StaticScheduler(s) for s in schedules],
-                                   eos_id=eos_id, max_new=max_new)
+    """Every schedule on one prompt through the engine's one entry point, greedily."""
+    (traces,), features = tinylm.decode_schedules(
+        model, [prompt], [StaticScheduler(s) for s in schedules], eos_id=eos_id,
+        max_new=max_new)
+    return traces, features
 
 
 def independent_traces(naive_generate, model, prompt, schedules, max_new, eos_id=None):
@@ -438,14 +440,129 @@ def test_trie_leaves_no_reference_cycles(small_model):
         gc.enable()
 
 
+# ---------------------------------------------------------------------------
+# lockstep waves: many prompts in one call
+# ---------------------------------------------------------------------------
+
+def mixed_prompts(corpus_prompts, lengths=(5, 17, 9, 17, 30, 9, 12)):
+    """Prompts of the given lengths: equal ones share attention runs, and
+    more of them than ``tinylm.WAVE`` make more than one wave."""
+    prompts = [p[:n] for p, n in zip(corpus_prompts, lengths)]
+    assert [len(p) for p in prompts] == list(lengths) and len(prompts) > tinylm.WAVE
+    return prompts
+
+
+def assert_lockstep_matches_generate(model, prompts, schedulers, max_new, eos_id=None):
+    """One lockstep call over every prompt; each (prompt, scheduler) trace
+    equals ``generate``'s on that prompt and scheduler alone, bit for bit."""
+    traces, _ = tinylm.decode_schedules(model, prompts, schedulers, eos_id=eos_id,
+                                        max_new=max_new)
+    assert len(traces) == len(prompts)
+    for prompt, row in zip(prompts, traces):
+        assert len(row) == len(schedulers)
+        for scheduler, got in zip(schedulers, row):
+            want = tinylm.generate(model, prompt, scheduler, eos_id=eos_id, max_new=max_new)
+            assert got.to_json() == want.to_json()
+    return traces
+
+
+def test_lockstep_matches_generate_on_mixed_lengths_across_waves(toy_model, corpus_prompts):
+    prompts = mixed_prompts(corpus_prompts)
+    schedulers = [StaticScheduler(s) for s in c12_candidates()]
+    traces = assert_lockstep_matches_generate(toy_model, prompts, schedulers, 24)
+    assert len({tuple(t.output_tokens) for row in traces for t in row}) > len(prompts)
+
+
+def test_lockstep_matches_generate_with_three_precisions_and_two_prefill_groups(
+        small_model, corpus_prompts):
+    ps, horizon = PrecisionSet((4, 3, 2)), 16
+    maps = list(enumerate_switch_maps(ps.precisions, SwitchGrid(5, horizon).points))
+    schedulers = [StaticScheduler(PrecisionSchedule(ps, 4, st, horizon)) for st in maps]
+    schedulers += [StaticScheduler(PrecisionSchedule(ps, 3, st, horizon)) for st in maps[::2]]
+    assert_lockstep_matches_generate(small_model, mixed_prompts(corpus_prompts), schedulers,
+                                     horizon)
+
+
+def test_lockstep_matches_generate_when_learned_schedules_differ(small_model, corpus_prompts):
+    d = small_model.config.d_model
+    learned = LearnedScheduler(SchedulerNet.init(d, d, 16, SwitchGrid(5, 16), 4, 2, seed=4))
+    schedulers = [learned, StaticScheduler(two_phase(4, 2, 8, 16)), FixedScheduler(3, 16, 4)]
+    traces = assert_lockstep_matches_generate(small_model, mixed_prompts(corpus_prompts),
+                                              schedulers, 16)
+    # rows of one block switch at different steps, also within a wave
+    switches = [row[0].schedule.switch_points[2] for row in traces]
+    assert len(set(switches[: tinylm.WAVE])) > 1
+
+
+def test_lockstep_matches_generate_when_eos_ends_a_branch_mid_trie(toy_model, corpus_prompts):
+    prompts, horizon = mixed_prompts(corpus_prompts), 24
+    schedulers = [StaticScheduler(s) for s in c12_candidates(horizon)]
+    spine = tinylm.generate(toy_model, prompts[1], schedulers[-1], max_new=horizon).output_tokens
+    eos = next(t for j, t in enumerate(spine) if j >= 8 and t not in spine[:j])
+    traces = assert_lockstep_matches_generate(toy_model, prompts, schedulers, horizon, eos)
+    ended = [t for row in traces for t in row
+             if t.termination == "eos" and len(t.output_tokens) < horizon]
+    assert ended and len(ended) < sum(map(len, traces))
+
+
+def test_lockstep_features_equal_an_independent_prefill(small_model, corpus_prompts):
+    prompts = mixed_prompts(corpus_prompts)
+    schedulers = [StaticScheduler(two_phase(4, 2, 4, 8)), StaticScheduler(two_phase(3, 2, 4, 8))]
+    _, features = tinylm.decode_schedules(small_model, prompts, schedulers, max_new=8,
+                                          feature_block=0)
+    for prompt, feats in zip(prompts, features):
+        assert sorted(feats) == [3, 4]
+        for pf, (k, v) in feats.items():
+            _, cache = tinylm.prefill(small_model, pf, prompt)
+            want_k, want_v = cache.layer_kv(0)
+            assert k.tobytes() == want_k.tobytes() and v.tobytes() == want_v.tobytes()
+
+
+def test_lockstep_live_kv_stays_within_the_wave_budget(toy_model, corpus_prompts,
+                                                        monkeypatch):
+    live = weakref.WeakSet()
+    init = tinylm.KVCache.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        live.add(self)
+
+    monkeypatch.setattr(tinylm.KVCache, "__init__", tracked)
+    seen = []
+    decode_step = tinylm.decode_step
+
+    def step(model, p, tokens, cache, rows=None):
+        seen.append((len(cache.lengths), cache.capacity, cache.k.nbytes + cache.v.nbytes,
+                     sum(c.k.nbytes + c.v.nbytes for c in live)))
+        return decode_step(model, p, tokens, cache, rows)
+
+    monkeypatch.setattr(tinylm, "decode_step", step)
+    ps, horizon = PrecisionSet((4, 3, 2)), 16
+    schedulers = [StaticScheduler(PrecisionSchedule(ps, 4, st, horizon))
+                  for st in enumerate_switch_maps(ps.precisions, SwitchGrid(4, horizon).points)]
+    prompts = mixed_prompts(corpus_prompts, (8, 30, 12, 30, 48, 20, 8, 40, 16))
+    tinylm.decode_schedules(toy_model, prompts, schedulers, max_new=horizon, feature_block=-1)
+    longest = max(map(len, prompts))
+    assert seen
+    for rows, capacity, block, total in seen:
+        # a block holds one wave at its longest prompt plus max_new; the walk
+        # keeps at most one fork per precision below the highest on its
+        # path, and no prefill's cache outlives its copy into the block
+        assert rows <= tinylm.WAVE and capacity <= longest + horizon
+        assert total <= len(ps) * block
+
+
 def count_calls(monkeypatch, name):
-    """Wrap ``tinylm.<name>`` and return the list of precisions it was called at."""
+    """Wrap ``tinylm.<name>`` and return the list of precisions it ran at, one
+    entry per row: a ``decode_step`` over ``rows`` counts once per row."""
     calls = []
     fn = getattr(tinylm, name)
 
     def counted(model, p, *args, **kwargs):
-        calls.append(p)
-        return fn(model, p, *args, **kwargs)
+        out = fn(model, p, *args, **kwargs)
+        logits = out[0]
+        calls.extend([p] * (1 if logits.ndim == 1 else len(logits)))
+        return out
 
     monkeypatch.setattr(tinylm, name, counted)
     return calls
@@ -467,8 +584,20 @@ def test_trie_traffic_in_the_criterion_12_configuration(toy_model, corpus_prompt
             assert len(steps) == 79
     assert full > 0
 
+    # one lockstep call makes the same prefills and row-steps, in fewer calls
+    per_prompt = []
+    for prompt in corpus_prompts[:3]:
+        del steps[:]
+        decode_all(toy_model, prompt, c12_candidates(), 24)
+        per_prompt.append(len(steps))
     del prefills[:], steps[:]
     prompts = corpus_prompts[:3]
+    tinylm.decode_schedules(toy_model, prompts, [StaticScheduler(s) for s in c12_candidates()],
+                            max_new=24)
+    assert prefills == [4] * len(prompts)
+    assert len(steps) == sum(per_prompt)
+
+    del prefills[:], steps[:]
     solve_static(toy_model, prompts, QualityTarget(0.3, 0.1), SwitchGrid(5, 24),
                  precisions=PrecisionSet((4, 2)), p_prefill=4)
     assert [p for p in prefills if p != FULL_PRECISION] == [4] * len(prompts)
@@ -481,14 +610,15 @@ def fresh_small_model():
 
 def test_references_are_generated_once_per_model_and_key(corpus_prompts, monkeypatch):
     references = []
-    generate = tinylm.generate
+    decode_schedules = tinylm.decode_schedules
 
-    def counted(model, prompt, scheduler, *args, **kwargs):
-        if scheduler.p_prefill == FULL_PRECISION:
-            references.append((tuple(prompt), kwargs["max_new"], kwargs["eos_id"]))
-        return generate(model, prompt, scheduler, *args, **kwargs)
+    def counted(model, prompts, schedulers, *args, **kwargs):
+        if [s.p_prefill for s in schedulers] == [FULL_PRECISION]:
+            references.extend((tuple(prompt), kwargs["max_new"], kwargs["eos_id"])
+                              for prompt in prompts)
+        return decode_schedules(model, prompts, schedulers, *args, **kwargs)
 
-    monkeypatch.setattr(tinylm, "generate", counted)
+    monkeypatch.setattr(tinylm, "decode_schedules", counted)
     model, target, grid = fresh_small_model(), QualityTarget(0.15, 0.05), SwitchGrid(4, 12)
     kw = dict(precisions=PrecisionSet((4, 2)), p_prefill=4)
     first, second = corpus_prompts[:4], corpus_prompts[2:6]
@@ -509,14 +639,15 @@ def test_references_are_generated_once_per_model_and_key(corpus_prompts, monkeyp
 def test_reference_memo_stores_nothing_for_a_failed_call_and_dies_with_its_model():
     model = fresh_small_model()
     for _ in range(2):
+        with pytest.raises(InputError):  # a good prompt beside a bad one stores nothing
+            reference_outputs(model, [[1, 2], []], 8)
         with pytest.raises(InputError):
-            reference_output(model, [], 8)
-        with pytest.raises(InputError):
-            reference_output(model, [1, 2], 0)
+            reference_outputs(model, [[1, 2]], 0)
     assert not schedule._REFERENCES.get(model)
-    ref = reference_output(model, [1, 2], 8)
-    ref.append(-1)  # callers get a copy
-    assert reference_output(model, [1, 2], 8) == ref[:-1]
+    refs = reference_outputs(model, [[1, 2], [3], [1, 2]], 8)
+    assert len(schedule._REFERENCES[model]) == 2 and refs[0] == refs[2]
+    refs[0].append(-1)  # callers get copies
+    assert reference_outputs(model, [[1, 2]], 8) == [refs[2]]
     before, alive = len(schedule._REFERENCES), weakref.ref(model)
     del model
     gc.collect()

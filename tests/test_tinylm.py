@@ -94,7 +94,8 @@ def test_incremental_matches_full_forward_each_position(small_model):
 
 @pytest.mark.parametrize("p", [FULL_PRECISION, 4, 3, 2])
 @pytest.mark.parametrize("model_name", ["small_model", "toy_model"])
-def test_forward_matches_the_naive_pass_bit_for_bit(request, naive_forward, model_name, p):
+def test_forward_matches_the_naive_pass_bit_for_bit(request, naive_forward, naive_cache,
+                                                   model_name, p):
     # the resolved tuple, the once-built RoPE tables and the bare reduces
     # must not move a bit, at every position up to max_context - 1
     model = request.getfixturevalue(model_name)
@@ -106,7 +107,7 @@ def test_forward_matches_the_naive_pass_bit_for_bit(request, naive_forward, mode
         return naive_forward(model, p, toks, cache).tobytes()
 
     def fresh():
-        return tinylm.KVCache(cfg.n_layers, cfg.d_model, cfg.max_context)
+        return naive_cache(cfg.n_layers, cfg.d_model, cfg.max_context)
 
     assert forward_full(model, p, tokens).tobytes() == naive(tokens, fresh())
     logits, cache = prefill(model, p, tokens[:8])
@@ -117,6 +118,57 @@ def test_forward_matches_the_naive_pass_bit_for_bit(request, naive_forward, mode
         assert logits.tobytes() == naive([t], ref), cache.T
     assert cache.T == ref.T == cfg.max_context
     assert cache.k.tobytes() == ref.k.tobytes() and cache.v.tobytes() == ref.v.tobytes()
+
+
+@pytest.mark.parametrize("B", [1, 2, 8, 33])
+def test_stacked_products_and_batched_attention_are_batch_invariant(toy_model, B):
+    # a lockstep block is exact only because numpy computes a stacked
+    # [B, 1, d] @ W one row's gemv at a time and the batched attention
+    # einsums row by row; a numpy or BLAS that breaks this fails here
+    rng = np.random.default_rng(B)
+    cfg = toy_model.config
+    H, dh, d, T = cfg.n_heads, cfg.d_head, cfg.d_model, 37
+    _, layers, _, head = toy_model.resolved(4)
+    _, wq, wk, wv, wo, _, w_up, w_down = layers[0]
+    for w in (wq, wk, wv, wo, w_up, w_down, head):
+        x = rng.normal(size=(B, 1, w.shape[0]))
+        stacked = x @ w
+        assert all(stacked[b].tobytes() == (x[b] @ w).tobytes() for b in range(B))
+    # K/V as a block holds them: rows of a wider capacity, read up to T
+    q = rng.normal(size=(B, 1, H, dh))
+    kv = np.zeros((2, B, T + 9, d))
+    kv[:, :, :T] = rng.normal(size=(2, B, T, d))
+    K, V = (a[:, :T].reshape(B, T, H, dh) for a in kv)
+    scores = np.einsum("bnhd,bthd->bhnt", q, K)
+    attn = tinylm._softmax(scores, axis=-1)
+    ctx = np.einsum("bhnt,bthd->bnhd", attn, V)
+    for b in range(B):
+        k_row, v_row = (np.ascontiguousarray(a[b, :T]).reshape(T, H, dh) for a in kv)
+        assert scores[b].tobytes() == np.einsum("nhd,thd->hnt", q[b], k_row).tobytes()
+        assert attn[b].tobytes() == tinylm._softmax(scores[b], axis=-1).tobytes()
+        assert ctx[b].tobytes() == np.einsum("hnt,thd->nhd", attn[b], v_row).tobytes()
+
+
+def test_decode_step_over_rows_equals_one_row_at_a_time(small_model):
+    # a block mixing lengths and leaving a row out: each stepped row's logits
+    # and K/V equal a one-row cache's, and the row left out is untouched
+    prompts = [PROMPT[:5], PROMPT[:9], PROMPT[:9], PROMPT]
+    block = tinylm.KVCache(2, 64, 40, len(prompts))
+    singles = []
+    for r, prompt in enumerate(prompts):
+        _, cache = prefill(small_model, 4, prompt)
+        block.put(r, cache)
+        singles.append(cache)
+    rows, tokens = [0, 1, 3], [65, 66, 67]
+    before = block.k[:, 2].copy()
+    logits, _ = decode_step(small_model, 3, tokens, block, rows)
+    assert logits.shape == (3, small_model.config.vocab_size)
+    for j, (r, t) in enumerate(zip(rows, tokens)):
+        want, cache = decode_step(small_model, 3, t, singles[r])
+        assert logits[j].tobytes() == want.tobytes()
+        assert block.lengths[r] == cache.T == len(prompts[r]) + 1
+        assert block.k[:, r, : cache.T].tobytes() == cache.k[:, 0, : cache.T].tobytes()
+    assert block.lengths[2] == 9 and block.k[:, 2].tobytes() == before.tobytes()
 
 
 def test_prefill_is_bit_deterministic(small_model):
@@ -307,8 +359,12 @@ SCHEDULERS = {
 def test_generate_matches_the_naive_loop(small_model, naive_generate, make_scheduler,
                                          sampler):
     scheduler = make_scheduler(small_model)
-    for prompt in (PROMPT, list(b"A lantern")):
+    prompts = (PROMPT, list(b"A lantern"))
+    # one lockstep call over both prompts: each row samples its own stream
+    rows, _ = tinylm.decode_schedules(small_model, prompts, [scheduler], sampler, max_new=16)
+    for prompt, (got,) in zip(prompts, rows):
         want = naive_generate(small_model, prompt, scheduler, sampler, max_new=16)
+        assert got.to_json() == want.to_json()
         assert generate(small_model, prompt, scheduler, sampler,
                         max_new=16).to_json() == want.to_json()
         assert want.termination == "length"
@@ -344,17 +400,21 @@ class RecordingScheduler:
 
 def test_one_call_decodes_every_kind_of_scheduler(small_model, naive_generate):
     # three prefill groups (16, 3 and the learned scheduler's 4), each
-    # resolved on its own prefill before any decode step
+    # resolved on each prompt's own prefill before any decode step
     inner = [FixedScheduler(FULL_PRECISION),
              StaticScheduler(PrecisionSchedule.two_phase(4, 2, 5, 16, p_prefill=3)),
              learned_scheduler(small_model)]
     recording = [RecordingScheduler(s) for s in inner]
-    traces, roots = tinylm.decode_schedules(small_model, PROMPT, recording, max_new=16)
-    assert sorted(roots) == [3, 4, FULL_PRECISION]
-    for scheduler, trace, rec in zip(inner, traces, recording):
-        want = naive_generate(small_model, PROMPT, scheduler, max_new=16)
-        assert trace.to_json() == want.to_json()
-        assert rec.seen == [len(PROMPT)]
+    prompts = [PROMPT, list(b"A lantern")]
+    traces, features = tinylm.decode_schedules(small_model, prompts, recording, max_new=16,
+                                               feature_block=-1)
+    for prompt, row, feats in zip(prompts, traces, features):
+        assert sorted(feats) == [3, 4, FULL_PRECISION]
+        for scheduler, trace in zip(inner, row):
+            want = naive_generate(small_model, prompt, scheduler, max_new=16)
+            assert trace.to_json() == want.to_json()
+    # waves run shortest prompt first
+    assert all(rec.seen == sorted(map(len, prompts)) for rec in recording)
 
 
 def test_generate_at_full_precision_uses_real_weights(small_model):
