@@ -4,8 +4,9 @@ A matrix is quantized once at its highest precision and stored as MSB-first
 bit planes: plane 0 holds the top bit of every code, plane 1 the next bit,
 and so on. Reading the first ``p`` planes reconstructs exactly the ``p``-bit
 code of every weight (the full code shifted right by ``p_max - p``), so one
-stored artifact serves every lower precision with zero extra bytes — loading
-at precision ``p`` touches exactly the first ``p`` planes.
+stored artifact serves every lower precision with zero extra bytes.
+:func:`parse_model` reads every plane of every tensor; :func:`dequantize` at
+precision ``p`` then unpacks only the first ``p`` of them.
 
 Quantization is asymmetric and per-group: each row is split into contiguous
 segments of ``group_size`` weights and every segment carries its own f32

@@ -359,6 +359,30 @@ def _apply_rope(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return x * c + np.concatenate([x[..., half:], x[..., :half]], axis=-1) * s
 
 
+# queries per attention block of an n > 1 forward (8 and 32 were slower: sweep
+# in CHANGES.md); _CAUSAL masks the strict upper triangle of a block's keys
+BLOCK = 16
+_CAUSAL = np.triu(np.ones((BLOCK, BLOCK), dtype=bool), 1)
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """Causal attention of ``m`` queries ``[b, m, H, dh]`` at the last ``m`` of the
+    key positions ``k``/``v`` ``[b, T, H, dh]``: query ``i`` sees keys ``0..T-m+i``.
+
+    The scores and weights stay in einsum's own output layout, whose key
+    axis is strided, so the softmax and the context einsum reduce over the
+    keys in sequence. That makes masked trailing keys add exactly nothing:
+    ``exp(-inf)`` is 0 and leaves the max alone. Copied into a C-ordered
+    buffer, the key axis would be summed pairwise and the logits would move.
+    """
+    m = q.shape[1]
+    scores = np.einsum("bnhd,bthd->bhnt", q, k)
+    scores *= scale
+    if m > 1:
+        np.copyto(scores[..., -m:], -np.inf, where=_CAUSAL[:m, :m])
+    return np.einsum("bhnt,bthd->bnhd", _softmax(scores), v)
+
+
 def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
              rows: Sequence[int]) -> np.ndarray:
     """Run ``tokens[j]`` (``[b, n]`` ids) through row ``rows[j]`` of the cache at
@@ -370,9 +394,15 @@ def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
     stacked ``[b, n, d] @ W`` products, which numpy evaluates one row's
     ``[n, d] @ W`` at a time (a gemv per row when ``n`` is 1, never one
     ``[b, d]`` gemm, whose sums differ in the last bits). Attention is one
-    einsum per run of adjacent rows holding equal lengths, never a padded one:
-    padding changes the softmax sums. RMSNorm, RoPE, softmax and SiLU work row
-    by row.
+    :func:`_attend` per run of adjacent rows holding equal lengths, never a
+    padded one: padding, tried in a C-ordered buffer, changed the softmax
+    sums. RMSNorm, RoPE, softmax and SiLU work row by row.
+
+    With ``n > 1`` (a prefill or a chunk) the new positions attend in blocks
+    of :data:`BLOCK` queries, block ``[a, e)`` over the keys ``[0, T0 + e)``
+    only, so the key blocks wholly above the causal diagonal are never
+    scored. That is bit-identical to scoring every key and masking the upper
+    triangle, because masked keys trail each row (see :func:`_attend`).
     """
     if p not in model.allowed_precisions():
         raise ContractViolation(
@@ -422,13 +452,14 @@ def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
             ck, cv = kc[i, r0 : r0 + j1 - j0], vc[i, r0 : r0 + j1 - j0]
             ck[:, T0 : T0 + n] = k[j0:j1]
             cv[:, T0 : T0 + n] = v[j0:j1]
-            scores = np.einsum("bnhd,bthd->bhnt", q[j0:j1], ck[:, : T0 + n])
-            scores *= scale
-            if n > 1:
-                seen = np.arange(T0 + n)[None, :] <= (T0 + np.arange(n))[:, None]
-                scores = np.where(seen, scores, -np.inf)
-            attn = _softmax(scores, axis=-1)
-            ctx.append(np.einsum("bhnt,bthd->bnhd", attn, cv[:, : T0 + n]))
+            if n == 1:
+                ctx.append(_attend(q[j0:j1], ck[:, : T0 + 1], cv[:, : T0 + 1], scale))
+                continue
+            out = np.empty((j1 - j0, n, H, dh))
+            for a in range(0, n, BLOCK):
+                e = min(a + BLOCK, n)
+                out[:, a:e] = _attend(q[j0:j1, a:e], ck[:, : T0 + e], cv[:, : T0 + e], scale)
+            ctx.append(out)
         ctx = ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
         x = x + ctx.reshape(*lead, d) @ wo
 
@@ -443,15 +474,17 @@ def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
     return (x @ head).reshape(b, n, -1)
 
 
-def prefill(model: ModelVariants, p: int,
-            prompt: Sequence[int]) -> tuple[np.ndarray, KVCache]:
-    """Causal pass over the whole prompt; last-position logits plus a one-row cache."""
+def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
+            capacity: int | None = None) -> tuple[np.ndarray, KVCache]:
+    """Causal pass over the whole prompt; last-position logits plus a one-row
+    cache of ``capacity`` positions (``max_context`` by default)."""
     if not prompt:
         raise InputError("prompt is empty")
     if len(prompt) >= model.config.max_context:
         raise InputError(
             f"prompt length {len(prompt)} must be < max_context {model.config.max_context}")
-    cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
+    cache = KVCache(model.config.n_layers, model.config.d_model,
+                    model.config.max_context if capacity is None else capacity)
     logits = _forward(model, p, [prompt], cache, (0,))
     return logits[0, -1], cache
 
@@ -477,7 +510,7 @@ def decode_step(model: ModelVariants, p: int, tokens, cache: KVCache,
 def forward_full(model: ModelVariants, p: int, tokens: Sequence[int]) -> np.ndarray:
     """From-scratch causal pass returning logits at every position (the
     consistency oracle for incremental decoding)."""
-    cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
+    cache = KVCache(model.config.n_layers, model.config.d_model, len(tokens))
     return _forward(model, p, [tokens], cache, (0,))[0]
 
 
@@ -588,13 +621,16 @@ class _Walk:
         walk the block; returns per prompt its traces in ``schedulers`` order
         and copies of its prefill's (K, V) rows of layer ``feature_block``."""
         mc, allowed = self.model.config, self.model.allowed_precisions()
+
+        def positions(prompt):
+            return min(len(prompt) + self.max_new, mc.max_context)
+
         # one prompt walks its prefill's own cache: no block to fill
         block = None if len(prompts) == 1 else KVCache(
-            mc.n_layers, mc.d_model, min(len(prompts[-1]) + self.max_new, mc.max_context),
-            len(prompts))
+            mc.n_layers, mc.d_model, positions(prompts[-1]), len(prompts))
         tokens, hashes, features = {}, {}, []
         for r, prompt in enumerate(prompts):
-            logits, cache = prefill(self.model, pf, prompt)
+            logits, cache = prefill(self.model, pf, prompt, positions(prompt))
             schedules = [scheduler.resolve(cache) for scheduler in schedulers]
             for sched in schedules:
                 if self.max_new > sched.horizon:
@@ -679,7 +715,8 @@ def decode_schedules(model: ModelVariants, prompts: Sequence[Sequence[int]],
     fixed schedulers return theirs as-is. The prefilled rows are copied into
     one block of ``len(prompt) + max_new`` positions per row (the wave's
     longest prompt, capped at ``max_context``), and the block is walked in
-    lockstep; a wave of one prompt walks its prefill's own cache.
+    lockstep; a wave of one prompt walks its prefill's own cache, sized the
+    same way.
 
     Token 0 is sampled from the prefill logits, and decode step ``i``
     consumes token ``i`` at ``precision_at(i)``, the precision token ``i`` is

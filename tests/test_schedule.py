@@ -537,6 +537,15 @@ def test_lockstep_live_kv_stays_within_the_wave_budget(toy_model, corpus_prompts
         return decode_step(model, p, tokens, cache, rows)
 
     monkeypatch.setattr(tinylm, "decode_step", step)
+    prefilled = []
+    prefill = tinylm.prefill
+
+    def counted_prefill(model, p, prompt, capacity=None):
+        logits, cache = prefill(model, p, prompt, capacity)
+        prefilled.append((len(prompt), cache.capacity))
+        return logits, cache
+
+    monkeypatch.setattr(tinylm, "prefill", counted_prefill)
     ps, horizon = PrecisionSet((4, 3, 2)), 16
     schedulers = [StaticScheduler(PrecisionSchedule(ps, 4, st, horizon))
                   for st in enumerate_switch_maps(ps.precisions, SwitchGrid(4, horizon).points)]
@@ -550,6 +559,8 @@ def test_lockstep_live_kv_stays_within_the_wave_budget(toy_model, corpus_prompts
         # path, and no prefill's cache outlives its copy into the block
         assert rows <= tinylm.WAVE and capacity <= longest + horizon
         assert total <= len(ps) * block
+    # one prefill per prompt, each sized to its prompt plus max_new, not max_context
+    assert sorted(prefilled) == sorted((len(p), len(p) + horizon) for p in prompts)
 
 
 def count_calls(monkeypatch, name):

@@ -110,6 +110,17 @@ def test_forward_matches_the_naive_pass_bit_for_bit(request, naive_forward, naiv
         return naive_cache(cfg.n_layers, cfg.d_model, cfg.max_context)
 
     assert forward_full(model, p, tokens).tobytes() == naive(tokens, fresh())
+    # prefills around the attention block size, K/V included
+    for L in (1, 15, 16, 17, 31, 33, 48):
+        logits, cache = prefill(model, p, tokens[:L])
+        ref = fresh()
+        assert logits.tobytes() == naive_forward(model, p, tokens[:L], ref)[-1].tobytes(), L
+        assert cache.k[:, 0].tobytes() == ref.k.tobytes(), L
+        assert cache.v[:, 0].tobytes() == ref.v.tobytes(), L
+    # then a chunk of n = 37 new positions at T0 = 48, onto the last prefill
+    chunk = tinylm._forward(model, p, [tokens[48:85]], cache, (0,))
+    assert chunk.tobytes() == naive(tokens[48:85], ref)
+    assert cache.k[:, 0].tobytes() == ref.k.tobytes() and cache.v[:, 0].tobytes() == ref.v.tobytes()
     logits, cache = prefill(model, p, tokens[:8])
     ref = fresh()
     assert logits.tobytes() == naive_forward(model, p, tokens[:8], ref)[-1].tobytes()
@@ -147,6 +158,35 @@ def test_stacked_products_and_batched_attention_are_batch_invariant(toy_model, B
         assert scores[b].tobytes() == np.einsum("nhd,thd->hnt", q[b], k_row).tobytes()
         assert attn[b].tobytes() == tinylm._softmax(scores[b], axis=-1).tobytes()
         assert ctx[b].tobytes() == np.einsum("hnt,thd->nhd", attn[b], v_row).tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+@pytest.mark.parametrize("T0", [0, 5])
+@pytest.mark.parametrize("n", [2, 15, 16, 17, 48, 81])
+def test_block_causal_attention_equals_the_full_masked_pass(toy_model, n, T0, rows):
+    # a prefill attends block by block over key prefixes, exact only because
+    # numpy reduces the key axis of einsum's output layout in sequence, so
+    # keys past a block's diagonal (never scored) and its trailing -inf
+    # entries (weight 0) add nothing; a numpy that sums it otherwise fails here
+    rng = np.random.default_rng(100 * n + 10 * T0 + rows)
+    cfg = toy_model.config
+    H, dh, T = cfg.n_heads, cfg.d_head, T0 + n
+    scale = 1.0 / np.sqrt(dh)
+    q = rng.normal(size=(rows, n, H, dh))
+    # K/V as a cache holds them: rows of a wider capacity, read up to T
+    kv = np.zeros((2, rows, T + 9, H, dh))
+    kv[:, :, :T] = rng.normal(size=(2, rows, T, H, dh))
+    K, V = kv[:, :, :T]
+    scores = np.einsum("bnhd,bthd->bhnt", q, K)
+    scores *= scale
+    seen = np.arange(T)[None, :] <= (T0 + np.arange(n))[:, None]
+    attn = tinylm._softmax(np.where(seen, scores, -np.inf), axis=-1)
+    full = np.einsum("bhnt,bthd->bnhd", attn, V)
+    blocks = []
+    for a in range(0, n, tinylm.BLOCK):
+        e = min(a + tinylm.BLOCK, n)
+        blocks.append(tinylm._attend(q[:, a:e], K[:, : T0 + e], V[:, : T0 + e], scale))
+    assert np.concatenate(blocks, axis=1).tobytes() == full.tobytes()
 
 
 def test_decode_step_over_rows_equals_one_row_at_a_time(small_model):
