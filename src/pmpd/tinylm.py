@@ -279,7 +279,8 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 class KVCache:
     """Per-layer key/value rows of every processed token of a block of ``rows``
     sequences (one by default), full precision: row ``r`` holds
-    ``lengths[r]`` tokens in ``k``/``v[:, r]``."""
+    ``lengths[r]`` tokens in ``k``/``v[:, r]``. Positions at or past a row's
+    length are never read, so lowering ``lengths[r]`` rolls the row back."""
 
     def __init__(self, n_layers: int, width: int, capacity: int, rows: int = 1):
         self.k = np.zeros((n_layers, rows, capacity, width))
@@ -303,23 +304,12 @@ class KVCache:
             raise ConfigError(f"layer {layer} outside the cache's {len(self.k)} layers")
         return self.k[layer, 0, : self.T], self.v[layer, 0, : self.T]
 
-    def put(self, row: int, src: "KVCache", src_row: int = 0) -> None:
-        """Copy the live tokens of row ``src_row`` of ``src`` into row ``row``."""
-        t = src.lengths[src_row]
-        self.k[:, row, :t] = src.k[:, src_row, :t]
-        self.v[:, row, :t] = src.v[:, src_row, :t]
+    def put(self, row: int, src: "KVCache") -> None:
+        """Copy the live tokens of the one-row cache ``src`` into row ``row``."""
+        t = src.T
+        self.k[:, row, :t] = src.k[:, 0, :t]
+        self.v[:, row, :t] = src.v[:, 0, :t]
         self.lengths[row] = t
-
-    def fork(self, rows: Sequence[int] | None = None) -> "KVCache":
-        """Independent cache of the same shape holding the live tokens of
-        ``rows`` (every row by default); its other rows are empty. Only live
-        tokens are copied into a fresh zero allocation: copying the whole
-        capacity would touch memory no decode step of the fork reads."""
-        n_layers, n_rows, capacity, width = self.k.shape
-        twin = KVCache(n_layers, width, capacity, n_rows)
-        for r in range(n_rows) if rows is None else rows:
-            twin.put(r, self, r)
-        return twin
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +385,10 @@ def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
     ``[n, d] @ W`` at a time (a gemv per row when ``n`` is 1, never one
     ``[b, d]`` gemm, whose sums differ in the last bits). Attention is one
     :func:`_attend` per run of adjacent rows holding equal lengths, never a
-    padded one: padding, tried in a C-ordered buffer, changed the softmax
-    sums. RMSNorm, RoPE, softmax and SiLU work row by row.
+    padded one: ``-inf`` padding is exact in einsum's layout too, but was no
+    faster. RMSNorm, RoPE, softmax and SiLU work row by row. A row's new
+    positions are written before it attends over its keys ``[0, T0 + n)``
+    only, so nothing at or past a row's length reaches the result.
 
     With ``n > 1`` (a prefill or a chunk) the new positions attend in blocks
     of :data:`BLOCK` queries, block ``[a, e)`` over the keys ``[0, T0 + e)``
@@ -593,17 +585,17 @@ class GenerationTrace:
 
 
 # most prompts decoded in lockstep by one decode_schedules wave: each of its
-# prefill groups walks one block of up to WAVE rows. Live KV grows with it
-# (sweep in CHANGES.md).
-WAVE = 4
+# prefill groups walks one block of up to WAVE rows, a walk's only live KV.
+# Wider waves share each decode_step among more rows (sweep in CHANGES.md).
+WAVE = 12
 
 
 class _Walk:
     """Depth-first lockstep decoding of one wave at one prefill precision, for
     :func:`decode_schedules`: a block with one row per prompt, each row under
-    its own schedules. An object rather than a recursive closure: the closure
-    would be a reference cycle that keeps the model alive until a full
-    collection."""
+    its own schedules, the walk's only KV. An object rather than a recursive
+    closure: the closure would be a reference cycle that keeps the model
+    alive until a full collection."""
 
     def __init__(self, model, sampler_cfg, eos, max_new):
         self.model = model
@@ -688,14 +680,17 @@ class _Walk:
             if not split:
                 return
             p, *lower = sorted(split, reverse=True)
-            # each recursion lowers the precision, so depth <= |precisions|
+            # each branch decodes in place, then rolls its rows back; each
+            # recursion lowers the precision, so depth <= |precisions|
             for q in lower:
                 branch = split[q]
-                fork = cache.fork(branch)
+                held = {r: cache.lengths[r] for r in branch}
                 t = {r: tokens[r][:] for r in branch}
                 h = {r: hashes[r][:] for r in branch}
-                self.advance(q, fork, list(branch), t, h)
-                self.walk(fork, branch, t, h)
+                self.advance(q, cache, list(branch), t, h)
+                self.walk(cache, branch, t, h)
+                for r, n in held.items():
+                    cache.lengths[r] = n
             members = split[p]
             self.advance(p, cache, list(members), tokens, hashes)
 
@@ -723,10 +718,11 @@ def decode_schedules(model: ModelVariants, prompts: Sequence[Sequence[int]],
     attributed; EOS (``vocab_size - 1`` by default) or ``max_new`` tokens
     end a schedule. The group's schedules are walked depth first as a trie
     over their precision, every row at once: a shared prefix is decoded once
-    per row, the block is forked (live rows only) where schedules split, and
-    every row at the same node and precision advances through one
-    ``decode_step`` call. That call is exact row by row (see ``_forward``), so
-    each trace is bit-identical to a walk of its prompt and schedule alone.
+    per row, each branch where schedules split decodes in the block itself
+    and rolls its rows back (see :class:`KVCache`), and every row at the
+    same node and precision advances through one ``decode_step`` call. That
+    call is exact row by row (see ``_forward``), so each trace is
+    bit-identical to a walk of its prompt and schedule alone.
     Each row samples from its own sampler stream, but the stream is not
     forked, so only a greedy sampler may walk more than one schedule.
 

@@ -444,6 +444,12 @@ def test_trie_leaves_no_reference_cycles(small_model):
 # lockstep waves: many prompts in one call
 # ---------------------------------------------------------------------------
 
+@pytest.fixture
+def narrow_waves(monkeypatch):
+    """Waves of at most three prompts, so that ``mixed_prompts`` span several."""
+    monkeypatch.setattr(tinylm, "WAVE", 3)
+
+
 def mixed_prompts(corpus_prompts, lengths=(5, 17, 9, 17, 30, 9, 12)):
     """Prompts of the given lengths: equal ones share attention runs, and
     more of them than ``tinylm.WAVE`` make more than one wave."""
@@ -466,15 +472,35 @@ def assert_lockstep_matches_generate(model, prompts, schedulers, max_new, eos_id
     return traces
 
 
-def test_lockstep_matches_generate_on_mixed_lengths_across_waves(toy_model, corpus_prompts):
+def test_lockstep_matches_generate_on_mixed_lengths_across_waves(toy_model, corpus_prompts,
+                                                                 narrow_waves):
     prompts = mixed_prompts(corpus_prompts)
     schedulers = [StaticScheduler(s) for s in c12_candidates()]
     traces = assert_lockstep_matches_generate(toy_model, prompts, schedulers, 24)
     assert len({tuple(t.output_tokens) for row in traces for t in row}) > len(prompts)
 
 
+def test_lockstep_matches_generate_on_mixed_lengths_in_one_wave(toy_model, corpus_prompts,
+                                                                monkeypatch):
+    # at the default WAVE every prompt shares one block: the widest step
+    # advances all of its rows at once
+    prompts = [p[:n] for p, n in zip(corpus_prompts, (5, 17, 9, 17, 30, 9, 12, 30, 5))]
+    assert len(prompts) <= tinylm.WAVE
+    widths = []
+    decode_step = tinylm.decode_step
+
+    def step(model, p, tokens, cache, rows=None):
+        widths.append(len(rows))
+        return decode_step(model, p, tokens, cache, rows)
+
+    monkeypatch.setattr(tinylm, "decode_step", step)
+    schedulers = [StaticScheduler(s) for s in c12_candidates()]
+    assert_lockstep_matches_generate(toy_model, prompts, schedulers, 24)
+    assert max(widths) == len(prompts)
+
+
 def test_lockstep_matches_generate_with_three_precisions_and_two_prefill_groups(
-        small_model, corpus_prompts):
+        small_model, corpus_prompts, narrow_waves):
     ps, horizon = PrecisionSet((4, 3, 2)), 16
     maps = list(enumerate_switch_maps(ps.precisions, SwitchGrid(5, horizon).points))
     schedulers = [StaticScheduler(PrecisionSchedule(ps, 4, st, horizon)) for st in maps]
@@ -483,7 +509,8 @@ def test_lockstep_matches_generate_with_three_precisions_and_two_prefill_groups(
                                      horizon)
 
 
-def test_lockstep_matches_generate_when_learned_schedules_differ(small_model, corpus_prompts):
+def test_lockstep_matches_generate_when_learned_schedules_differ(small_model, corpus_prompts,
+                                                                 narrow_waves):
     d = small_model.config.d_model
     learned = LearnedScheduler(SchedulerNet.init(d, d, 16, SwitchGrid(5, 16), 4, 2, seed=4))
     schedulers = [learned, StaticScheduler(two_phase(4, 2, 8, 16)), FixedScheduler(3, 16, 4)]
@@ -494,7 +521,8 @@ def test_lockstep_matches_generate_when_learned_schedules_differ(small_model, co
     assert len(set(switches[: tinylm.WAVE])) > 1
 
 
-def test_lockstep_matches_generate_when_eos_ends_a_branch_mid_trie(toy_model, corpus_prompts):
+def test_lockstep_matches_generate_when_eos_ends_a_branch_mid_trie(toy_model, corpus_prompts,
+                                                                   narrow_waves):
     prompts, horizon = mixed_prompts(corpus_prompts), 24
     schedulers = [StaticScheduler(s) for s in c12_candidates(horizon)]
     spine = tinylm.generate(toy_model, prompts[1], schedulers[-1], max_new=horizon).output_tokens
@@ -505,7 +533,8 @@ def test_lockstep_matches_generate_when_eos_ends_a_branch_mid_trie(toy_model, co
     assert ended and len(ended) < sum(map(len, traces))
 
 
-def test_lockstep_features_equal_an_independent_prefill(small_model, corpus_prompts):
+def test_lockstep_features_equal_an_independent_prefill(small_model, corpus_prompts,
+                                                        narrow_waves):
     prompts = mixed_prompts(corpus_prompts)
     schedulers = [StaticScheduler(two_phase(4, 2, 4, 8)), StaticScheduler(two_phase(3, 2, 4, 8))]
     _, features = tinylm.decode_schedules(small_model, prompts, schedulers, max_new=8,
@@ -519,7 +548,7 @@ def test_lockstep_features_equal_an_independent_prefill(small_model, corpus_prom
 
 
 def test_lockstep_live_kv_stays_within_the_wave_budget(toy_model, corpus_prompts,
-                                                        monkeypatch):
+                                                        monkeypatch, narrow_waves):
     live = weakref.WeakSet()
     init = tinylm.KVCache.__init__
 
@@ -554,11 +583,10 @@ def test_lockstep_live_kv_stays_within_the_wave_budget(toy_model, corpus_prompts
     longest = max(map(len, prompts))
     assert seen
     for rows, capacity, block, total in seen:
-        # a block holds one wave at its longest prompt plus max_new; the walk
-        # keeps at most one fork per precision below the highest on its
-        # path, and no prefill's cache outlives its copy into the block
+        # a block holds one wave at its longest prompt plus max_new; every
+        # branch decodes in it, and no prefill's cache outlives its copy
         assert rows <= tinylm.WAVE and capacity <= longest + horizon
-        assert total <= len(ps) * block
+        assert total == block
     # one prefill per prompt, each sized to its prompt plus max_new, not max_context
     assert sorted(prefilled) == sorted((len(p), len(p) + horizon) for p in prompts)
 

@@ -224,27 +224,55 @@ def test_decode_step_advances_cache_by_one(small_model):
     assert cache.T == before + 1
 
 
-def test_fork_decodes_to_the_same_logits_bytes(small_model):
-    _, cache = prefill(small_model, 4, PROMPT)
-    decode_step(small_model, 3, 65, cache)
-    twin = cache.fork()
-    assert twin.T == cache.T and twin.capacity == cache.capacity
-    a, _ = decode_step(small_model, 2, 66, cache)
-    b, _ = decode_step(small_model, 2, 66, twin)
-    assert a.tobytes() == b.tobytes()
+def prefilled_block(model, prompts, capacity=40):
+    """A block cache with one row per prompt, each prefilled at precision 4."""
+    block = tinylm.KVCache(model.config.n_layers, model.config.d_model, capacity, len(prompts))
+    for r, prompt in enumerate(prompts):
+        block.put(r, prefill(model, 4, prompt)[1])
+    return block
 
 
-def test_fork_is_independent_of_its_source(small_model):
-    _, cache = prefill(small_model, 4, PROMPT)
-    twin = cache.fork()
-    k0, v0 = cache.k.copy(), cache.v.copy()
-    decode_step(small_model, 2, 66, twin)
-    assert cache.T == len(PROMPT) and twin.T == len(PROMPT) + 1
-    assert np.array_equal(cache.k, k0) and np.array_equal(cache.v, v0)
-    tk, tv = twin.k.copy(), twin.v.copy()
-    decode_step(small_model, 3, 67, cache)
-    cache.k[:, 0] = 1.0
-    assert np.array_equal(twin.k, tk) and np.array_equal(twin.v, tv)
+@pytest.mark.parametrize("rows", [[3], [0, 1, 2, 3]])
+def test_decode_step_reads_no_position_at_or_past_a_rows_length(small_model, rows):
+    # the trie walk's rollback rests on this: NaN in every position a row does
+    # not hold changes neither the logits nor the K/V the steps write
+    prompts = [PROMPT[:5], PROMPT[:9], PROMPT[:9], PROMPT]
+    clean = prefilled_block(small_model, prompts)
+    dirty = prefilled_block(small_model, prompts)
+    for r, t in enumerate(dirty.lengths):
+        dirty.k[:, r, t:] = np.nan
+        dirty.v[:, r, t:] = np.nan
+    for step in range(2):
+        tokens = [65 + step + r for r in rows]
+        want, _ = decode_step(small_model, 3, tokens, clean, rows)
+        got, _ = decode_step(small_model, 3, tokens, dirty, rows)
+        assert got.tobytes() == want.tobytes()
+    assert dirty.lengths == clean.lengths
+    for r, t in enumerate(clean.lengths):
+        assert dirty.k[:, r, :t].tobytes() == clean.k[:, r, :t].tobytes()
+        assert dirty.v[:, r, :t].tobytes() == clean.v[:, r, :t].tobytes()
+
+
+def test_a_branch_rolled_back_in_place_leaves_the_trunk_bit_identical(small_model):
+    # a split of the trie walk: some rows decode a branch in the block itself,
+    # their lengths are restored, and the trunk steps on as if it never ran
+    prompts = [PROMPT[:5], PROMPT[:9], PROMPT[:9], PROMPT]
+    trunk = prefilled_block(small_model, prompts)
+    alone = prefilled_block(small_model, prompts)
+    branch, held = [1, 2, 3], list(trunk.lengths)
+    for step in range(3):
+        decode_step(small_model, 2, [70 + step] * len(branch), trunk, branch)
+    assert trunk.lengths != held
+    trunk.lengths[:] = held
+    for step in range(2):
+        tokens = [65 + step] * len(prompts)
+        want, _ = decode_step(small_model, 4, tokens, alone)
+        got, _ = decode_step(small_model, 4, tokens, trunk)
+        assert got.tobytes() == want.tobytes()
+    assert trunk.lengths == alone.lengths
+    for r, t in enumerate(alone.lengths):
+        assert trunk.k[:, r, :t].tobytes() == alone.k[:, r, :t].tobytes()
+        assert trunk.v[:, r, :t].tobytes() == alone.v[:, r, :t].tobytes()
 
 
 def test_different_precisions_give_different_logits(small_model):
