@@ -158,7 +158,7 @@ def cmd_train_scheduler(args) -> int:
     return 0
 
 
-def _scheduler_from_args(args, model):
+def _scheduler_from_args(args):
     chosen = [x for x in (args.schedule, args.learned, args.fixed_precision) if x is not None]
     if len(chosen) != 1:
         raise InputError("pick exactly one of --schedule/--learned/--fixed-precision")
@@ -174,20 +174,13 @@ def _scheduler_from_args(args, model):
 def cmd_generate(args) -> int:
     model = tinylm.ModelVariants.load(args.model)
     tok = _tokenizer(args)
-    if args.prompt is not None:
-        lines = [args.prompt]
-    else:
-        lines = load_prompt_lines(args.prompts)
-        if args.limit is not None:
-            lines = lines[: args.limit]
-    scheduler = _scheduler_from_args(args, model)
-    mode = "temperature" if args.temperature is not None else "greedy"
-    cfg = tinylm.SamplerConfig(mode=mode, temperature=args.temperature or 1.0,
-                               seed=args.seed)
+    lines = [args.prompt] if args.prompt is not None else load_prompt_lines(args.prompts)
+    prompts = _encode_prompts(tok, lines, args.limit)
+    scheduler = _scheduler_from_args(args)
+    cfg = tinylm.SamplerConfig(temperature=args.temperature, seed=args.seed)
     traces = []
-    for line in lines:
-        trace = tinylm.generate(model, tok.encode(line), scheduler, cfg,
-                                tok.eos_id, args.max_new)
+    for line, prompt in zip(lines, prompts):
+        trace = tinylm.generate(model, prompt, scheduler, cfg, tok.eos_id, args.max_new)
         obj = trace.to_json()
         obj["prompt"] = line
         obj["text"] = tok.decode(trace.output_tokens)
@@ -363,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learned", help="scheduler net JSON")
     p.add_argument("--fixed-precision", type=int)
     p.add_argument("--prefill", type=int)
-    p.add_argument("--temperature", type=float)
+    p.add_argument("--temperature", type=float, help="sampling temperature > 0; omit for greedy")
     p.add_argument("--max-new", type=int, default=32)
     p.add_argument("--out", required=True)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import logging
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -20,9 +19,10 @@ import numpy as np
 
 from . import tinylm
 from .errors import ConfigError, FormatError, InputError
-from .metrics import rouge_l
-from .schedule import PrecisionSchedule, StaticScheduler, SwitchGrid, reference_outputs
-from .util import b64_to_f32, canonical_json, f32_to_b64, named_rng, parsing, read_text
+# unused, but benchmarks/tracing.py wraps it and tests/test_bench_hooks.py needs it
+from .metrics import rouge_l  # noqa: F401
+from .schedule import PrecisionSchedule, SwitchGrid, score_candidates
+from .util import b64_to_f32, canonical_json, f32_to_b64, json_int, named_rng, parsing, read_text
 
 log = logging.getLogger(__name__)
 
@@ -112,10 +112,9 @@ class SchedulerNet:
 def _grid_fields(obj: dict) -> dict:
     """The grid, precisions and feature block a net file and a label file's header
     both carry, as keyword arguments of :class:`SchedulerNet` and its ``init``."""
-    index = operator.index
-    return {"grid": SwitchGrid(index(obj["grid"]["n"]), index(obj["grid"]["OL"])),
-            "p_high": index(obj["p_high"]), "p_low": index(obj["p_low"]),
-            "feature_block": index(obj.get("feature_block", -1))}
+    return {"grid": SwitchGrid(json_int(obj["grid"]["n"]), json_int(obj["grid"]["OL"])),
+            "p_high": json_int(obj["p_high"]), "p_low": json_int(obj["p_low"]),
+            "feature_block": json_int(obj.get("feature_block", -1))}
 
 
 def _pool_forward(net: SchedulerNet, K: np.ndarray, V: np.ndarray) -> dict:
@@ -204,12 +203,11 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
                     eos_id: int | None = None, seed: int = 0,
                     feature_block: int = -1) -> tuple[list[LabeledExample], int]:
     """Build the training set: truncate each seed prompt at a random point,
-    score one generation per grid switch point against the full-precision
-    reference, and keep the prefill K/V of the designated block as features.
-    The candidates of every prompt are decoded by one lockstep
-    :func:`pmpd.tinylm.decode_schedules` call, so each prompt's candidates
-    share one prefill and their common decode prefix; the features are copies
-    of that prefill's rows.
+    score the two-phase schedule of every grid switch point with
+    :func:`pmpd.schedule.score_candidates`, the static solver's scoring rule,
+    and keep the prefill K/V of the designated block as features. Each
+    prompt's candidates share one prefill and their common decode prefix;
+    the features are copies of that prefill's rows.
 
     Returns the examples plus the number of prompts skipped for producing an
     empty reference. Bit-identical for a fixed seed.
@@ -224,8 +222,7 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
         raise ConfigError(
             f"grid horizon {horizon} leaves no room for prompts in a "
             f"max_context of {variants.config.max_context}")
-    candidates = [StaticScheduler(PrecisionSchedule.two_phase(p_high, p_low, point,
-                                                              horizon, pf))
+    candidates = [PrecisionSchedule.two_phase(p_high, p_low, point, horizon, pf)
                   for point in grid.points]
 
     prompts = []
@@ -233,20 +230,15 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
         toks = list(toks)
         cut = int(rng.integers(1, len(toks) + 1))  # drawn before any skip
         prompts.append(toks[: max(1, min(cut, max_prompt))])
-    refs = reference_outputs(variants, prompts, horizon, eos_id)
-    for n, ref in enumerate(refs):
-        if ref is None:
-            log.info("label generation skipped prompt %d: empty reference", n)
-    kept = [(prompt, ref) for prompt, ref in zip(prompts, refs) if ref is not None]
-    traces, features = tinylm.decode_schedules(variants, [prompt for prompt, _ in kept],
-                                               candidates, eos_id=eos_id, max_new=horizon,
-                                               feature_block=feature_block)
+    kept, scores, features = score_candidates(variants, prompts, candidates, horizon,
+                                              eos_id, feature_block)
+    for n in sorted(set(range(len(prompts))).difference(kept)):
+        log.info("label generation skipped prompt %d: empty reference", n)
     examples = []
-    for (prompt, ref), row, feats in zip(kept, traces, features):
-        scores = [rouge_l(trace.output_tokens, ref).f1 for trace in row]
+    for n, row, feats in zip(kept, scores, features):
         K, V = feats[pf]
         examples.append(LabeledExample(K.astype(np.float32), V.astype(np.float32),
-                                       label_from_scores(scores), scores, len(prompt)))
+                                       label_from_scores(row), row, len(prompts[n])))
     return examples, len(prompts) - len(kept)
 
 
@@ -286,8 +278,8 @@ def load_labels(path) -> tuple[list[LabeledExample], dict]:
                 raise FormatError(f"label example of {t} rows of widths {d_k}/{d_v} is empty")
             examples.append(LabeledExample(
                 b64_to_f32(obj["k"], (t, d_k)), b64_to_f32(obj["v"], (t, d_v)),
-                operator.index(obj["label"]), list(obj.get("scores", [])),
-                operator.index(obj.get("prompt_len", 0))))
+                json_int(obj["label"]), list(obj.get("scores", [])),
+                json_int(obj.get("prompt_len", 0))))
     widths = {(ex.k.shape[1], ex.v.shape[1]) for ex in examples}
     if len(widths) > 1:
         raise FormatError(f"label file {path} mixes K/V widths {sorted(widths)}")

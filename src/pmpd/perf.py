@@ -14,14 +14,13 @@ GPU kernel latencies by the number of decode steps spent at each precision.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConfigError, InputError
 from .quant import FULL_PRECISION
 from .schedule import PrecisionSchedule
-from .util import json_bool, parsing
+from .util import json_bool, json_int, parsing
 
 FP16 = FULL_PRECISION
 SCALE_BYTES_PER_GROUP = 8  # f32 min + f32 step
@@ -48,7 +47,7 @@ class HardwareConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "HardwareConfig":
         with parsing("hardware JSON"):
-            return cls(operator.index(obj["mac_units"]), float(obj["clock_hz"]),
+            return cls(json_int(obj["mac_units"]), float(obj["clock_hz"]),
                        float(obj["mem_bw_bytes_per_s"]),
                        json_bool(obj.get("overlap", True), "hardware 'overlap'"))
 
@@ -113,9 +112,9 @@ class ModelFootprint:
     @classmethod
     def from_json(cls, obj: dict) -> "ModelFootprint":
         with parsing("footprint JSON"):
-            return cls(*(operator.index(obj[key]) for key in (
+            return cls(*(json_int(obj[key]) for key in (
                 "attn_params", "mlp_params", "embed_params", "n_layers", "kv_bytes_per_token")),
-                       operator.index(obj.get("group_size", 64)))
+                       json_int(obj.get("group_size", 64)))
 
 
 FOOTPRINT_PRESETS = {

@@ -24,14 +24,13 @@ Weight file layout (little-endian):
 from __future__ import annotations
 
 import json
-import operator
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, InputError
-from .util import canonical_json, parsing
+from .util import canonical_json, json_int, parsing
 
 MAGIC = b"PMPD"
 FORMAT_VERSION = 1
@@ -46,7 +45,7 @@ class PrecisionSet:
     precisions: tuple[int, ...]
 
     def __post_init__(self):
-        ps = tuple(operator.index(p) for p in self.precisions)
+        ps = tuple(json_int(p) for p in self.precisions)
         object.__setattr__(self, "precisions", ps)
         if not ps:
             raise ConfigError("precision set must be non-empty")
@@ -279,7 +278,7 @@ def parse_model(data: bytes) -> tuple[dict[str, QuantizedTensor], dict]:
         raise FormatError(f"truncated metadata: need {meta_len} bytes at offset {off}")
     with parsing(f"weight file metadata at offset {off}"):
         meta = json.loads(data[off : off + meta_len].decode("utf-8"))
-        p_max, group_size = operator.index(meta["p_max"]), operator.index(meta["group_size"])
+        p_max, group_size = json_int(meta["p_max"]), json_int(meta["group_size"])
         entries = meta["tensors"]
     off += meta_len
 
@@ -294,7 +293,7 @@ def parse_model(data: bytes) -> tuple[dict[str, QuantizedTensor], dict]:
     for entry in entries:
         with parsing(f"tensor entry {entry!r} in metadata"):
             name = entry["name"]
-            rows, cols = operator.index(entry["rows"]), operator.index(entry["cols"])
+            rows, cols = json_int(entry["rows"]), json_int(entry["cols"])
         if not isinstance(name, str) or rows < 0 or cols < 0:
             raise FormatError(f"tensor entry {entry!r} in metadata needs a string name "
                               "and a non-negative shape")

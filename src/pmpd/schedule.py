@@ -11,25 +11,26 @@ when it is built, and its JSON form, the switch-point counting formula, the
 scheduler objects the generation loop consumes, and the offline search.
 Phase-aware precision allocation (constant candidates, one per prefill and
 decode pair) and the grid-restricted static solver (one candidate per grid
-switch map) are two callers of one selection rule: score the candidates
-against full-precision references and keep the cheapest that meets the
-quality floor. The candidates are decoded as ``StaticScheduler``s by one
-call to :func:`pmpd.tinylm.decode_schedules`, the engine's one generation
-entry point, which decodes the prompts in lockstep waves, prefills each
-prompt once per prefill precision and decodes shared prefixes once.
+switch map) are two callers of one selection rule: keep the cheapest
+candidate whose mean score meets the quality floor. :func:`score_candidates`,
+the one scoring rule, which label generation shares, decodes the candidates
+as ``StaticScheduler``s by one :func:`pmpd.tinylm.decode_schedules` call, the
+engine's one generation entry point, which decodes the prompts in lockstep
+waves, prefills each prompt once per prefill precision and decodes shared
+prefixes once.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
+from . import metrics
 from .errors import ConfigError, InputError
 from .quant import FULL_PRECISION, PrecisionSet
-from .util import json_bool, parsing
+from .util import json_bool, json_int, parsing
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,9 @@ class PrecisionSchedule:
     @classmethod
     def from_json(cls, obj: dict) -> "PrecisionSchedule":
         with parsing("schedule JSON"):
-            return cls(tuple(obj["precisions"]), operator.index(obj["prefill"]),
-                       {int(p): operator.index(i) for p, i in obj["st"].items()},
-                       operator.index(obj["OL"]),
+            return cls(tuple(obj["precisions"]), json_int(obj["prefill"]),
+                       {int(p): json_int(i) for p, i in obj["st"].items()},
+                       json_int(obj["OL"]),
                        json_bool(obj.get("feasible", True), "schedule 'feasible'"))
 
     def __repr__(self):
@@ -241,6 +242,27 @@ def reference_outputs(variants, prompts: Sequence[Sequence[int]], max_new: int,
     return [None if memo[key] is None else list(memo[key]) for key in keys]
 
 
+def score_candidates(variants, prompts, candidates: Sequence[PrecisionSchedule],
+                     max_new: int, eos_id: int | None = None, feature_block: int | None = None):
+    """The one scoring rule: the Rouge-L F1 of each candidate's greedy output
+    against each prompt's full-precision reference, skipping the prompts whose
+    reference is empty. The kept prompts and all candidates, as
+    ``StaticScheduler``s, are decoded by one :func:`pmpd.tinylm.decode_schedules`
+    call. Returns the kept prompts' indices, ``scores[kept][candidate]`` and
+    that call's features, one dict per kept prompt."""
+    from . import tinylm
+
+    refs = reference_outputs(variants, prompts, max_new, eos_id)
+    kept = [n for n, ref in enumerate(refs) if ref is not None]
+    traces, features = tinylm.decode_schedules(variants, [prompts[n] for n in kept],
+                                               [StaticScheduler(s) for s in candidates],
+                                               eos_id=eos_id, max_new=max_new,
+                                               feature_block=feature_block)
+    scores = [[metrics.rouge_l(trace.output_tokens, refs[n]).f1 for trace in row]
+              for n, row in zip(kept, traces)]
+    return kept, scores, features
+
+
 # ---------------------------------------------------------------------------
 # phase-aware precision allocation
 # ---------------------------------------------------------------------------
@@ -334,31 +356,20 @@ def _cheapest_feasible(variants, prompts, candidates: Sequence[PrecisionSchedule
     all-high one in both callers, is returned flagged infeasible.
 
     A candidate's quality is ``quality_fn(candidate)`` when given, else the
-    mean Rouge-L F1 of its greedy generations against the full-precision
-    references over the prompts whose reference is not empty.
+    mean of its :func:`score_candidates` column over the kept prompts.
 
     Returns the choice, the qualities in candidate order and the number of
     prompts skipped for an empty reference.
     """
-    from . import metrics, tinylm
-
     if quality_fn is not None:
         qualities, skipped = [float(quality_fn(s)) for s in candidates], 0
     else:
         if not prompts:
             raise InputError("calibration/validation prompt set is empty")
-        refs = reference_outputs(variants, prompts, max_new, eos_id)
-        kept = [(prompt, ref) for prompt, ref in zip(prompts, refs) if ref is not None]
+        kept, scores, _ = score_candidates(variants, prompts, candidates, max_new, eos_id)
         if not kept:
             raise InputError("every calibration/validation prompt produced an empty reference")
-        traces, _ = tinylm.decode_schedules(variants, [prompt for prompt, _ in kept],
-                                            [StaticScheduler(s) for s in candidates],
-                                            eos_id=eos_id, max_new=max_new)
-        totals = [0.0] * len(candidates)
-        for row, (_, ref) in zip(traces, kept):
-            for j, trace in enumerate(row):
-                totals[j] += metrics.rouge_l(trace.output_tokens, ref).f1
-        qualities, skipped = [t / len(kept) for t in totals], len(prompts) - len(kept)
+        qualities, skipped = [sum(c) / len(kept) for c in zip(*scores)], len(prompts) - len(kept)
 
     def cost(s):
         return (s.bit_token_sum(), s.p_prefill,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -25,7 +24,7 @@ from .errors import ConfigError, ContractViolation, FormatError, InputError
 from .quant import (FULL_PRECISION, PrecisionSet, QuantizedTensor, dequantize, parse_model,
                     quantize_tensor, serialize_model)
 from .schedule import PrecisionSchedule
-from .util import named_rng, parsing, read_bytes, read_json
+from .util import json_int, named_rng, parsing, read_bytes, read_json
 
 BYTE_EOS_ID = 256
 BYTE_VOCAB_SIZE = 257
@@ -98,7 +97,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_context"):
-            object.__setattr__(self, name, operator.index(getattr(self, name)))
+            object.__setattr__(self, name, json_int(getattr(self, name)))
         if min(self.n_layers, self.n_heads, self.d_model, self.d_ff) < 1:
             raise ConfigError("n_layers, n_heads, d_model and d_ff must be >= 1")
         if self.d_model % self.n_heads != 0:
@@ -260,7 +259,7 @@ class ModelVariants:
                 norms = {k: np.asarray(v, dtype=np.float32) for k, v in meta["norms"].items()}
                 init, full = meta.get("init"), None
                 if init is not None and init.get("scheme") == INIT_SCHEME:
-                    full, _ = random_weights(config, operator.index(init["seed"]))
+                    full, _ = random_weights(config, json_int(init["seed"]))
                 return cls(config, precisions, tensors, norms, full_weights=full, init_info=init)
             except ConfigError as exc:  # a domain error in a file is a format error
                 raise FormatError(f"malformed weight file metadata: {exc}") from exc
@@ -512,8 +511,7 @@ def forward_full(model: ModelVariants, p: int, tokens: Sequence[int]) -> np.ndar
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    mode: str = "greedy"  # "greedy" | "temperature"
-    temperature: float = 1.0
+    temperature: float | None = None  # None: greedy
     seed: int = 0
 
 
@@ -523,15 +521,13 @@ def sample(logits: np.ndarray, cfg: SamplerConfig,
     logits = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(logits)):
         raise InputError("logits contain non-finite values")
-    if cfg.mode == "greedy":
+    if cfg.temperature is None:
         return int(np.argmax(logits))
-    if cfg.mode == "temperature":
-        if cfg.temperature <= 0:
-            raise ConfigError(f"temperature must be > 0, got {cfg.temperature}")
-        probs = _softmax(logits / cfg.temperature)
-        rng = rng if rng is not None else named_rng(cfg.seed, "sampler")
-        return int(rng.choice(len(probs), p=probs))
-    raise ConfigError(f"unknown sampler mode {cfg.mode!r}")
+    if not cfg.temperature > 0:
+        raise ConfigError(f"temperature must be > 0, got {cfg.temperature}")
+    probs = _softmax(logits / cfg.temperature)
+    rng = rng if rng is not None else named_rng(cfg.seed, "sampler")
+    return int(rng.choice(len(probs), p=probs))
 
 
 def logits_hash(logits: np.ndarray) -> str:
@@ -734,8 +730,8 @@ def decode_schedules(model: ModelVariants, prompts: Sequence[Sequence[int]],
     eos = model.config.vocab_size - 1 if eos_id is None else eos_id
     if max_new < 1:
         raise InputError(f"max_new must be >= 1, got {max_new}")
-    if cfg.mode != "greedy" and len(schedulers) > 1:
-        raise ConfigError(f"a {cfg.mode} sampler decodes one schedule at a time, "
+    if cfg.temperature is not None and len(schedulers) > 1:
+        raise ConfigError("a temperature sampler decodes one schedule at a time, "
                           f"got {len(schedulers)}: its RNG is not forked")
     groups: dict[int, list[int]] = {}
     for i, scheduler in enumerate(schedulers):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import operator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -56,6 +57,14 @@ def json_bool(value, what: str) -> bool:
     if type(value) is not bool:
         raise FormatError(f"{what} must be true or false, got {value!r}")
     return value
+
+
+def json_int(value) -> int:
+    """``operator.index(value)`` that refuses a boolean (``operator.index(True)``
+    is 1); :func:`parsing` reports its ``TypeError`` as a malformed value."""
+    if type(value) is bool:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)
 
 
 def read_text(path) -> str:

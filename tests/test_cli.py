@@ -44,6 +44,7 @@ def test_generate_fixed_equals_all_high_schedule(tmp_path, monkeypatch):
                 "--out", "sched.json"]) == 0
     fixed = read_json("fixed.json")["traces"]
     sched = read_json("sched.json")["traces"]
+    assert len(fixed) == len(sched) == 3
     for f, s in zip(fixed, sched):
         assert f["output_tokens"] == s["output_tokens"]
         assert f["logits_hashes"] == s["logits_hashes"]
@@ -236,6 +237,18 @@ def test_invalid_schedule_is_input_error(tmp_path, monkeypatch, obj):
     code = run(["generate", "--model", "model.pmpd", "--limit", "1",
                 "--schedule", "bad.json", "--max-new", "8", "--out", "t.json"])
     assert code == cli.EXIT_INPUT_ERROR
+
+
+@pytest.mark.parametrize("temperature", ["0", "-1", "nan"])
+def test_generate_rejects_a_temperature_that_is_not_positive(tmp_path, monkeypatch,
+                                                             temperature):
+    # greedy decoding is the omitted flag; --temperature 0 must not sample
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    code = run(["generate", "--model", "model.pmpd", "--limit", "1", "--fixed-precision", "3",
+                "--temperature", temperature, "--max-new", "4", "--out", "t.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("t.json").exists()
 
 
 def test_conflicting_scheduler_flags_rejected(tmp_path, monkeypatch):

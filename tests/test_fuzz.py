@@ -148,19 +148,20 @@ USES = {
 
 def typed_substitutions(name: str, data: bytes):
     """``(path, bytes)`` of ``data`` with one value replaced: an integer by a
-    fractional number, a boolean by the string of its name."""
+    fractional number or by ``true``, a boolean by the string of its name."""
     doc = read_doc(name, data)
     for path in value_paths(doc):
         value = functools.reduce(operator.getitem, path, doc)
         if type(value) is bool:
-            sub = str(value).lower()
+            subs = [str(value).lower()]
         elif type(value) is int:
-            sub = value + 0.5
+            subs = [value + 0.5, True]
         else:
             continue
-        mutated = copy.deepcopy(doc)
-        functools.reduce(operator.getitem, path[:-1], mutated)[path[-1]] = sub
-        yield path, write_doc(name, data, mutated)
+        for sub in subs:
+            mutated = copy.deepcopy(doc)
+            functools.reduce(operator.getitem, path[:-1], mutated)[path[-1]] = sub
+            yield path, write_doc(name, data, mutated)
 
 
 def outcomes(files, name, variants, monkeypatch) -> list:
@@ -213,8 +214,9 @@ def test_type_confused_json_raises_only_pmpd_errors(files, name, capsys, monkeyp
 
 @pytest.mark.parametrize("name", USES)
 def test_fractional_integers_and_string_booleans_exit_2(files, name, capsys, monkeypatch):
-    # int(4.5) is 4 and bool("false") is True: a reader that coerces instead
-    # of checking would run on a value the file never held
+    # int(4.5) is 4, operator.index(True) is 1 and bool("false") is True: a
+    # reader that coerces instead of checking would run on a value the file
+    # never held
     subs = list(typed_substitutions(name, (files / name).read_bytes()))
     results = outcomes(files, name, lambda data: (b for _, b in subs), monkeypatch)
     capsys.readouterr()

@@ -1,7 +1,7 @@
 """One malformed-input rule: only ``util.parsing`` turns what Python raises on
 a malformed value into a ``PmpdError``. Every other ``except`` clause in
 ``src/pmpd`` names a pmpd error, or ``OSError`` for a file that cannot be
-read at all."""
+read at all. Only ``util.json_int`` reads an integer with ``operator.index``."""
 import ast
 import json
 import operator
@@ -54,6 +54,26 @@ def test_only_util_parsing_catches_malformed_value_errors():
             stray.append(f"{file}:{handler.lineno} in {func}: except {sorted(names)}")
     assert rule == [MALFORMED], rule
     assert not stray, stray
+
+
+def index_reads():
+    """``file:line`` of every use of ``operator.index`` in src/pmpd outside
+    ``util``: an attribute ``operator.index`` or a name imported from ``operator``."""
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "util.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if ((isinstance(node, ast.Attribute) and node.attr == "index"
+                 and isinstance(node.value, ast.Name) and node.value.id == "operator")
+                    or (isinstance(node, ast.ImportFrom) and node.module == "operator"
+                        and any(alias.name == "index" for alias in node.names))):
+                yield f"{path.name}:{node.lineno}"
+
+
+def test_only_util_reads_integers_with_operator_index():
+    # operator.index(True) is 1: every integer a file holds is read by
+    # util.json_int, which refuses a boolean first
+    assert not list(index_reads())
 
 
 MALFORMED_VALUES = {"missing-key": lambda: {}["k"], "missing-index": lambda: [][0],

@@ -7,7 +7,7 @@ import pytest
 
 from pmpd import schedule, tinylm
 from pmpd.errors import ConfigError, ContractViolation, InputError
-from pmpd.learnsched import LearnedScheduler, SchedulerNet, generate_labels
+from pmpd.learnsched import LearnedScheduler, SchedulerNet, generate_labels, label_from_scores
 from pmpd.metrics import rouge_l
 from pmpd.quant import PrecisionSet
 from pmpd.schedule import (FixedScheduler, PrecisionSchedule, QualityTarget,
@@ -719,3 +719,100 @@ def test_allocation_scores_exactly_the_given_pairs(small_model, corpus_prompts):
                                   max_new=max_new).output_tokens
             total += rouge_l(out, ref).f1
         assert quality == total / len(prompts)
+
+
+# ---------------------------------------------------------------------------
+# the one scoring rule
+# ---------------------------------------------------------------------------
+
+def eos_emptying(model, prompt):
+    """An EOS id that makes ``prompt``'s full-precision reference just EOS:
+    the reference's first token."""
+    return tinylm.generate(model, prompt, FixedScheduler(FULL_PRECISION),
+                           max_new=1).output_tokens[0]
+
+
+def independent_scores(model, prompts, candidates, max_new, eos_id):
+    """Prompt index -> each candidate's Rouge-L F1 from separate ``generate``
+    calls, for the prompts whose reference is not just EOS."""
+    scores = {}
+    for n, prompt in enumerate(prompts):
+        ref = tinylm.generate(model, prompt, FixedScheduler(FULL_PRECISION), eos_id=eos_id,
+                              max_new=max_new).output_tokens
+        if ref != [eos_id]:
+            scores[n] = [rouge_l(tinylm.generate(model, prompt, StaticScheduler(c),
+                                                 eos_id=eos_id, max_new=max_new).output_tokens,
+                                 ref).f1 for c in candidates]
+    return scores
+
+
+def test_score_candidates_skips_an_empty_reference_and_scores_like_generate(
+        small_model, corpus_prompts):
+    prompts = [p[:16] for p in corpus_prompts[:5]]
+    eos = eos_emptying(small_model, prompts[0])
+    candidates = [two_phase(4, 2, s, 8) for s in (0, 4, 8)] + [PrecisionSchedule.constant(3, 8)]
+    kept, scores, features = schedule.score_candidates(small_model, prompts, candidates, 8,
+                                                       eos, feature_block=0)
+    want = independent_scores(small_model, prompts, candidates, 8, eos)
+    assert 0 not in kept and len(kept) > 1 and kept == sorted(want)
+    assert scores == [want[n] for n in kept]
+    assert len(features) == len(kept)
+    for n, feats in zip(kept, features):
+        assert sorted(feats) == [3, 4]
+        for pf, (k, v) in feats.items():
+            want_k, want_v = tinylm.prefill(small_model, pf, prompts[n])[1].layer_kv(0)
+            assert k.tobytes() == want_k.tobytes() and v.tobytes() == want_v.tobytes()
+
+
+def test_calibration_and_solver_qualities_are_the_scorer_column_means(small_model,
+                                                                      corpus_prompts):
+    prompts = [p[:16] for p in corpus_prompts[:5]]
+    eos = eos_emptying(small_model, prompts[0])
+    ps, grid, target = PrecisionSet((4, 2)), SwitchGrid(3, 8), QualityTarget(0.5, 0.1)
+    details: list = []
+    solve_static(small_model, prompts, target, grid, precisions=ps, p_prefill=4, eos_id=eos,
+                 details_out=details)
+    candidates = [PrecisionSchedule(ps, 4, st, 8)
+                  for st in enumerate_switch_maps(ps.precisions, grid.points)]
+    assert [d["st"] for d in details] == [c.to_json()["st"] for c in candidates]
+    kept, scores, _ = schedule.score_candidates(small_model, prompts, candidates, 8, eos)
+    means = [sum(column) / len(kept) for column in zip(*scores)]
+    assert [d["quality"] for d in details] == means
+    # the running totals the solver once kept add in the same order
+    want = independent_scores(small_model, prompts, candidates, 8, eos)
+    totals = [0.0] * len(candidates)
+    for row in want.values():
+        for j, f1 in enumerate(row):
+            totals[j] += f1
+    assert means == [t / len(want) for t in totals]
+
+    report = allocate_phase_precisions(small_model, prompts, target, precisions=ps,
+                                       max_new=8, eos_id=eos)
+    pairs = sorted(report.table)
+    kept, scores, _ = schedule.score_candidates(
+        small_model, prompts, [PrecisionSchedule.constant(pd, 8, pf) for pf, pd in pairs],
+        8, eos)
+    assert report.skipped == len(prompts) - len(kept) > 0
+    assert [report.table[pair] for pair in pairs] == [sum(column) / len(kept)
+                                                      for column in zip(*scores)]
+
+
+def test_label_scores_are_the_scorer_rows(small_model, corpus_prompts):
+    seeds, grid = [p[:16] for p in corpus_prompts[:5]], SwitchGrid(3, 8)
+    first, skipped = generate_labels(small_model, seeds, grid, 4, 2, seed=9)
+    assert skipped == 0
+    # the truncation is drawn before any skip, so it is the same under any EOS
+    prompts = [toks[: ex.prompt_len] for toks, ex in zip(seeds, first)]
+    eos = eos_emptying(small_model, prompts[0])
+    examples, skipped = generate_labels(small_model, seeds, grid, 4, 2, eos_id=eos, seed=9,
+                                        feature_block=0)
+    kept, scores, features = schedule.score_candidates(
+        small_model, prompts, [two_phase(4, 2, s, 8) for s in grid.points], 8, eos,
+        feature_block=0)
+    assert 0 not in kept and skipped == len(prompts) - len(kept)
+    assert [ex.scores for ex in examples] == scores
+    assert [ex.label for ex in examples] == [label_from_scores(row) for row in scores]
+    assert [ex.prompt_len for ex in examples] == [len(prompts[n]) for n in kept]
+    for ex, feats in zip(examples, features):
+        assert ex.k.tobytes() == feats[4][0].astype(np.float32).tobytes()
+        assert ex.v.tobytes() == feats[4][1].astype(np.float32).tobytes()

@@ -325,14 +325,16 @@ def test_sample_greedy_and_tie_break():
 
 
 def test_sample_temperature_reproducible():
-    cfg = SamplerConfig(mode="temperature", temperature=0.8, seed=5)
+    cfg = SamplerConfig(temperature=0.8, seed=5)
     logits = np.array([0.3, 0.1, 0.9, -0.5])
     assert sample(logits, cfg) == sample(logits, cfg)
 
 
 def test_sample_rejects_bad_temperature():
     with pytest.raises(ConfigError):
-        sample(np.array([1.0]), SamplerConfig(mode="temperature", temperature=0.0))
+        sample(np.array([1.0]), SamplerConfig(temperature=0.0))
+    with pytest.raises(ConfigError):
+        sample(np.array([1.0]), SamplerConfig(temperature=float("nan")))
     with pytest.raises(InputError):
         sample(np.array([np.nan]), SamplerConfig())
 
@@ -405,7 +407,7 @@ def test_max_new_below_one_rejected(small_model):
 
 
 SAMPLERS = {"greedy": SamplerConfig(),
-            "temperature": SamplerConfig(mode="temperature", temperature=0.8, seed=5)}
+            "temperature": SamplerConfig(temperature=0.8, seed=5)}
 
 
 def learned_scheduler(model):
