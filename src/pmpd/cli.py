@@ -52,6 +52,8 @@ def _precisions(text: str) -> quant.PrecisionSet:
 def _encode_prompts(tok, lines: list[str], limit: int | None) -> list[list[int]]:
     prompts = [tok.encode(ln) for ln in lines]
     if limit is not None:
+        if limit < 0:
+            raise InputError(f"--limit must be >= 0, got {limit}")
         prompts = prompts[:limit]
     return prompts
 

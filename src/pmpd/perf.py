@@ -20,7 +20,7 @@ from typing import Mapping
 from .errors import ConfigError, InputError
 from .quant import FULL_PRECISION
 from .schedule import PrecisionSchedule
-from .util import json_bool, json_int, parsing
+from .util import json_bool, json_float, json_int, json_int_key, parsing
 
 FP16 = FULL_PRECISION
 SCALE_BYTES_PER_GROUP = 8  # f32 min + f32 step
@@ -47,8 +47,8 @@ class HardwareConfig:
     @classmethod
     def from_json(cls, obj: dict) -> "HardwareConfig":
         with parsing("hardware JSON"):
-            return cls(json_int(obj["mac_units"]), float(obj["clock_hz"]),
-                       float(obj["mem_bw_bytes_per_s"]),
+            return cls(json_int(obj["mac_units"]), json_float(obj["clock_hz"]),
+                       json_float(obj["mem_bw_bytes_per_s"]),
                        json_bool(obj.get("overlap", True), "hardware 'overlap'"))
 
 
@@ -236,7 +236,7 @@ def weighted_gpu_latency(latency_us: Mapping[int, float], schedule: PrecisionSch
     if gen_len < 1:
         raise InputError(f"gen_len must be >= 1, got {gen_len}")
     with parsing("latency table (integer precisions to microseconds)"):
-        table = {int(k): float(v) for k, v in latency_us.items()}
+        table = {json_int_key(k): json_float(v) for k, v in latency_us.items()}
     if not all(math.isfinite(v) and v > 0 for v in table.values()):
         raise InputError(f"latency table values must be positive and finite: {table}")
     if FP16 not in table:

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 from . import metrics
 from .errors import ConfigError, InputError
 from .quant import FULL_PRECISION, PrecisionSet
-from .util import json_bool, json_int, parsing
+from .util import json_bool, json_int, json_int_key, parsing
 
 
 @dataclass(frozen=True)
@@ -132,7 +132,7 @@ class PrecisionSchedule:
     def from_json(cls, obj: dict) -> "PrecisionSchedule":
         with parsing("schedule JSON"):
             return cls(tuple(obj["precisions"]), json_int(obj["prefill"]),
-                       {int(p): json_int(i) for p, i in obj["st"].items()},
+                       {json_int_key(p): json_int(i) for p, i in obj["st"].items()},
                        json_int(obj["OL"]),
                        json_bool(obj.get("feasible", True), "schedule 'feasible'"))
 

@@ -24,7 +24,7 @@ from .errors import ConfigError, ContractViolation, FormatError, InputError
 from .quant import (FULL_PRECISION, PrecisionSet, QuantizedTensor, dequantize, parse_model,
                     quantize_tensor, serialize_model)
 from .schedule import PrecisionSchedule
-from .util import json_int, named_rng, parsing, read_bytes, read_json
+from .util import json_float, json_int, named_rng, parsing, read_bytes, read_json
 
 BYTE_EOS_ID = 256
 BYTE_VOCAB_SIZE = 257
@@ -98,6 +98,7 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("n_layers", "n_heads", "d_model", "d_ff", "vocab_size", "max_context"):
             object.__setattr__(self, name, json_int(getattr(self, name)))
+        object.__setattr__(self, "rope_theta", json_float(self.rope_theta))
         if min(self.n_layers, self.n_heads, self.d_model, self.d_ff) < 1:
             raise ConfigError("n_layers, n_heads, d_model and d_ff must be >= 1")
         if self.d_model % self.n_heads != 0:
@@ -159,7 +160,7 @@ class ModelVariants:
 
     Instances are immutable after construction apart from never-evicted caches
     of the float64 weights per (tensor, precision) and of :meth:`resolved`'s
-    tuples of them. Each generation owns its private KV cache and trace.
+    tuples of them. Each walk owns its private KV block and traces.
     """
 
     def __init__(self, config: ModelConfig, precisions: PrecisionSet,
@@ -279,12 +280,13 @@ class KVCache:
     """Per-layer key/value rows of every processed token of a block of ``rows``
     sequences (one by default), full precision: row ``r`` holds
     ``lengths[r]`` tokens in ``k``/``v[:, r]``. Positions at or past a row's
-    length are never read, so lowering ``lengths[r]`` rolls the row back."""
+    length are never read, so lowering ``lengths[r]`` rolls the row back;
+    :meth:`row` is row ``r`` as a one-row cache."""
 
     def __init__(self, n_layers: int, width: int, capacity: int, rows: int = 1):
         self.k = np.zeros((n_layers, rows, capacity, width))
         self.v = np.zeros((n_layers, rows, capacity, width))
-        self.lengths = [0] * rows
+        self.lengths = np.zeros(rows, dtype=np.int64)
 
     @property
     def capacity(self) -> int:
@@ -294,7 +296,14 @@ class KVCache:
     def T(self) -> int:
         """Tokens held by a one-row cache."""
         (t,) = self.lengths
-        return t
+        return int(t)
+
+    def row(self, r: int) -> "KVCache":
+        """Row ``r`` as a one-row cache sharing its K/V and length, no copy."""
+        view = object.__new__(KVCache)
+        view.k, view.v = self.k[:, r : r + 1], self.v[:, r : r + 1]
+        view.lengths = self.lengths[r : r + 1]
+        return view
 
     def layer_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
         """(K, V) of shape [T, width] for one layer of a one-row cache; -1
@@ -302,13 +311,6 @@ class KVCache:
         if not -len(self.k) <= layer < len(self.k):
             raise ConfigError(f"layer {layer} outside the cache's {len(self.k)} layers")
         return self.k[layer, 0, : self.T], self.v[layer, 0, : self.T]
-
-    def put(self, row: int, src: "KVCache") -> None:
-        """Copy the live tokens of the one-row cache ``src`` into row ``row``."""
-        t = src.T
-        self.k[:, row, :t] = src.k[:, 0, :t]
-        self.v[:, row, :t] = src.v[:, 0, :t]
-        self.lengths[row] = t
 
 
 # ---------------------------------------------------------------------------
@@ -466,16 +468,17 @@ def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
 
 
 def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
-            capacity: int | None = None) -> tuple[np.ndarray, KVCache]:
-    """Causal pass over the whole prompt; last-position logits plus a one-row
-    cache of ``capacity`` positions (``max_context`` by default)."""
+            cache: KVCache | None = None) -> tuple[np.ndarray, KVCache]:
+    """Causal pass over the whole prompt into an empty one-row ``cache`` (a
+    fresh one of ``max_context`` positions by default); returns the
+    last-position logits and the cache."""
     if not prompt:
         raise InputError("prompt is empty")
     if len(prompt) >= model.config.max_context:
         raise InputError(
             f"prompt length {len(prompt)} must be < max_context {model.config.max_context}")
-    cache = KVCache(model.config.n_layers, model.config.d_model,
-                    model.config.max_context if capacity is None else capacity)
+    if cache is None:
+        cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
     logits = _forward(model, p, [prompt], cache, (0,))
     return logits[0, -1], cache
 
@@ -492,8 +495,6 @@ def decode_step(model: ModelVariants, p: int, tokens, cache: KVCache,
     held = [cache.lengths[r] for r in rows]
     if not held or min(held) < 1:
         raise InputError("decode_step requires a prefilled cache")
-    if max(held) >= min(cache.capacity, model.config.max_context):
-        raise InputError(f"context window full at {max(held)} tokens")
     logits = _forward(model, p, [[tokens]] if one else [[t] for t in tokens], cache, rows)[:, 0]
     return (logits[0] if one else logits), cache
 
@@ -588,10 +589,10 @@ WAVE = 12
 
 class _Walk:
     """Depth-first lockstep decoding of one wave at one prefill precision, for
-    :func:`decode_schedules`: a block with one row per prompt, each row under
-    its own schedules, the walk's only KV. An object rather than a recursive
-    closure: the closure would be a reference cycle that keeps the model
-    alive until a full collection."""
+    :func:`decode_schedules`: a block with one row per prompt, each prefilled
+    in place and decoded under its own schedules, the walk's only KV. An
+    object rather than a recursive closure: the closure would be a reference
+    cycle that keeps the model alive until a full collection."""
 
     def __init__(self, model, sampler_cfg, eos, max_new):
         self.model = model
@@ -604,22 +605,17 @@ class _Walk:
         self.ends: list[list] = []
 
     def decode(self, prompts, pf, schedulers, feature_block):
-        """Prefill ``prompts`` (one wave, shortest first) at ``pf`` into the rows
-        of one block, resolve every scheduler on each prompt's own prefill and
+        """Prefill ``prompts`` (one wave, shortest first) at ``pf`` straight into
+        the rows of one block, resolve every scheduler on its prompt's row and
         walk the block; returns per prompt its traces in ``schedulers`` order
         and copies of its prefill's (K, V) rows of layer ``feature_block``."""
         mc, allowed = self.model.config, self.model.allowed_precisions()
-
-        def positions(prompt):
-            return min(len(prompt) + self.max_new, mc.max_context)
-
-        # one prompt walks its prefill's own cache: no block to fill
-        block = None if len(prompts) == 1 else KVCache(
-            mc.n_layers, mc.d_model, positions(prompts[-1]), len(prompts))
+        block = KVCache(mc.n_layers, mc.d_model,
+                        min(len(prompts[-1]) + self.max_new, mc.max_context), len(prompts))
         tokens, hashes, features = {}, {}, []
         for r, prompt in enumerate(prompts):
-            logits, cache = prefill(self.model, pf, prompt, positions(prompt))
-            schedules = [scheduler.resolve(cache) for scheduler in schedulers]
+            logits, row = prefill(self.model, pf, prompt, block.row(r))
+            schedules = [scheduler.resolve(row) for scheduler in schedulers]
             for sched in schedules:
                 if self.max_new > sched.horizon:
                     raise InputError(f"max_new {self.max_new} exceeds the schedule horizon "
@@ -629,12 +625,7 @@ class _Walk:
                         raise ContractViolation(f"schedule uses precision {p} outside the "
                                                 f"model's set {sorted(allowed)}")
             features.append(None if feature_block is None else
-                            tuple(a.copy() for a in cache.layer_kv(feature_block)))
-            if block is None:
-                block = cache
-            else:
-                block.put(r, cache)
-            del cache  # the block holds its rows now; no prefill outlives its copy
+                            tuple(a.copy() for a in row.layer_kv(feature_block)))
             rng = named_rng(self.sampler_cfg.seed, "sampler")
             self.schedules.append(schedules)
             self.rngs.append(rng)
@@ -680,13 +671,12 @@ class _Walk:
             # recursion lowers the precision, so depth <= |precisions|
             for q in lower:
                 branch = split[q]
-                held = {r: cache.lengths[r] for r in branch}
+                held = cache.lengths.copy()
                 t = {r: tokens[r][:] for r in branch}
                 h = {r: hashes[r][:] for r in branch}
                 self.advance(q, cache, list(branch), t, h)
                 self.walk(cache, branch, t, h)
-                for r, n in held.items():
-                    cache.lengths[r] = n
+                cache.lengths[:] = held
             members = split[p]
             self.advance(p, cache, list(members), tokens, hashes)
 
@@ -703,11 +693,11 @@ def decode_schedules(model: ModelVariants, prompts: Sequence[Sequence[int]],
     prefills every prompt of the wave once and each member resolves its
     schedule from that prompt's prefilled cache before the first decode
     step, so a learned scheduler sees exactly the prompt's rows; static and
-    fixed schedulers return theirs as-is. The prefilled rows are copied into
-    one block of ``len(prompt) + max_new`` positions per row (the wave's
-    longest prompt, capped at ``max_context``), and the block is walked in
-    lockstep; a wave of one prompt walks its prefill's own cache, sized the
-    same way.
+    fixed schedulers return theirs as-is. Each prompt is prefilled straight
+    into its row of one block of ``len(prompt) + max_new`` positions per row
+    (the wave's longest prompt, capped at ``max_context``), which the
+    scheduler reads through :meth:`KVCache.row` and which is then walked in
+    lockstep; a wave of one prompt is a one-row block.
 
     Token 0 is sampled from the prefill logits, and decode step ``i``
     consumes token ``i`` at ``precision_at(i)``, the precision token ``i`` is

@@ -4,6 +4,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import numbers
 import operator
 from contextlib import contextmanager
 from pathlib import Path
@@ -65,6 +66,22 @@ def json_int(value) -> int:
     if type(value) is bool:
         raise TypeError(f"expected an integer, got {value!r}")
     return operator.index(value)
+
+
+def json_float(value) -> float:
+    """``float(value)`` of a number that is not a boolean (``float(True)`` is 1.0,
+    ``float("3e10")`` a number); :func:`parsing` reports the ``TypeError``."""
+    if type(value) is bool or not isinstance(value, numbers.Real):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def json_int_key(key) -> int:
+    """``int(key)`` of a key in canonical decimal only (``int`` reads ``"02"``,
+    ``" 2"`` and ``"0_2"`` as 2); :func:`parsing` reports the ``ValueError``."""
+    if str(int(key)) != str(key):
+        raise ValueError(f"expected a decimal integer key, got {key!r}")
+    return int(key)
 
 
 def read_text(path) -> str:

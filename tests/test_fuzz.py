@@ -148,7 +148,8 @@ USES = {
 
 def typed_substitutions(name: str, data: bytes):
     """``(path, bytes)`` of ``data`` with one value replaced: an integer by a
-    fractional number or by ``true``, a boolean by the string of its name."""
+    fractional number or by ``true``, a real field (not an array element) by
+    ``true`` or its decimal string, a boolean by the string of its name."""
     doc = read_doc(name, data)
     for path in value_paths(doc):
         value = functools.reduce(operator.getitem, path, doc)
@@ -156,6 +157,8 @@ def typed_substitutions(name: str, data: bytes):
             subs = [str(value).lower()]
         elif type(value) is int:
             subs = [value + 0.5, True]
+        elif type(value) is float and isinstance(path[-1], str):
+            subs = [True, repr(value)]
         else:
             continue
         for sub in subs:
@@ -214,9 +217,9 @@ def test_type_confused_json_raises_only_pmpd_errors(files, name, capsys, monkeyp
 
 @pytest.mark.parametrize("name", USES)
 def test_fractional_integers_and_string_booleans_exit_2(files, name, capsys, monkeypatch):
-    # int(4.5) is 4, operator.index(True) is 1 and bool("false") is True: a
-    # reader that coerces instead of checking would run on a value the file
-    # never held
+    # int(4.5) is 4, operator.index(True) is 1, float(True) is 1.0, float("1e9")
+    # a number and bool("false") is True: a reader that coerces instead of
+    # checking would run on a value the file never held
     subs = list(typed_substitutions(name, (files / name).read_bytes()))
     results = outcomes(files, name, lambda data: (b for _, b in subs), monkeypatch)
     capsys.readouterr()
@@ -224,3 +227,23 @@ def test_fractional_integers_and_string_booleans_exit_2(files, name, capsys, mon
     wrong = [(subs[k][0], command, result) for k, command, result in results
              if result != cli.EXIT_INPUT_ERROR]
     assert not wrong, wrong
+
+
+@pytest.mark.parametrize("name, path", [("schedule.json", ("st",)), ("kernels.json", ())])
+def test_non_canonical_precision_keys_exit_2(files, name, path, capsys, monkeypatch):
+    # int() reads each of these as the precision it pads: a key must be that
+    # precision's decimal string exactly
+    data = (files / name).read_bytes()
+    doc = read_doc(name, data)
+    keyed = functools.reduce(operator.getitem, path, doc)
+    variants = []
+    for key in keyed:
+        for sub in (f"0{key}", f" {key}", f"{key} ", f"+{key}", f"0_{key}"):
+            mutated = copy.deepcopy(doc)
+            obj = functools.reduce(operator.getitem, path, mutated)
+            obj[sub] = obj.pop(key)
+            variants.append(write_doc(name, data, mutated))
+    results = outcomes(files, name, lambda data: iter(variants), monkeypatch)
+    capsys.readouterr()
+    assert len(results) == len(variants) * len(USES[name](files))
+    assert all(result == cli.EXIT_INPUT_ERROR for *_, result in results), results

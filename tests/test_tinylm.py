@@ -193,12 +193,8 @@ def test_decode_step_over_rows_equals_one_row_at_a_time(small_model):
     # a block mixing lengths and leaving a row out: each stepped row's logits
     # and K/V equal a one-row cache's, and the row left out is untouched
     prompts = [PROMPT[:5], PROMPT[:9], PROMPT[:9], PROMPT]
-    block = tinylm.KVCache(2, 64, 40, len(prompts))
-    singles = []
-    for r, prompt in enumerate(prompts):
-        _, cache = prefill(small_model, 4, prompt)
-        block.put(r, cache)
-        singles.append(cache)
+    block = prefilled_block(small_model, prompts)
+    singles = [prefill(small_model, 4, prompt)[1] for prompt in prompts]
     rows, tokens = [0, 1, 3], [65, 66, 67]
     before = block.k[:, 2].copy()
     logits, _ = decode_step(small_model, 3, tokens, block, rows)
@@ -225,11 +221,34 @@ def test_decode_step_advances_cache_by_one(small_model):
 
 
 def prefilled_block(model, prompts, capacity=40):
-    """A block cache with one row per prompt, each prefilled at precision 4."""
+    """A block cache with one row per prompt, each prefilled in place at precision 4."""
     block = tinylm.KVCache(model.config.n_layers, model.config.d_model, capacity, len(prompts))
     for r, prompt in enumerate(prompts):
-        block.put(r, prefill(model, 4, prompt)[1])
+        prefill(model, 4, prompt, block.row(r))
     return block
+
+
+@pytest.mark.parametrize("r", [0, 2, 3])
+def test_prefill_into_a_block_row_equals_a_fresh_one_row_prefill(small_model, r):
+    # the walk prefills each prompt straight into its row of the block: the
+    # logits and K/V are a fresh one-row prefill's, and no other row moves
+    cfg = small_model.config
+    block = prefilled_block(small_model, [PROMPT[:5], PROMPT[:9], PROMPT[:9], PROMPT])
+    block.lengths[r] = 0
+    block.k[:, r] = block.v[:, r] = np.nan
+    others = [j for j in range(4) if j != r]
+    k, v, lengths = block.k[:, others].copy(), block.v[:, others].copy(), block.lengths.copy()
+    logits, row = prefill(small_model, 3, PROMPT[:17], block.row(r))
+    want, fresh = prefill(small_model, 3, PROMPT[:17])
+    assert logits.tobytes() == want.tobytes()
+    assert row.T == block.lengths[r] == fresh.T == 17
+    assert block.k[:, r, :17].tobytes() == fresh.k[:, 0, :17].tobytes()
+    assert block.v[:, r, :17].tobytes() == fresh.v[:, 0, :17].tobytes()
+    for a, b in zip(row.layer_kv(-1), fresh.layer_kv(cfg.n_layers - 1)):
+        assert a.tobytes() == b.tobytes()
+    assert block.k[:, others].tobytes() == k.tobytes()
+    assert block.v[:, others].tobytes() == v.tobytes()
+    assert block.lengths[others].tolist() == lengths[others].tolist()
 
 
 @pytest.mark.parametrize("rows", [[3], [0, 1, 2, 3]])
@@ -247,7 +266,7 @@ def test_decode_step_reads_no_position_at_or_past_a_rows_length(small_model, row
         want, _ = decode_step(small_model, 3, tokens, clean, rows)
         got, _ = decode_step(small_model, 3, tokens, dirty, rows)
         assert got.tobytes() == want.tobytes()
-    assert dirty.lengths == clean.lengths
+    assert dirty.lengths.tolist() == clean.lengths.tolist()
     for r, t in enumerate(clean.lengths):
         assert dirty.k[:, r, :t].tobytes() == clean.k[:, r, :t].tobytes()
         assert dirty.v[:, r, :t].tobytes() == clean.v[:, r, :t].tobytes()
@@ -259,17 +278,17 @@ def test_a_branch_rolled_back_in_place_leaves_the_trunk_bit_identical(small_mode
     prompts = [PROMPT[:5], PROMPT[:9], PROMPT[:9], PROMPT]
     trunk = prefilled_block(small_model, prompts)
     alone = prefilled_block(small_model, prompts)
-    branch, held = [1, 2, 3], list(trunk.lengths)
+    branch, held = [1, 2, 3], trunk.lengths.tolist()
     for step in range(3):
         decode_step(small_model, 2, [70 + step] * len(branch), trunk, branch)
-    assert trunk.lengths != held
+    assert trunk.lengths.tolist() != held
     trunk.lengths[:] = held
     for step in range(2):
         tokens = [65 + step] * len(prompts)
         want, _ = decode_step(small_model, 4, tokens, alone)
         got, _ = decode_step(small_model, 4, tokens, trunk)
         assert got.tobytes() == want.tobytes()
-    assert trunk.lengths == alone.lengths
+    assert trunk.lengths.tolist() == alone.lengths.tolist()
     for r, t in enumerate(alone.lengths):
         assert trunk.k[:, r, :t].tobytes() == alone.k[:, r, :t].tobytes()
         assert trunk.v[:, r, :t].tobytes() == alone.v[:, r, :t].tobytes()
