@@ -55,6 +55,8 @@ def _encode_prompts(tok, lines: list[str], limit: int | None) -> list[list[int]]
         if limit < 0:
             raise InputError(f"--limit must be >= 0, got {limit}")
         prompts = prompts[:limit]
+    if not prompts:
+        raise InputError(f"--limit {limit} leaves no prompt to run")
     return prompts
 
 

@@ -22,7 +22,8 @@ from .errors import ConfigError, FormatError, InputError
 # unused, but benchmarks/tracing.py wraps it and tests/test_bench_hooks.py needs it
 from .metrics import rouge_l  # noqa: F401
 from .schedule import PrecisionSchedule, SwitchGrid, score_candidates
-from .util import b64_to_f32, canonical_json, f32_to_b64, json_int, named_rng, parsing, read_text
+from .util import (b64_to_f32, canonical_json, f32_to_b64, json_floats, json_int, named_rng,
+                   parsing, read_text)
 
 log = logging.getLogger(__name__)
 
@@ -100,7 +101,7 @@ class SchedulerNet:
     @classmethod
     def from_json(cls, obj: dict) -> "SchedulerNet":
         def arr(entry):
-            return np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            return json_floats(entry["data"]).reshape(entry["shape"])
 
         with parsing("scheduler net JSON"):
             if obj.get("tag") != NET_TAG:
@@ -278,7 +279,7 @@ def load_labels(path) -> tuple[list[LabeledExample], dict]:
                 raise FormatError(f"label example of {t} rows of widths {d_k}/{d_v} is empty")
             examples.append(LabeledExample(
                 b64_to_f32(obj["k"], (t, d_k)), b64_to_f32(obj["v"], (t, d_v)),
-                json_int(obj["label"]), list(obj.get("scores", [])),
+                json_int(obj["label"]), json_floats(obj.get("scores", [])).tolist(),
                 json_int(obj.get("prompt_len", 0))))
     widths = {(ex.k.shape[1], ex.v.shape[1]) for ex in examples}
     if len(widths) > 1:

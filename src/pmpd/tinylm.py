@@ -24,7 +24,7 @@ from .errors import ConfigError, ContractViolation, FormatError, InputError
 from .quant import (FULL_PRECISION, PrecisionSet, QuantizedTensor, dequantize, parse_model,
                     quantize_tensor, serialize_model)
 from .schedule import PrecisionSchedule
-from .util import json_float, json_int, named_rng, parsing, read_bytes, read_json
+from .util import json_float, json_floats, json_int, named_rng, parsing, read_bytes, read_json
 
 BYTE_EOS_ID = 256
 BYTE_VOCAB_SIZE = 257
@@ -257,7 +257,7 @@ class ModelVariants:
             try:
                 config = ModelConfig(**meta["config"])
                 precisions = PrecisionSet(tuple(meta["precisions"]))
-                norms = {k: np.asarray(v, dtype=np.float32) for k, v in meta["norms"].items()}
+                norms = {k: json_floats(v) for k, v in meta["norms"].items()}
                 init, full = meta.get("init"), None
                 if init is not None and init.get("scheme") == INIT_SCHEME:
                     full, _ = random_weights(config, json_int(init["seed"]))
@@ -375,10 +375,11 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.nda
 
 
 def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
-             rows: Sequence[int]) -> np.ndarray:
+             rows: Sequence[int], last: bool = False) -> np.ndarray:
     """Run ``tokens[j]`` (``[b, n]`` ids) through row ``rows[j]`` of the cache at
     weight precision ``p``, extending those rows, which must increase; returns
-    the logits ``[b, n, vocab]`` of each new position.
+    the logits ``[b, n, vocab]`` of each new position, or with ``last`` those
+    of the last one, ``[b, vocab]``.
 
     Each row gets exactly the arithmetic a one-row call would do, so a batch
     of rows is bit-identical to running them one by one. The projections are
@@ -396,6 +397,16 @@ def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
     only, so the key blocks wholly above the causal diagonal are never
     scored. That is bit-identical to scoring every key and masking the upper
     triangle, because masked keys trail each row (see :func:`_attend`).
+
+    With ``last`` (a prefill) the final layer computes K and V of all ``n``
+    positions, the only rows of it anything later reads, and everything else
+    for the last two only: their queries attend as one 2-query block over
+    the keys ``[0, T0 + n)``, then ``wo``, the MLP and the final norm run on
+    two rows. That is bit-identical to the full pass because a row of an
+    ``[m, K] @ W`` product with ``m >= 2`` equals that row of the ``[n, K] @
+    W`` product here; one row would be a gemv, whose sums differ. The head's
+    sums do depend on the row count (its 257 columns tile by rows), so it
+    multiplies all ``n`` rows, zero but for the last two.
     """
     if p not in model.allowed_precisions():
         raise ContractViolation(
@@ -430,15 +441,23 @@ def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
         pos = np.add.outer(starts, np.arange(n))
         cos, sin = (table[pos] for table in model.rope)
     scale = 1.0 / math.sqrt(dh)
+    m = n  # the new positions carried on, the last m: all n but in prefill's last layer
 
     kc, vc = (a.reshape(*a.shape[:3], H, dh) for a in (cache.k, cache.v))
     for i, (norm_attn, wq, wk, wv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
         h = _rmsnorm(x, norm_attn)
-        qk = np.empty((2, *lead, d))
-        np.matmul(h, wq, out=qk[0])
-        np.matmul(h, wk, out=qk[1])
-        q, k = _apply_rope(qk.reshape(2, b, n, H, dh), cos, sin)
         v = (h @ wv).reshape(b, n, H, dh)
+        if last and i == len(layers) - 1:
+            k = _apply_rope((h @ wk).reshape(b, n, H, dh), cos, sin)
+            m = min(n, 2)
+            x, h = x[..., n - m :, :], h[..., n - m :, :]
+            cos, sin = cos[..., n - m :, :, :], sin[..., n - m :, :, :]
+            q = _apply_rope((h @ wq).reshape(b, m, H, dh), cos, sin)
+        else:
+            qk = np.empty((2, *lead, d))
+            np.matmul(h, wq, out=qk[0])
+            np.matmul(h, wk, out=qk[1])
+            q, k = _apply_rope(qk.reshape(2, b, n, H, dh), cos, sin)
         ctx = []
         for j0, j1 in runs:
             r0, T0 = rows[j0], starts[j0]
@@ -448,13 +467,15 @@ def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
             if n == 1:
                 ctx.append(_attend(q[j0:j1], ck[:, : T0 + 1], cv[:, : T0 + 1], scale))
                 continue
-            out = np.empty((j1 - j0, n, H, dh))
-            for a in range(0, n, BLOCK):
-                e = min(a + BLOCK, n)
-                out[:, a:e] = _attend(q[j0:j1, a:e], ck[:, : T0 + e], cv[:, : T0 + e], scale)
+            # query a is new position n - m + a
+            out = np.empty((j1 - j0, m, H, dh))
+            for a in range(0, m, BLOCK):
+                e = min(a + BLOCK, m)
+                end = T0 + n - m + e
+                out[:, a:e] = _attend(q[j0:j1, a:e], ck[:, :end], cv[:, :end], scale)
             ctx.append(out)
         ctx = ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
-        x = x + ctx.reshape(*lead, d) @ wo
+        x = x + ctx.reshape(x.shape) @ wo
 
         h2 = _rmsnorm(x, norm_mlp)
         u = h2 @ w_up
@@ -464,14 +485,19 @@ def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
     for r, t in zip(rows, starts):
         cache.lengths[r] = t + n
     x = _rmsnorm(x, final_norm)
-    return (x @ head).reshape(b, n, -1)
+    if not last:
+        return (x @ head).reshape(b, n, -1)
+    padded = np.zeros((*lead, d))  # the head at all n rows: its sums depend on the count
+    padded[..., n - m :, :] = x
+    return (padded @ head)[..., -1, :].reshape(b, -1)
 
 
 def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
             cache: KVCache | None = None) -> tuple[np.ndarray, KVCache]:
     """Causal pass over the whole prompt into an empty one-row ``cache`` (a
     fresh one of ``max_context`` positions by default); returns the
-    last-position logits and the cache."""
+    last-position logits and the cache. Its final layer runs K/V for every
+    position and the rest for the last two only (see :func:`_forward`)."""
     if not prompt:
         raise InputError("prompt is empty")
     if len(prompt) >= model.config.max_context:
@@ -479,8 +505,8 @@ def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
             f"prompt length {len(prompt)} must be < max_context {model.config.max_context}")
     if cache is None:
         cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
-    logits = _forward(model, p, [prompt], cache, (0,))
-    return logits[0, -1], cache
+    logits = _forward(model, p, [prompt], cache, (0,), last=True)
+    return logits[0], cache
 
 
 def decode_step(model: ModelVariants, p: int, tokens, cache: KVCache,

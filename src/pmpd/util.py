@@ -76,6 +76,15 @@ def json_float(value) -> float:
     return float(value)
 
 
+def json_floats(values) -> np.ndarray:
+    """A float64 array of a JSON list of numbers, none a boolean (``np.asarray``
+    reads ``[true, "2"]`` as ``[1.0, 2.0]``); :func:`parsing` reports the
+    ``TypeError``. JSON numbers decode to ``int`` or ``float`` only."""
+    if not isinstance(values, list) or not set(map(type, values)) <= {int, float}:
+        raise TypeError("expected a list of numbers")
+    return np.array(values, dtype=np.float64)
+
+
 def json_int_key(key) -> int:
     """``int(key)`` of a key in canonical decimal only (``int`` reads ``"02"``,
     ``" 2"`` and ``"0_2"`` as 2); :func:`parsing` reports the ``ValueError``."""

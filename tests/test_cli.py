@@ -251,18 +251,32 @@ def test_generate_rejects_a_temperature_that_is_not_positive(tmp_path, monkeypat
     assert not Path("t.json").exists()
 
 
-@pytest.mark.parametrize("argv", [
+PROMPT_COMMANDS = [
     ["generate", "--fixed-precision", "3", "--max-new", "4"],
     ["calibrate-phase", "--q-ref", "1.0", "--tolerance", "1.0", "--max-new", "4"],
     ["solve-static", "--precisions", "3,2", "--prefill", "4", "--q-ref", "0.0",
      "--tolerance", "0.0", "--grid-n", "3", "--ol", "4"],
     ["gen-labels", "--grid-n", "3", "--ol", "4", "--high", "3", "--low", "2"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", PROMPT_COMMANDS)
 def test_a_negative_limit_is_an_input_error(tmp_path, monkeypatch, argv):
     # prompts[:-1] would quietly run on every prompt but the last
     monkeypatch.chdir(tmp_path)
     quantize("model.pmpd")
     code = run([argv[0], "--model", "model.pmpd", "--limit", "-1", *argv[1:], "--out", "o.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("o.json").exists()
+
+
+@pytest.mark.parametrize("argv", PROMPT_COMMANDS)
+def test_a_zero_limit_is_an_input_error(tmp_path, monkeypatch, argv):
+    # every command refuses an empty prompt set alike: generate would write
+    # {"traces": []}, which eval refuses
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    code = run([argv[0], "--model", "model.pmpd", "--limit", "0", *argv[1:], "--out", "o.json"])
     assert code == cli.EXIT_INPUT_ERROR
     assert not Path("o.json").exists()
 

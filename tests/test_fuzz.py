@@ -148,8 +148,9 @@ USES = {
 
 def typed_substitutions(name: str, data: bytes):
     """``(path, bytes)`` of ``data`` with one value replaced: an integer by a
-    fractional number or by ``true``, a real field (not an array element) by
-    ``true`` or its decimal string, a boolean by the string of its name."""
+    fractional number or by ``true``, a real field by ``true`` or its decimal
+    string, an element of a real array by ``true``, a boolean by the string
+    of its name."""
     doc = read_doc(name, data)
     for path in value_paths(doc):
         value = functools.reduce(operator.getitem, path, doc)
@@ -157,8 +158,8 @@ def typed_substitutions(name: str, data: bytes):
             subs = [str(value).lower()]
         elif type(value) is int:
             subs = [value + 0.5, True]
-        elif type(value) is float and isinstance(path[-1], str):
-            subs = [True, repr(value)]
+        elif type(value) is float:
+            subs = [True, repr(value)] if isinstance(path[-1], str) else [True]
         else:
             continue
         for sub in subs:

@@ -110,8 +110,10 @@ def test_forward_matches_the_naive_pass_bit_for_bit(request, naive_forward, naiv
         return naive_cache(cfg.n_layers, cfg.d_model, cfg.max_context)
 
     assert forward_full(model, p, tokens).tobytes() == naive(tokens, fresh())
-    # prefills around the attention block size, K/V included
-    for L in (1, 15, 16, 17, 31, 33, 48):
+    # prefills around the attention block size and its last layer's 2-row
+    # tail (at 65 the last block holds one row), K/V included; 48 last, as
+    # the chunk below extends it
+    for L in (1, 2, 3, 15, 16, 17, 18, 31, 33, 65, 48):
         logits, cache = prefill(model, p, tokens[:L])
         ref = fresh()
         assert logits.tobytes() == naive_forward(model, p, tokens[:L], ref)[-1].tobytes(), L
@@ -158,6 +160,33 @@ def test_stacked_products_and_batched_attention_are_batch_invariant(toy_model, B
         assert scores[b].tobytes() == np.einsum("nhd,thd->hnt", q[b], k_row).tobytes()
         assert attn[b].tobytes() == tinylm._softmax(scores[b], axis=-1).tobytes()
         assert ctx[b].tobytes() == np.einsum("hnt,thd->nhd", attn[b], v_row).tobytes()
+
+
+@pytest.mark.parametrize("name", ["wq", "w_up", "w_down"])
+def test_rows_of_a_product_of_two_or_more_rows_equal_the_full_products(toy_model, name):
+    # prefill's last layer runs wq, wo and the MLP on the last two rows only,
+    # exact only because a row of an [m, K] @ W product with m >= 2 is that
+    # row of the [n, K] @ W one; a numpy or BLAS that breaks this fails here
+    _, wq, _, _, _, _, w_up, w_down = toy_model.resolved(4)[1][0]
+    w = {"wq": wq, "w_up": w_up, "w_down": w_down}[name]
+    rng = np.random.default_rng(w.shape[1])
+    for n in (17, 48, 65, 130):
+        x = rng.normal(size=(n, w.shape[0]))
+        full = x @ w
+        for m in range(2, 21):
+            assert (x[-m:] @ w).tobytes() == full[-m:].tobytes(), (n, m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 48, 65, 130, 199])
+def test_the_heads_rows_depend_on_the_row_count_not_the_other_rows(toy_model, n):
+    # so prefill's head multiplies all n rows, zero but for the last two:
+    # its 257 columns tile by the row count, and the last rows' sums must not
+    # see what the other rows hold
+    head = toy_model.resolved(4)[3]
+    x = np.random.default_rng(n).normal(size=(n, head.shape[0]))
+    padded = np.zeros_like(x)
+    padded[-2:] = x[-2:]
+    assert (padded @ head)[-2:].tobytes() == (x @ head)[-2:].tobytes()
 
 
 @pytest.mark.parametrize("rows", [1, 2])
