@@ -374,31 +374,89 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.nda
     return np.einsum("bhnt,bthd->bnhd", _softmax(scores), v)
 
 
-def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
-             rows: Sequence[int], last: bool = False) -> np.ndarray:
-    """Run ``tokens[j]`` (``[b, n]`` ids) through row ``rows[j]`` of the cache at
-    weight precision ``p``, extending those rows, which must increase; returns
-    the logits ``[b, n, vocab]`` of each new position, or with ``last`` those
-    of the last one, ``[b, vocab]``.
+def _check(model: ModelVariants, p: int, ids: np.ndarray, cache: KVCache, end: int) -> None:
+    """Refuse ``p`` outside the model's set, ids outside the vocabulary or ``end`` > capacity."""
+    if p not in model.allowed_precisions():
+        raise ContractViolation(
+            f"precision {p} not in the model's set {sorted(model.allowed_precisions())}")
+    cfg = model.config
+    limit = min(cache.capacity, cfg.max_context)
+    if end > limit:
+        raise InputError(f"sequence length {end} exceeds the cache's {limit} "
+                         f"positions (max_context {cfg.max_context})")
+    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
+        raise InputError(f"token id outside vocabulary of size {cfg.vocab_size}")
+
+
+def _mlp(x: np.ndarray, norm_mlp, w_up, w_down) -> np.ndarray:
+    """``x`` plus the SiLU-gated MLP of its RMSNorm (gate and up fused in ``w_up``)."""
+    u = _rmsnorm(x, norm_mlp) @ w_up
+    return x + (_silu(u[..., : len(w_down)]) * u[..., len(w_down) :]) @ w_down
+
+
+def _decode(model: ModelVariants, p: int, tokens, cache: KVCache,
+            rows: Sequence[int]) -> np.ndarray:
+    """Append one position to each cache row ``rows[j]`` (strictly increasing)
+    for id ``tokens[j]`` at weight precision ``p``; returns their logits ``[b, vocab]``.
 
     Each row gets exactly the arithmetic a one-row call would do, so a batch
     of rows is bit-identical to running them one by one. The projections are
-    stacked ``[b, n, d] @ W`` products, which numpy evaluates one row's
-    ``[n, d] @ W`` at a time (a gemv per row when ``n`` is 1, never one
-    ``[b, d]`` gemm, whose sums differ in the last bits). Attention is one
-    :func:`_attend` per run of adjacent rows holding equal lengths, never a
-    padded one: ``-inf`` padding is exact in einsum's layout too, but was no
-    faster. RMSNorm, RoPE, softmax and SiLU work row by row. A row's new
-    positions are written before it attends over its keys ``[0, T0 + n)``
+    stacked ``[b, 1, d] @ W`` products, which numpy evaluates as one gemv per
+    row (one row keeps 2-D ``[1, d]``, the same gemv at less cost per call),
+    never one ``[b, d]`` gemm, whose sums differ in the last bits. Attention
+    is one :func:`_attend` per run of adjacent rows holding equal lengths,
+    never a padded one: ``-inf`` padding is exact in einsum's layout too, but
+    was no faster. RMSNorm, RoPE, softmax and SiLU work row by row. A row's
+    new position is written before it attends over its keys ``[0, T0 + 1)``
     only, so nothing at or past a row's length reaches the result.
+    """
+    ids = np.asarray(tokens, dtype=np.int64)
+    b = len(ids)
+    starts = [cache.lengths[r] for r in rows]
+    if not starts or min(starts) < 1:
+        raise InputError("decode_step requires a prefilled cache")
+    _check(model, p, ids, cache, max(starts) + 1)
+    # runs of adjacent rows at equal length: batch indices [j0, j1), first row, length
+    cuts = [j for j in range(1, b) if (rows[j] - rows[j - 1], starts[j]) != (1, starts[j - 1])]
+    runs = [(j0, j1, rows[j0], starts[j0]) for j0, j1 in zip([0, *cuts], [*cuts, b])]
+    embed, layers, final_norm, head = model.resolved(p)
+    H, dh, d = model.config.n_heads, model.config.d_head, model.config.d_model
+    lead = (1,) if b == 1 else (b, 1)
+    x = embed[ids.reshape(lead)]
+    cos, sin = (table[starts][:, None] for table in model.rope)  # [b, 1, 1, dh]
+    kc, vc = (a.reshape(*a.shape[:3], H, dh) for a in (cache.k, cache.v))
+    for i, (norm_attn, wq, wk, wv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
+        h = _rmsnorm(x, norm_attn)
+        v = (h @ wv).reshape(b, H, dh)
+        qk = np.empty((2, *lead, d))
+        np.matmul(h, wq, out=qk[0])
+        np.matmul(h, wk, out=qk[1])
+        q, k = _apply_rope(qk.reshape(2, b, 1, H, dh), cos, sin)
+        ctx = []
+        for j0, j1, r0, T0 in runs:
+            ck, cv = kc[i, r0 : r0 + j1 - j0, : T0 + 1], vc[i, r0 : r0 + j1 - j0, : T0 + 1]
+            ck[:, T0], cv[:, T0] = k[j0:j1, 0], v[j0:j1]
+            ctx.append(_attend(q[j0:j1], ck, cv, 1.0 / math.sqrt(dh)))
+        ctx = ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
+        x = _mlp(x + ctx.reshape(x.shape) @ wo, norm_mlp, w_up, w_down)
+    for r, t in zip(rows, starts):
+        cache.lengths[r] = t + 1
+    return (_rmsnorm(x, final_norm) @ head).reshape(b, -1)
 
-    With ``n > 1`` (a prefill or a chunk) the new positions attend in blocks
-    of :data:`BLOCK` queries, block ``[a, e)`` over the keys ``[0, T0 + e)``
-    only, so the key blocks wholly above the causal diagonal are never
-    scored. That is bit-identical to scoring every key and masking the upper
-    triangle, because masked keys trail each row (see :func:`_attend`).
 
-    With ``last`` (a prefill) the final layer computes K and V of all ``n``
+def _extend(model: ModelVariants, p: int, tokens, cache: KVCache,
+            last: bool = False) -> np.ndarray:
+    """Run the ``n >= 1`` ids ``tokens`` through a one-row cache at weight
+    precision ``p``, extending it; returns the logits ``[n, vocab]`` of the
+    new positions, or with ``last`` (a prefill) those of the last, ``[vocab]``.
+
+    The new positions attend in blocks of :data:`BLOCK` queries: block
+    ``[a, e)`` over the keys ``[0, T0 + e)`` only, never scoring the key
+    blocks wholly above the causal diagonal. That is bit-identical to
+    scoring every key and masking the upper triangle, as masked keys trail
+    each row (see :func:`_attend`).
+
+    With ``last`` the final layer computes K and V of all ``n``
     positions, the only rows of it anything later reads, and everything else
     for the last two only: their queries attend as one 2-query block over
     the keys ``[0, T0 + n)``, then ``wo``, the MLP and the final norm run on
@@ -408,88 +466,38 @@ def _forward(model: ModelVariants, p: int, tokens, cache: KVCache,
     sums do depend on the row count (its 257 columns tile by rows), so it
     multiplies all ``n`` rows, zero but for the last two.
     """
-    if p not in model.allowed_precisions():
-        raise ContractViolation(
-            f"precision {p} not in the model's set {sorted(model.allowed_precisions())}")
-    cfg = model.config
     ids = np.asarray(tokens, dtype=np.int64)
-    b, n = ids.shape
-    if b != len(rows):
-        raise InputError(f"{b} token rows for {len(rows)} cache rows")
-    starts = [cache.lengths[r] for r in rows]
-    limit = min(cache.capacity, cfg.max_context)
-    if max(starts) + n > limit:
-        raise InputError(f"sequence length {max(starts) + n} exceeds the cache's {limit} "
-                         f"positions (max_context {cfg.max_context})")
-    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
-        raise InputError(f"token id outside vocabulary of size {cfg.vocab_size}")
-    # runs of adjacent rows at equal length: (first, end) batch indices
-    runs, j0 = [], 0
-    for j in range(1, b + 1):
-        if j == b or starts[j] != starts[j0] or rows[j] != rows[j - 1] + 1:
-            runs.append((j0, j))
-            j0 = j
-
+    T0, n = cache.T, len(ids)
+    _check(model, p, ids, cache, T0 + n)
     embed, layers, final_norm, head = model.resolved(p)
-    H, dh, d = cfg.n_heads, cfg.d_head, cfg.d_model
-    # one row keeps 2-D [n, d] activations: a stacked product costs more per call
-    lead = (n,) if b == 1 else (b, n)
-    x = embed[ids.reshape(lead)]
-    if b == 1:
-        cos, sin = (table[starts[0] : starts[0] + n] for table in model.rope)
-    else:
-        pos = np.add.outer(starts, np.arange(n))
-        cos, sin = (table[pos] for table in model.rope)
-    scale = 1.0 / math.sqrt(dh)
+    H, dh, d = model.config.n_heads, model.config.d_head, model.config.d_model
+    x = embed[ids]
+    cos, sin = (table[T0 : T0 + n] for table in model.rope)
     m = n  # the new positions carried on, the last m: all n but in prefill's last layer
-
     kc, vc = (a.reshape(*a.shape[:3], H, dh) for a in (cache.k, cache.v))
     for i, (norm_attn, wq, wk, wv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
         h = _rmsnorm(x, norm_attn)
-        v = (h @ wv).reshape(b, n, H, dh)
+        vc[i, :, T0 : T0 + n] = (h @ wv).reshape(1, n, H, dh)
         if last and i == len(layers) - 1:
-            k = _apply_rope((h @ wk).reshape(b, n, H, dh), cos, sin)
+            kc[i, :, T0 : T0 + n] = _apply_rope((h @ wk).reshape(1, n, H, dh), cos, sin)
             m = min(n, 2)
-            x, h = x[..., n - m :, :], h[..., n - m :, :]
-            cos, sin = cos[..., n - m :, :, :], sin[..., n - m :, :, :]
-            q = _apply_rope((h @ wq).reshape(b, m, H, dh), cos, sin)
+            x, h, cos, sin = x[n - m :], h[n - m :], cos[n - m :], sin[n - m :]
+            q = _apply_rope((h @ wq).reshape(1, m, H, dh), cos, sin)
         else:
-            qk = np.empty((2, *lead, d))
+            qk = np.empty((2, n, d))
             np.matmul(h, wq, out=qk[0])
             np.matmul(h, wk, out=qk[1])
-            q, k = _apply_rope(qk.reshape(2, b, n, H, dh), cos, sin)
-        ctx = []
-        for j0, j1 in runs:
-            r0, T0 = rows[j0], starts[j0]
-            ck, cv = kc[i, r0 : r0 + j1 - j0], vc[i, r0 : r0 + j1 - j0]
-            ck[:, T0 : T0 + n] = k[j0:j1]
-            cv[:, T0 : T0 + n] = v[j0:j1]
-            if n == 1:
-                ctx.append(_attend(q[j0:j1], ck[:, : T0 + 1], cv[:, : T0 + 1], scale))
-                continue
-            # query a is new position n - m + a
-            out = np.empty((j1 - j0, m, H, dh))
-            for a in range(0, m, BLOCK):
-                e = min(a + BLOCK, m)
-                end = T0 + n - m + e
-                out[:, a:e] = _attend(q[j0:j1, a:e], ck[:, :end], cv[:, :end], scale)
-            ctx.append(out)
-        ctx = ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
-        x = x + ctx.reshape(x.shape) @ wo
-
-        h2 = _rmsnorm(x, norm_mlp)
-        u = h2 @ w_up
-        gate, up = u[..., : cfg.d_ff], u[..., cfg.d_ff :]
-        x = x + (_silu(gate) * up) @ w_down
-
-    for r, t in zip(rows, starts):
-        cache.lengths[r] = t + n
-    x = _rmsnorm(x, final_norm)
-    if not last:
-        return (x @ head).reshape(b, n, -1)
-    padded = np.zeros((*lead, d))  # the head at all n rows: its sums depend on the count
-    padded[..., n - m :, :] = x
-    return (padded @ head)[..., -1, :].reshape(b, -1)
+            q, kc[i, :, T0 : T0 + n] = _apply_rope(qk.reshape(2, 1, n, H, dh), cos, sin)
+        ctx = np.empty((1, m, H, dh))
+        for a in range(0, m, BLOCK):  # query a is new position n - m + a, sees keys [0, end)
+            e = min(a + BLOCK, m)
+            end = T0 + n - m + e
+            ctx[:, a:e] = _attend(q[:, a:e], kc[i, :, :end], vc[i, :, :end], 1.0 / math.sqrt(dh))
+        x = _mlp(x + ctx.reshape(m, d) @ wo, norm_mlp, w_up, w_down)
+    cache.lengths += n
+    padded = np.zeros((n, d))  # the head at all n rows: its sums depend on the count
+    padded[n - m :] = _rmsnorm(x, final_norm)
+    return (padded @ head)[-1] if last else padded @ head
 
 
 def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
@@ -497,7 +505,7 @@ def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
     """Causal pass over the whole prompt into an empty one-row ``cache`` (a
     fresh one of ``max_context`` positions by default); returns the
     last-position logits and the cache. Its final layer runs K/V for every
-    position and the rest for the last two only (see :func:`_forward`)."""
+    position and the rest for the last two only (see :func:`_extend`)."""
     if not prompt:
         raise InputError("prompt is empty")
     if len(prompt) >= model.config.max_context:
@@ -505,23 +513,25 @@ def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
             f"prompt length {len(prompt)} must be < max_context {model.config.max_context}")
     if cache is None:
         cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
-    logits = _forward(model, p, [prompt], cache, (0,), last=True)
-    return logits[0], cache
+    elif len(cache.lengths) != 1:
+        raise InputError(f"prefill fills a one-row cache, got {len(cache.lengths)} rows")
+    return _extend(model, p, prompt, cache, last=True), cache
 
 
 def decode_step(model: ModelVariants, p: int, tokens, cache: KVCache,
                 rows: Sequence[int] | None = None) -> tuple[np.ndarray, KVCache]:
     """One autoregressive step of the cache rows ``rows`` (every row by
-    default, increasing), row ``rows[j]`` consuming ``tokens[j]``; appends one
-    position per layer to each and returns their logits ``[len(rows), vocab]``.
-    A single int token steps a one-row cache and gets that row's logits."""
+    default, strictly increasing), row ``rows[j]`` consuming ``tokens[j]``;
+    appends one position per layer to each and returns their logits
+    ``[len(rows), vocab]``. A single int token steps one row and gets that
+    row's logits."""
     one = isinstance(tokens, (int, np.integer))
-    if rows is None:
-        rows = range(len(cache.lengths))
-    held = [cache.lengths[r] for r in rows]
-    if not held or min(held) < 1:
-        raise InputError("decode_step requires a prefilled cache")
-    logits = _forward(model, p, [[tokens]] if one else [[t] for t in tokens], cache, rows)[:, 0]
+    tokens = [tokens] if one else tokens
+    rows = range(len(cache.lengths)) if rows is None else rows
+    if len(tokens) != len(rows) or any(a >= b for a, b in zip(rows, rows[1:])):
+        raise InputError(f"{len(tokens)} tokens for cache rows {list(rows)}: a step takes "
+                         "one token per row, the rows strictly increasing")
+    logits = _decode(model, p, tokens, cache, rows)
     return (logits[0] if one else logits), cache
 
 
@@ -529,7 +539,7 @@ def forward_full(model: ModelVariants, p: int, tokens: Sequence[int]) -> np.ndar
     """From-scratch causal pass returning logits at every position (the
     consistency oracle for incremental decoding)."""
     cache = KVCache(model.config.n_layers, model.config.d_model, len(tokens))
-    return _forward(model, p, [tokens], cache, (0,))[0]
+    return _extend(model, p, tokens, cache)
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +743,7 @@ def decode_schedules(model: ModelVariants, prompts: Sequence[Sequence[int]],
     per row, each branch where schedules split decodes in the block itself
     and rolls its rows back (see :class:`KVCache`), and every row at the
     same node and precision advances through one ``decode_step`` call. That
-    call is exact row by row (see ``_forward``), so each trace is
+    call is exact row by row (see :func:`_decode`), so each trace is
     bit-identical to a walk of its prompt and schedule alone.
     Each row samples from its own sampler stream, but the stream is not
     forked, so only a greedy sampler may walk more than one schedule.

@@ -42,8 +42,9 @@ class NaiveCache:
 
 
 def _naive_forward(model, p, tokens, cache):
-    """The forward pass written out as the bitwise reference for
-    ``tinylm._forward``: one sequence, every matrix read through
+    """The forward pass written out as the bitwise reference for both
+    kernels, ``tinylm._extend`` (prefill, chunks, ``forward_full``) and
+    ``tinylm._decode`` (``decode_step``): one sequence, every matrix read through
     ``model.weights(name, p)`` and every gain through ``model.norm(name)`` at
     its use, the RoPE tables computed for the call's positions, and
     ``np.mean``/``np.max``/``np.sum``. Extends ``cache`` (a

@@ -120,7 +120,7 @@ def test_forward_matches_the_naive_pass_bit_for_bit(request, naive_forward, naiv
         assert cache.k[:, 0].tobytes() == ref.k.tobytes(), L
         assert cache.v[:, 0].tobytes() == ref.v.tobytes(), L
     # then a chunk of n = 37 new positions at T0 = 48, onto the last prefill
-    chunk = tinylm._forward(model, p, [tokens[48:85]], cache, (0,))
+    chunk = tinylm._extend(model, p, tokens[48:85], cache)
     assert chunk.tobytes() == naive(tokens[48:85], ref)
     assert cache.k[:, 0].tobytes() == ref.k.tobytes() and cache.v[:, 0].tobytes() == ref.v.tobytes()
     logits, cache = prefill(model, p, tokens[:8])
@@ -352,6 +352,30 @@ def test_input_validation(small_model):
         decode_step(small_model, 4, 5, tinylm.KVCache(2, 64, 16))
     with pytest.raises(ContractViolation):
         prefill(small_model, 5, PROMPT)
+    with pytest.raises(InputError):  # prefill fills one row, never row 0 of a block
+        prefill(small_model, 4, PROMPT, tinylm.KVCache(2, 64, 40, rows=3))
+    block = prefilled_block(small_model, [PROMPT[:5], PROMPT[:9], PROMPT])
+    k, v, lengths = block.k.copy(), block.v.copy(), block.lengths.copy()
+    # rows that repeat or fall, and token counts that differ from the row count
+    for tokens, rows in (([65, 66], [1, 1]), ([65, 66], [2, 1]), ([65], [0, 1]),
+                         ([65, 66], None), (65, None)):
+        with pytest.raises(InputError):
+            decode_step(small_model, 4, tokens, block, rows)
+    with pytest.raises(InputError):
+        decode_step(small_model, 4, [65, 66], cache)
+    # the decode kernel's own checks, on a one-row cache and on a 3-row block
+    for c, tokens, bad_id in ((cache, 65, 999), (block, [65, 66, 67], [65, 999, 67])):
+        with pytest.raises(ContractViolation):
+            decode_step(small_model, 5, tokens, c)
+        with pytest.raises(InputError):
+            decode_step(small_model, 4, bad_id, c)
+    assert cache.T == len(PROMPT)
+    assert block.lengths.tolist() == lengths.tolist()
+    assert block.k.tobytes() == k.tobytes() and block.v.tobytes() == v.tobytes()
+    full = prefilled_block(small_model, [PROMPT[:5], PROMPT, PROMPT[:9]], len(PROMPT))
+    with pytest.raises(InputError):  # row 1 holds its capacity
+        decode_step(small_model, 4, [65, 66, 67], full)
+    assert full.lengths.tolist() == [5, len(PROMPT), 9]
 
 
 def test_decode_rejects_full_context():
