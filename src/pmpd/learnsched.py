@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -298,6 +299,12 @@ class TrainConfig:
     batch: int = 16
     momentum: float = 0.9
     seed: int = 0
+
+    def __post_init__(self):
+        if not (self.batch >= 1 and self.epochs >= 1 and 0 < self.lr < math.inf
+                and 0 <= self.momentum < 1):
+            raise ConfigError("training needs batch >= 1, epochs >= 1, a finite lr > 0 and "
+                              f"0 <= momentum < 1, got {self}")
 
 
 @dataclass

@@ -456,15 +456,13 @@ def _extend(model: ModelVariants, p: int, tokens, cache: KVCache,
     scoring every key and masking the upper triangle, as masked keys trail
     each row (see :func:`_attend`).
 
-    With ``last`` the final layer computes K and V of all ``n``
-    positions, the only rows of it anything later reads, and everything else
-    for the last two only: their queries attend as one 2-query block over
-    the keys ``[0, T0 + n)``, then ``wo``, the MLP and the final norm run on
-    two rows. That is bit-identical to the full pass because a row of an
-    ``[m, K] @ W`` product with ``m >= 2`` equals that row of the ``[n, K] @
-    W`` product here; one row would be a gemv, whose sums differ. The head's
-    sums do depend on the row count (its 257 columns tile by rows), so it
-    multiplies all ``n`` rows, zero but for the last two.
+    Every product runs at all ``n`` rows, in every layer. With ``last`` the
+    final layer's only attention is that of query ``n - 1``, one 1-query
+    block over the keys ``[0, T0 + n)``; the other rows' context stays zero,
+    and nothing reads what those rows carry on. That is bit-identical to the
+    full pass because at a fixed row count a row of ``X @ W`` does not
+    depend on the other rows' values, whatever the BLAS kernel; a product
+    with fewer rows would tile its sums differently.
     """
     ids = np.asarray(tokens, dtype=np.int64)
     T0, n = cache.T, len(ids)
@@ -473,39 +471,33 @@ def _extend(model: ModelVariants, p: int, tokens, cache: KVCache,
     H, dh, d = model.config.n_heads, model.config.d_head, model.config.d_model
     x = embed[ids]
     cos, sin = (table[T0 : T0 + n] for table in model.rope)
-    m = n  # the new positions carried on, the last m: all n but in prefill's last layer
     kc, vc = (a.reshape(*a.shape[:3], H, dh) for a in (cache.k, cache.v))
     for i, (norm_attn, wq, wk, wv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
         h = _rmsnorm(x, norm_attn)
         vc[i, :, T0 : T0 + n] = (h @ wv).reshape(1, n, H, dh)
-        if last and i == len(layers) - 1:
-            kc[i, :, T0 : T0 + n] = _apply_rope((h @ wk).reshape(1, n, H, dh), cos, sin)
-            m = min(n, 2)
-            x, h, cos, sin = x[n - m :], h[n - m :], cos[n - m :], sin[n - m :]
-            q = _apply_rope((h @ wq).reshape(1, m, H, dh), cos, sin)
-        else:
-            qk = np.empty((2, n, d))
-            np.matmul(h, wq, out=qk[0])
-            np.matmul(h, wk, out=qk[1])
-            q, kc[i, :, T0 : T0 + n] = _apply_rope(qk.reshape(2, 1, n, H, dh), cos, sin)
-        ctx = np.empty((1, m, H, dh))
-        for a in range(0, m, BLOCK):  # query a is new position n - m + a, sees keys [0, end)
-            e = min(a + BLOCK, m)
-            end = T0 + n - m + e
-            ctx[:, a:e] = _attend(q[:, a:e], kc[i, :, :end], vc[i, :, :end], 1.0 / math.sqrt(dh))
-        x = _mlp(x + ctx.reshape(m, d) @ wo, norm_mlp, w_up, w_down)
+        qk = np.empty((2, n, d))
+        np.matmul(h, wq, out=qk[0])
+        np.matmul(h, wk, out=qk[1])
+        q, kc[i, :, T0 : T0 + n] = _apply_rope(qk.reshape(2, 1, n, H, dh), cos, sin)
+        ctx = np.zeros((1, n, H, dh))
+        # block [a, e) over the keys [0, T0 + e); in prefill's last layer query n - 1 only
+        for a in range(n - 1 if last and i == len(layers) - 1 else 0, n, BLOCK):
+            e = min(a + BLOCK, n)
+            ctx[:, a:e] = _attend(q[:, a:e], kc[i, :, : T0 + e], vc[i, :, : T0 + e],
+                                  1.0 / math.sqrt(dh))
+        x = _mlp(x + ctx.reshape(n, d) @ wo, norm_mlp, w_up, w_down)
     cache.lengths += n
-    padded = np.zeros((n, d))  # the head at all n rows: its sums depend on the count
-    padded[n - m :] = _rmsnorm(x, final_norm)
-    return (padded @ head)[-1] if last else padded @ head
+    logits = _rmsnorm(x, final_norm) @ head
+    return logits[-1] if last else logits
 
 
 def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
             cache: KVCache | None = None) -> tuple[np.ndarray, KVCache]:
     """Causal pass over the whole prompt into an empty one-row ``cache`` (a
     fresh one of ``max_context`` positions by default); returns the
-    last-position logits and the cache. Its final layer runs K/V for every
-    position and the rest for the last two only (see :func:`_extend`)."""
+    last-position logits and the cache. Every product runs at all positions;
+    only the final layer's attention is the last position's alone (see
+    :func:`_extend`)."""
     if not prompt:
         raise InputError("prompt is empty")
     if len(prompt) >= model.config.max_context:
@@ -513,8 +505,8 @@ def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
             f"prompt length {len(prompt)} must be < max_context {model.config.max_context}")
     if cache is None:
         cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
-    elif len(cache.lengths) != 1:
-        raise InputError(f"prefill fills a one-row cache, got {len(cache.lengths)} rows")
+    elif cache.lengths.tolist() != [0]:
+        raise InputError(f"prefill fills an empty one-row cache, got lengths {cache.lengths}")
     return _extend(model, p, prompt, cache, last=True), cache
 
 
@@ -528,9 +520,10 @@ def decode_step(model: ModelVariants, p: int, tokens, cache: KVCache,
     one = isinstance(tokens, (int, np.integer))
     tokens = [tokens] if one else tokens
     rows = range(len(cache.lengths)) if rows is None else rows
-    if len(tokens) != len(rows) or any(a >= b for a, b in zip(rows, rows[1:])):
-        raise InputError(f"{len(tokens)} tokens for cache rows {list(rows)}: a step takes "
-                         "one token per row, the rows strictly increasing")
+    # the rows strictly increasing, each one of the cache's
+    if len(tokens) != len(rows) or list(rows) != sorted({*rows} & {*range(len(cache.lengths))}):
+        raise InputError(f"{len(tokens)} tokens for rows {list(rows)} of a {len(cache.lengths)}"
+                         "-row cache: one token per row, the rows strictly increasing")
     logits = _decode(model, p, tokens, cache, rows)
     return (logits[0] if one else logits), cache
 

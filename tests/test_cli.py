@@ -377,6 +377,21 @@ def test_unusable_training_input_is_input_error(tmp_path, monkeypatch, shapes, h
     assert code == cli.EXIT_INPUT_ERROR
 
 
+@pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--batch", "-1"),
+                                         ("--epochs", "-3"), ("--lr", "-5"), ("--lr", "nan")])
+def test_bad_training_settings_are_input_errors(tmp_path, monkeypatch, flag, value):
+    # unchecked, a batch below 1 breaks the batch loop with a traceback, and a
+    # negative epoch count or learning rate writes an untrained or ascended net
+    monkeypatch.chdir(tmp_path)
+    example = learnsched.LabeledExample(np.ones((3, 8), np.float32),
+                                        np.ones((3, 8), np.float32), 0, [0.5] * 3, 3)
+    learnsched.save_labels("labels.jsonl", [example], SwitchGrid(3, 8), 4, 2)
+    code = run(["train-scheduler", "--labels", "labels.jsonl", "--hidden", "4",
+                "--epochs", "1", flag, value, "--out", "net.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("net.json").exists()
+
+
 OVERFLOWING = {"int-hardware": ("--hardware", '{"mac_units": 1e400, "clock_hz": 1e9, '
                                              '"mem_bw_bytes_per_s": 32e9}'),
                "float-hardware": ("--hardware", '{"mac_units": 4096, "clock_hz": 1e400, '

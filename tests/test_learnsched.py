@@ -199,6 +199,16 @@ def test_training_rejects_bad_labels_and_divergence():
         train(make_net(n=3, d=4), data, TrainConfig(lr=1e12, epochs=30, seed=0))
 
 
+@pytest.mark.parametrize("bad", [{"batch": 0}, {"batch": -1}, {"epochs": 0}, {"epochs": -3},
+                                 {"lr": 0.0}, {"lr": -5.0}, {"lr": float("nan")},
+                                 {"lr": float("inf")}, {"momentum": -0.1},
+                                 {"momentum": 1.0}, {"momentum": float("nan")}])
+def test_train_config_refuses_settings_outside_their_domain(bad):
+    with pytest.raises(ConfigError):
+        TrainConfig(**bad)
+    TrainConfig(batch=1, epochs=1, lr=1e-3, momentum=0.0)  # the edges that stay valid
+
+
 # ---------------------------------------------------------------------------
 # labels
 # ---------------------------------------------------------------------------

@@ -110,9 +110,9 @@ def test_forward_matches_the_naive_pass_bit_for_bit(request, naive_forward, naiv
         return naive_cache(cfg.n_layers, cfg.d_model, cfg.max_context)
 
     assert forward_full(model, p, tokens).tobytes() == naive(tokens, fresh())
-    # prefills around the attention block size and its last layer's 2-row
-    # tail (at 65 the last block holds one row), K/V included; 48 last, as
-    # the chunk below extends it
+    # prefills around the attention block size, whose last layer attends for
+    # the last position only (at 65 the last block holds one row), K/V
+    # included; 48 last, as the chunk below extends it
     for L in (1, 2, 3, 15, 16, 17, 18, 31, 33, 65, 48):
         logits, cache = prefill(model, p, tokens[:L])
         ref = fresh()
@@ -162,31 +162,32 @@ def test_stacked_products_and_batched_attention_are_batch_invariant(toy_model, B
         assert ctx[b].tobytes() == np.einsum("hnt,thd->nhd", attn[b], v_row).tobytes()
 
 
-@pytest.mark.parametrize("name", ["wq", "w_up", "w_down"])
-def test_rows_of_a_product_of_two_or_more_rows_equal_the_full_products(toy_model, name):
-    # prefill's last layer runs wq, wo and the MLP on the last two rows only,
-    # exact only because a row of an [m, K] @ W product with m >= 2 is that
-    # row of the [n, K] @ W one; a numpy or BLAS that breaks this fails here
-    _, wq, _, _, _, _, w_up, w_down = toy_model.resolved(4)[1][0]
-    w = {"wq": wq, "w_up": w_up, "w_down": w_down}[name]
-    rng = np.random.default_rng(w.shape[1])
-    for n in (17, 48, 65, 130):
-        x = rng.normal(size=(n, w.shape[0]))
-        full = x @ w
-        for m in range(2, 21):
-            assert (x[-m:] @ w).tobytes() == full[-m:].tobytes(), (n, m)
+def assert_the_last_row_ignores_the_other_rows(w, n, seed):
+    """Row n - 1 of an [n, K] @ w product is the same whatever rows 0..n-2 hold."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, w.shape[0]))
+    other = np.concatenate([rng.normal(size=(n - 1, w.shape[0])), x[-1:]])
+    assert (other @ w)[-1].tobytes() == (x @ w)[-1].tobytes(), n
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 48, 65, 130, 199])
 def test_the_heads_rows_depend_on_the_row_count_not_the_other_rows(toy_model, n):
-    # so prefill's head multiplies all n rows, zero but for the last two:
-    # its 257 columns tile by the row count, and the last rows' sums must not
-    # see what the other rows hold
-    head = toy_model.resolved(4)[3]
-    x = np.random.default_rng(n).normal(size=(n, head.shape[0]))
-    padded = np.zeros_like(x)
-    padded[-2:] = x[-2:]
-    assert (padded @ head)[-2:].tobytes() == (x @ head)[-2:].tobytes()
+    # prefill's last layer attends for its last row only, so every other row
+    # reaches the head with values the full pass never has; the last row's
+    # logits must not see them (257 columns: the tiling depends on the count)
+    assert_the_last_row_ignores_the_other_rows(toy_model.resolved(4)[3], n, n)
+
+
+@pytest.mark.parametrize("name", ["wq", "wk", "wv", "wo", "w_up", "w_down"])
+def test_a_layers_rows_depend_on_the_row_count_not_the_other_rows(toy_model, name):
+    # the same rule for every product of prefill's last layer, all kept at n
+    # rows: the rows other than the last carry a zero context into wo and the
+    # MLP, and the last row's sums must not see what they hold; a numpy or
+    # BLAS kernel that breaks this fails here
+    _, wq, wk, wv, wo, _, w_up, w_down = toy_model.resolved(4)[1][0]
+    w = {"wq": wq, "wk": wk, "wv": wv, "wo": wo, "w_up": w_up, "w_down": w_down}[name]
+    for n in (2, 3, 17, 48, 65, 130, 199):
+        assert_the_last_row_ignores_the_other_rows(w, n, n)
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -356,13 +357,17 @@ def test_input_validation(small_model):
         prefill(small_model, 4, PROMPT, tinylm.KVCache(2, 64, 40, rows=3))
     block = prefilled_block(small_model, [PROMPT[:5], PROMPT[:9], PROMPT])
     k, v, lengths = block.k.copy(), block.v.copy(), block.lengths.copy()
-    # rows that repeat or fall, and token counts that differ from the row count
+    # rows that repeat, fall or lie outside the block, and token counts that
+    # differ from the row count
     for tokens, rows in (([65, 66], [1, 1]), ([65, 66], [2, 1]), ([65], [0, 1]),
-                         ([65, 66], None), (65, None)):
+                         ([65, 66], None), (65, None), ([65], [3]), ([65, 66], [0, 5]),
+                         ([65], [-1])):
         with pytest.raises(InputError):
             decode_step(small_model, 4, tokens, block, rows)
     with pytest.raises(InputError):
         decode_step(small_model, 4, [65, 66], cache)
+    with pytest.raises(InputError):  # prefill fills an empty cache only
+        prefill(small_model, 4, [4, 5], cache)
     # the decode kernel's own checks, on a one-row cache and on a 3-row block
     for c, tokens, bad_id in ((cache, 65, 999), (block, [65, 66, 67], [65, 999, 67])):
         with pytest.raises(ContractViolation):
