@@ -1,7 +1,11 @@
 """Command-line pipeline: quantize, calibrate, solve, train, generate, score.
 
 Every subcommand reads explicit flags, honors --seed, writes one artifact
-and exits 0; bad inputs exit 2, broken internal contracts exit 3. Artifacts
+and exits 0; bad inputs exit 2, broken internal contracts exit 3. Each flag
+is declared once in :func:`build_parser`, those shared by several commands
+in a parent parser, and each choice of exactly one flag is a mutually
+exclusive group; a conflict or a missing choice is an argparse usage error,
+which prints the usage line and exits 2 before any file is read. Artifacts
 are canonical JSON (sorted keys, no timestamps) so a rerun with the same
 seed and inputs is byte-identical, and each embeds a hash of the resolved
 configuration for provenance.
@@ -9,6 +13,7 @@ configuration for provenance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from importlib import resources
 from pathlib import Path
@@ -38,12 +43,6 @@ def load_prompt_lines(path: str | None) -> list[str]:
     return lines
 
 
-def _tokenizer(args) -> tinylm.ByteTokenizer | tinylm.VocabTokenizer:
-    if getattr(args, "vocab", None):
-        return tinylm.VocabTokenizer.from_json(args.vocab)
-    return tinylm.ByteTokenizer()
-
-
 def _precisions(text: str) -> quant.PrecisionSet:
     with parsing(f"precision list {text!r}"):
         return quant.PrecisionSet(tuple(int(x) for x in text.split(",")))
@@ -58,6 +57,13 @@ def _encode_prompts(tok, lines: list[str], limit: int | None) -> list[list[int]]
     if not prompts:
         raise InputError(f"--limit {limit} leaves no prompt to run")
     return prompts
+
+
+def _load_model_and_prompts(args, lines: list[str]):
+    """The ``--model``, the ``--vocab`` tokenizer and ``lines`` encoded up to ``--limit``."""
+    model = tinylm.ModelVariants.load(args.model)
+    tok = tinylm.VocabTokenizer.from_json(args.vocab) if args.vocab else tinylm.ByteTokenizer()
+    return model, tok, _encode_prompts(tok, lines, args.limit)
 
 
 def _hashable_args(args, exclude=("out",)) -> dict:
@@ -101,9 +107,7 @@ def cmd_quantize(args) -> int:
 
 
 def cmd_calibrate_phase(args) -> int:
-    model = tinylm.ModelVariants.load(args.model)
-    tok = _tokenizer(args)
-    prompts = _encode_prompts(tok, load_prompt_lines(args.calib), args.limit)
+    model, tok, prompts = _load_model_and_prompts(args, load_prompt_lines(args.calib))
     target = schedule.QualityTarget(args.q_ref, args.tolerance)
     report = schedule.allocate_phase_precisions(
         model, prompts, target, max_new=args.max_new, eos_id=tok.eos_id)
@@ -114,9 +118,7 @@ def cmd_calibrate_phase(args) -> int:
 
 
 def cmd_solve_static(args) -> int:
-    model = tinylm.ModelVariants.load(args.model)
-    tok = _tokenizer(args)
-    prompts = _encode_prompts(tok, load_prompt_lines(args.valset), args.limit)
+    model, tok, prompts = _load_model_and_prompts(args, load_prompt_lines(args.valset))
     target = schedule.QualityTarget(args.q_ref, args.tolerance)
     grid = schedule.SwitchGrid(args.grid_n, args.ol)
     precisions = _precisions(args.precisions)
@@ -132,9 +134,7 @@ def cmd_solve_static(args) -> int:
 
 
 def cmd_gen_labels(args) -> int:
-    model = tinylm.ModelVariants.load(args.model)
-    tok = _tokenizer(args)
-    prompts = _encode_prompts(tok, load_prompt_lines(args.seeds), args.limit)
+    model, tok, prompts = _load_model_and_prompts(args, load_prompt_lines(args.seeds))
     grid = schedule.SwitchGrid(args.grid_n, args.ol)
     examples, skipped = learnsched.generate_labels(
         model, prompts, grid, args.high, args.low,
@@ -163,10 +163,10 @@ def cmd_train_scheduler(args) -> int:
 
 
 def _scheduler_from_args(args):
-    chosen = [x for x in (args.schedule, args.learned, args.fixed_precision) if x is not None]
-    if len(chosen) != 1:
-        raise InputError("pick exactly one of --schedule/--learned/--fixed-precision")
     if args.schedule is not None:
+        if args.prefill is not None:
+            raise InputError("--prefill applies to --learned and --fixed-precision; "
+                             "a --schedule file sets its own prefill")
         sched = schedule.PrecisionSchedule.from_json(read_json(args.schedule))
         return schedule.StaticScheduler(sched)
     if args.learned is not None:
@@ -176,10 +176,8 @@ def _scheduler_from_args(args):
 
 
 def cmd_generate(args) -> int:
-    model = tinylm.ModelVariants.load(args.model)
-    tok = _tokenizer(args)
     lines = [args.prompt] if args.prompt is not None else load_prompt_lines(args.prompts)
-    prompts = _encode_prompts(tok, lines, args.limit)
+    model, tok, prompts = _load_model_and_prompts(args, lines)
     scheduler = _scheduler_from_args(args)
     cfg = tinylm.SamplerConfig(temperature=args.temperature, seed=args.seed)
     traces = []
@@ -194,29 +192,20 @@ def cmd_generate(args) -> int:
 
 
 def _footprint_from_args(args) -> perf.ModelFootprint:
-    sources = [x for x in (args.model, args.footprint, args.preset) if x is not None]
-    if len(sources) != 1:
-        raise InputError("pick exactly one of --model/--footprint/--preset")
     if args.model is not None:
         model = tinylm.ModelVariants.load(args.model)
         return perf.ModelFootprint.from_model_config(model.config, model.group_size)
     if args.footprint is not None:
         return perf.ModelFootprint.from_json(read_json(args.footprint))
-    if args.preset not in perf.FOOTPRINT_PRESETS:
-        raise InputError(f"unknown preset {args.preset!r}; "
-                         f"have {sorted(perf.FOOTPRINT_PRESETS)}")
     return perf.FOOTPRINT_PRESETS[args.preset]
 
 
 def _hardware_from_args(args) -> perf.HardwareConfig:
     if args.hardware is not None:
-        return perf.HardwareConfig.from_json(read_json(args.hardware))
-    presets = {"npu-4k": perf.NPU_4K, "npu-16k": perf.NPU_16K}
-    hw = presets[args.hw_preset]
-    if args.no_overlap:
-        hw = perf.HardwareConfig(hw.mac_units, hw.clock_hz, hw.mem_bw_bytes_per_s,
-                                 overlap=False)
-    return hw
+        hw = perf.HardwareConfig.from_json(read_json(args.hardware))
+    else:
+        hw = perf.HARDWARE_PRESETS[args.hw_preset]
+    return dataclasses.replace(hw, overlap=False) if args.no_overlap else hw
 
 
 def cmd_perf(args) -> int:
@@ -224,10 +213,8 @@ def cmd_perf(args) -> int:
     hw = _hardware_from_args(args)
     if args.schedule is not None:
         sched = schedule.PrecisionSchedule.from_json(read_json(args.schedule))
-    elif args.fixed_precision is not None:
-        sched = schedule.PrecisionSchedule.constant(args.fixed_precision, args.gen_len)
     else:
-        raise InputError("pick one of --schedule/--fixed-precision")
+        sched = schedule.PrecisionSchedule.constant(args.fixed_precision, args.gen_len)
     report = perf.pipeline_perf(fp, sched, hw, args.prompt_len, args.gen_len,
                                 include_kv=not args.no_kv_traffic)
     payload = {"report": report.to_json(), "hardware": hw.to_json(),
@@ -287,10 +274,25 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="progressive mixed-precision decoding pipeline")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_):
-        p = sub.add_parser(name, help=help_)
+    # flags shared by several commands, each declared once in a parent parser:
+    # those of the commands that run the model over prompts, the quality
+    # floor and the switch grid
+    runs = argparse.ArgumentParser(add_help=False)
+    runs.add_argument("--model", required=True)
+    runs.add_argument("--vocab")
+    runs.add_argument("--limit", type=int)
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--q-ref", type=float, required=True)
+    target.add_argument("--tolerance", type=float, required=True)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--grid-n", type=int, default=5)
+    grid.add_argument("--ol", type=int, required=True, help="decode horizon")
+
+    def add(name, fn, help_, *parents):
+        p = sub.add_parser(name, help=help_, parents=parents)
         p.set_defaults(func=fn)
         p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", required=True)
         return p
 
     p = add("quantize", cmd_quantize, "synthesize and quantize a model into a weight file")
@@ -303,44 +305,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-ff", type=int, default=256)
     p.add_argument("--vocab-size", type=int, default=tinylm.BYTE_VOCAB_SIZE)
     p.add_argument("--max-context", type=int, default=512)
-    p.add_argument("--out", required=True)
 
     p = add("calibrate-phase", cmd_calibrate_phase,
-            "pick the smallest (prefill, decode) precision pair meeting the floor")
-    p.add_argument("--model", required=True)
+            "pick the smallest (prefill, decode) precision pair meeting the floor", runs, target)
     p.add_argument("--calib", help="calibration prompts (default: bundled corpus)")
-    p.add_argument("--vocab")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--q-ref", type=float, required=True)
-    p.add_argument("--tolerance", type=float, required=True)
     p.add_argument("--max-new", type=int, default=32)
-    p.add_argument("--out", required=True)
 
-    p = add("solve-static", cmd_solve_static, "offline grid search for the static schedule")
-    p.add_argument("--model", required=True)
+    p = add("solve-static", cmd_solve_static, "offline grid search for the static schedule",
+            runs, target, grid)
     p.add_argument("--valset", help="validation prompts (default: bundled corpus)")
-    p.add_argument("--vocab")
-    p.add_argument("--limit", type=int)
     p.add_argument("--precisions", required=True, help="decode precisions, e.g. 3,2")
     p.add_argument("--prefill", type=int, required=True)
-    p.add_argument("--q-ref", type=float, required=True)
-    p.add_argument("--tolerance", type=float, required=True)
-    p.add_argument("--grid-n", type=int, default=5)
-    p.add_argument("--ol", type=int, required=True, help="decode horizon")
-    p.add_argument("--out", required=True)
 
-    p = add("gen-labels", cmd_gen_labels, "build the learned scheduler's training set")
-    p.add_argument("--model", required=True)
+    p = add("gen-labels", cmd_gen_labels, "build the learned scheduler's training set",
+            runs, grid)
     p.add_argument("--seeds", help="seed prompts (default: bundled corpus)")
-    p.add_argument("--vocab")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--grid-n", type=int, default=5)
-    p.add_argument("--ol", type=int, required=True)
     p.add_argument("--high", type=int, required=True)
     p.add_argument("--low", type=int, required=True)
     p.add_argument("--prefill", type=int)
     p.add_argument("--feature-block", type=int, default=-1)
-    p.add_argument("--out", required=True)
 
     p = add("train-scheduler", cmd_train_scheduler, "train the learned scheduler")
     p.add_argument("--labels", required=True)
@@ -348,42 +331,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-2)
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--batch", type=int, default=16)
-    p.add_argument("--out", required=True)
 
-    p = add("generate", cmd_generate, "run the deployment loop over prompts")
-    p.add_argument("--model", required=True)
-    p.add_argument("--prompts")
-    p.add_argument("--prompt")
-    p.add_argument("--vocab")
-    p.add_argument("--limit", type=int)
-    p.add_argument("--schedule", help="static schedule JSON")
-    p.add_argument("--learned", help="scheduler net JSON")
-    p.add_argument("--fixed-precision", type=int)
-    p.add_argument("--prefill", type=int)
+    p = add("generate", cmd_generate, "run the deployment loop over prompts", runs)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--prompts")
+    g.add_argument("--prompt")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--schedule", help="static schedule JSON")
+    g.add_argument("--learned", help="scheduler net JSON")
+    g.add_argument("--fixed-precision", type=int)
+    p.add_argument("--prefill", type=int,
+                   help="prefill precision for --learned or --fixed-precision")
     p.add_argument("--temperature", type=float, help="sampling temperature > 0; omit for greedy")
     p.add_argument("--max-new", type=int, default=32)
-    p.add_argument("--out", required=True)
 
     p = add("perf", cmd_perf, "analytical latency/throughput model for a schedule")
-    p.add_argument("--model")
-    p.add_argument("--footprint", help="footprint JSON")
-    p.add_argument("--preset", help=f"one of {sorted(perf.FOOTPRINT_PRESETS)}")
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--model")
+    g.add_argument("--footprint", help="footprint JSON")
+    g.add_argument("--preset", choices=sorted(perf.FOOTPRINT_PRESETS))
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--schedule")
+    g.add_argument("--fixed-precision", type=int)
     p.add_argument("--hardware", help="hardware JSON")
-    p.add_argument("--hw-preset", choices=["npu-4k", "npu-16k"], default="npu-16k")
-    p.add_argument("--no-overlap", action="store_true")
+    p.add_argument("--hw-preset", choices=sorted(perf.HARDWARE_PRESETS), default="npu-16k")
+    p.add_argument("--no-overlap", action="store_true", help="also applies to --hardware")
     p.add_argument("--no-kv-traffic", action="store_true")
-    p.add_argument("--schedule")
-    p.add_argument("--fixed-precision", type=int)
     p.add_argument("--prompt-len", type=int, required=True)
     p.add_argument("--gen-len", type=int, required=True)
     p.add_argument("--gpu-kernels", help="per-precision kernel latency JSON (us)")
     p.add_argument("--csv")
-    p.add_argument("--out", required=True)
 
     p = add("eval", cmd_eval, "fidelity of traces against reference traces")
     p.add_argument("--traces", required=True)
     p.add_argument("--references", required=True)
-    p.add_argument("--out", required=True)
 
     return ap
 

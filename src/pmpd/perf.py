@@ -56,6 +56,7 @@ class HardwareConfig:
 # mobile-scale models, 16K for ~7B models, both 1 GHz and 32 GB/s
 NPU_4K = HardwareConfig(4096, 1e9, 32e9)
 NPU_16K = HardwareConfig(16384, 1e9, 32e9)
+HARDWARE_PRESETS = {"npu-4k": NPU_4K, "npu-16k": NPU_16K}
 
 
 @dataclass(frozen=True)

@@ -313,9 +313,8 @@ def parse_model(data: bytes) -> tuple[dict[str, QuantizedTensor], dict]:
         mins = np.frombuffer(take(scale_bytes, "group mins"), dtype="<f4").reshape(rows, gpr)
         deltas = np.frombuffer(take(scale_bytes, "group steps"), dtype="<f4").reshape(rows, gpr)
         pb = _plane_bytes(rows, cols)
-        planes = np.empty((p_max, pb), dtype=np.uint8)
-        for k in range(p_max):
-            planes[k] = np.frombuffer(take(pb, f"plane {k}"), dtype=np.uint8)
+        planes = np.frombuffer(take(p_max * pb, f"{p_max} bit planes"),
+                               dtype=np.uint8).reshape(p_max, pb)
         tensors[name] = QuantizedTensor(rows, cols, group_size, p_max, mins, deltas,
                                         BitPlaneStore(rows, cols, p_max, planes))
     if off != len(data):

@@ -62,13 +62,12 @@ class SwitchGrid:
             raise ConfigError(f"grid needs at least 2 points, got {self.n}")
         if self.horizon < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.horizon}")
+        # points at least one token apart, hence strictly increasing
+        if self.n > self.horizon + 1:
+            raise ConfigError(f"horizon {self.horizon} is too short for {self.n} grid "
+                              f"points; at most {self.horizon + 1}")
         pts = tuple(int(math.floor(j * self.horizon / (self.n - 1) + 0.5))
                     for j in range(self.n))
-        if any(a >= b for a, b in zip(pts, pts[1:])):
-            raise ConfigError(
-                f"grid points must be strictly increasing; horizon {self.horizon} "
-                f"is too short for {self.n} points: {pts}"
-            )
         object.__setattr__(self, "points", pts)
 
 

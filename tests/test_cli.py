@@ -15,7 +15,11 @@ TINY = ["--layers", "2", "--heads", "2", "--d-model", "64", "--d-ff", "128",
 
 
 def run(argv):
-    return cli.main(argv)
+    """The exit code of ``cli.main``, also of argparse's ``SystemExit`` on a usage error."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def quantize(out, seed="7"):
@@ -287,6 +291,63 @@ def test_conflicting_scheduler_flags_rejected(tmp_path, monkeypatch):
     code = run(["generate", "--model", "model.pmpd", "--limit", "1",
                 "--fixed-precision", "3", "--learned", "x.json", "--out", "t.json"])
     assert code == cli.EXIT_INPUT_ERROR
+
+
+PERF = ["perf", "--prompt-len", "8", "--gen-len", "8"]
+CONFLICTS = {
+    "schedule-learned": ["generate", "--schedule", "s.json", "--learned", "n.json"],
+    "schedule-fixed": ["generate", "--schedule", "s.json", "--fixed-precision", "3"],
+    "learned-fixed": ["generate", "--learned", "n.json", "--fixed-precision", "3"],
+    "prompt-prompts": ["generate", "--fixed-precision", "3", "--prompt", "x",
+                       "--prompts", "p.txt"],
+    # a schedule file carries its own prefill precision
+    "schedule-prefill": ["generate", "--schedule", "s.json", "--prefill", "2"],
+    "model-footprint": [*PERF, "--model", "model.pmpd", "--footprint", "f.json",
+                        "--fixed-precision", "3"],
+    "model-preset": [*PERF, "--model", "model.pmpd", "--preset", "vicuna-7b",
+                     "--fixed-precision", "3"],
+    "footprint-preset": [*PERF, "--footprint", "f.json", "--preset", "vicuna-7b",
+                         "--fixed-precision", "3"],
+    "perf-schedule-fixed": [*PERF, "--preset", "vicuna-7b", "--schedule", "s.json",
+                            "--fixed-precision", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", CONFLICTS.values(), ids=CONFLICTS.keys())
+def test_conflicting_flags_exit_2_and_write_nothing(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    Path("s.json").write_text(json.dumps(
+        {"precisions": [4], "prefill": 4, "st": {"4": 0}, "OL": 8, "feasible": True}))
+    Path("n.json").write_text(json.dumps(
+        learnsched.SchedulerNet.init(64, 64, 4, SwitchGrid(3, 8), 4, 2).to_json()))
+    Path("f.json").write_text(json.dumps(perf.FOOTPRINT_PRESETS["vicuna-7b"].to_json()))
+    Path("p.txt").write_text("hello\n")
+    if argv[0] == "generate":
+        argv = [*argv, "--model", "model.pmpd", "--limit", "1", "--max-new", "4"]
+    assert run([*argv, "--out", "out.json"]) == cli.EXIT_INPUT_ERROR
+    assert not Path("out.json").exists()
+
+
+def test_unknown_perf_preset_is_a_usage_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = run([*PERF, "--preset", "vicuna-70b", "--fixed-precision", "3", "--out", "p.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("p.json").exists()
+
+
+def test_no_overlap_applies_to_a_hardware_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("hw.json").write_text(json.dumps(perf.NPU_16K.to_json()))
+    source = ["--preset", "vicuna-7b", "--fixed-precision", "3"]
+    for name, flags in (("file.json", ["--hardware", "hw.json", "--no-overlap"]),
+                        ("preset.json", ["--hw-preset", "npu-16k", "--no-overlap"]),
+                        ("overlap.json", ["--hardware", "hw.json"])):
+        assert run([*PERF, *source, *flags, "--out", name]) == 0
+    file, preset, overlap = (read_json(n) for n in ("file.json", "preset.json", "overlap.json"))
+    assert file["hardware"]["overlap"] is False
+    assert file["report"] == preset["report"]
+    assert file["report"]["total_s"] > overlap["report"]["total_s"]
 
 
 def test_perf_with_gpu_kernels_and_csv(tmp_path, monkeypatch):

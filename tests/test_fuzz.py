@@ -21,8 +21,8 @@ GRID = schedule.SwitchGrid(3, 8)
 MUTATIONS = 150  # per file
 CONFUSIONS = 100  # per file
 HUGE = "1e400"  # written as that JSON number, which Python reads as float("inf")
-# No large finite integer: the switch grid, the RoPE tables and the KV cache
-# allocate eagerly, so one would exercise the allocator, not the parser.
+# No large finite integer: the RoPE tables and the KV cache allocate eagerly,
+# so one would exercise the allocator, not the parser.
 SUBSTITUTES = (HUGE, -1, 2.5, "x", [], {}, None, True)
 
 

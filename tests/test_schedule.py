@@ -169,6 +169,13 @@ def test_grid_rounding_and_validation():
         SwitchGrid(1, 10)
 
 
+def test_grid_refuses_more_points_than_tokens_before_building_any():
+    assert SwitchGrid(9, 8).points == tuple(range(9))
+    with pytest.raises(ConfigError) as exc:
+        SwitchGrid(10**6, 8)
+    assert len(str(exc.value)) < 200
+
+
 # ---------------------------------------------------------------------------
 # phase-aware allocation
 # ---------------------------------------------------------------------------
