@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from importlib import resources
 from pathlib import Path
@@ -215,8 +216,9 @@ def cmd_perf(args) -> int:
         sched = schedule.PrecisionSchedule.from_json(read_json(args.schedule))
     else:
         sched = schedule.PrecisionSchedule.constant(args.fixed_precision, args.gen_len)
-    report = perf.pipeline_perf(fp, sched, hw, args.prompt_len, args.gen_len,
-                                include_kv=not args.no_kv_traffic)
+    model = functools.partial(perf.pipeline_perf, fp, hw=hw, prompt_len=args.prompt_len,
+                              gen_len=args.gen_len, include_kv=not args.no_kv_traffic)
+    report = model(sched)
     payload = {"report": report.to_json(), "hardware": hw.to_json(),
                "footprint": fp.to_json()}
     if args.gpu_kernels is not None:
@@ -225,13 +227,14 @@ def cmd_perf(args) -> int:
         payload["gpu"] = {"weighted_latency_us": weighted, "speedup_vs_fp16": speedup}
     _emit(args, payload)
     if args.csv is not None:
+        # every row is its own scheme's report, so every field means the same
+        constant = schedule.PrecisionSchedule.constant
+        reports = {"pmpd": report,
+                   "uniform-high": model(constant(sched.precisions.p_max, sched.horizon)),
+                   "fp16": model(constant(perf.FP16, sched.horizon))}
         rows = ["scheme,avg_bitwidth,total_s,tokens_per_s,speedup_vs_fp16"]
-        rows.append(f"pmpd,{report.avg_bitwidth},{report.total_s},"
-                    f"{report.tokens_per_s},{report.speedup_vs_fp16}")
-        rows.append(f"uniform-high,{sched.precisions.p_max},{report.uniform_high_total_s},"
-                    f"{args.gen_len / (report.uniform_high_total_s):.6g},"
-                    f"{report.uniform_high_speedup}")
-        rows.append(f"fp16,16,{report.fp16_total_s},,1.0")
+        rows += [f"{name},{r.avg_bitwidth},{r.total_s},{r.tokens_per_s},{r.speedup_vs_fp16}"
+                 for name, r in reports.items()]
         Path(args.csv).write_text("\n".join(rows) + "\n", encoding="utf-8")
         print(f"wrote {args.csv}")
     print(f"speedup vs fp16: {report.speedup_vs_fp16:.2f}x "

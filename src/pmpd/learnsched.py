@@ -48,6 +48,8 @@ class SchedulerNet:
         self.p_high = int(p_high)
         self.p_low = int(p_low)
         self.feature_block = int(feature_block)
+        if self.q.ndim != 1:
+            raise ConfigError(f"query must be a vector, got shape {self.q.shape}")
         if self.w1.shape != (self.hidden, self.d_v) or self.b1.shape != (self.hidden,):
             raise ConfigError("hidden layer shapes are inconsistent")
         if self.w2.shape != (self.n_classes, self.hidden) or self.b2.shape != (self.n_classes,):
@@ -107,8 +109,11 @@ class SchedulerNet:
         with parsing("scheduler net JSON"):
             if obj.get("tag") != NET_TAG:
                 raise FormatError(f"not a scheduler net artifact (tag {obj.get('tag')!r})")
-            return cls(arr(obj["q"]), arr(obj["w1"]), arr(obj["b1"]),
-                       arr(obj["w2"]), arr(obj["b2"]), **_grid_fields(obj))
+            try:
+                return cls(arr(obj["q"]), arr(obj["w1"]), arr(obj["b1"]),
+                           arr(obj["w2"]), arr(obj["b2"]), **_grid_fields(obj))
+            except ConfigError as exc:  # a domain error in a file is a format error
+                raise FormatError(f"malformed scheduler net JSON: {exc}") from exc
 
 
 def _grid_fields(obj: dict) -> dict:

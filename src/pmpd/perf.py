@@ -14,7 +14,8 @@ GPU kernel latencies by the number of decode steps spent at each precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .errors import ConfigError, InputError
@@ -41,8 +42,7 @@ class HardwareConfig:
             raise ConfigError("hardware parameters must all be positive and finite")
 
     def to_json(self) -> dict:
-        return {"mac_units": self.mac_units, "clock_hz": self.clock_hz,
-                "mem_bw_bytes_per_s": self.mem_bw_bytes_per_s, "overlap": self.overlap}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "HardwareConfig":
@@ -105,10 +105,7 @@ class ModelFootprint:
         return self.total_params * p / 8.0 + SCALE_BYTES_PER_GROUP * self.total_params / self.group_size
 
     def to_json(self) -> dict:
-        return {"attn_params": self.attn_params, "mlp_params": self.mlp_params,
-                "embed_params": self.embed_params, "n_layers": self.n_layers,
-                "kv_bytes_per_token": self.kv_bytes_per_token,
-                "group_size": self.group_size}
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "ModelFootprint":
@@ -125,21 +122,26 @@ FOOTPRINT_PRESETS = {
 }
 
 
-def _combine(hw: HardwareConfig, compute_s: float, memory_s: float) -> float:
-    return max(compute_s, memory_s) if hw.overlap else compute_s + memory_s
+def _weight_pass_latency(fp: ModelFootprint, p: int, hw: HardwareConfig, tokens: int,
+                         kv_rows: int, include_kv: bool) -> float:
+    """The one roofline: seconds for one pass over the weights at precision
+    ``p`` that computes ``tokens`` tokens and moves ``kv_rows`` KV rows, the
+    max of compute and memory time when they overlap, their sum otherwise."""
+    if p < 1:
+        raise ConfigError(f"precision must be >= 1, got {p}")
+    memory = fp.weight_bytes(p)
+    if include_kv:
+        memory += fp.kv_bytes_per_token * kv_rows
+    compute = 2.0 * fp.total_params * tokens / (hw.mac_units * hw.clock_hz)
+    memory_s = memory / hw.mem_bw_bytes_per_s
+    return max(compute, memory_s) if hw.overlap else compute + memory_s
 
 
 def decode_token_latency(fp: ModelFootprint, p: int, hw: HardwareConfig,
                          kv_tokens: int = 0, include_kv: bool = True) -> float:
     """Seconds for one decode step at precision ``p`` with ``kv_tokens`` of
     cached history to read (plus one KV row written)."""
-    if p < 1:
-        raise ConfigError(f"precision must be >= 1, got {p}")
-    memory = fp.weight_bytes(p)
-    if include_kv:
-        memory += fp.kv_bytes_per_token * (kv_tokens + 1)
-    compute = 2.0 * fp.total_params / (hw.mac_units * hw.clock_hz)
-    return _combine(hw, compute, memory / hw.mem_bw_bytes_per_s)
+    return _weight_pass_latency(fp, p, hw, 1, kv_tokens + 1, include_kv)
 
 
 def prefill_latency(fp: ModelFootprint, p: int, hw: HardwareConfig,
@@ -148,11 +150,7 @@ def prefill_latency(fp: ModelFootprint, p: int, hw: HardwareConfig,
     against a single weight pass (plus the prompt's KV writes)."""
     if prompt_len < 1:
         raise InputError(f"prompt_len must be >= 1, got {prompt_len}")
-    memory = fp.weight_bytes(p)
-    if include_kv:
-        memory += fp.kv_bytes_per_token * prompt_len
-    compute = 2.0 * fp.total_params * prompt_len / (hw.mac_units * hw.clock_hz)
-    return _combine(hw, compute, memory / hw.mem_bw_bytes_per_s)
+    return _weight_pass_latency(fp, p, hw, prompt_len, prompt_len, include_kv)
 
 
 @dataclass
@@ -175,18 +173,8 @@ class PerfReport:
     schedule: dict
 
     def to_json(self) -> dict:
-        obj = dict(self.__dict__)
-        obj["per_precision_decode_s"] = {str(k): v
-                                         for k, v in self.per_precision_decode_s.items()}
-        return obj
-
-
-def _phase_latencies(fp, schedule, hw, prompt_len, gen_len, include_kv):
-    pre = prefill_latency(fp, schedule.p_prefill, hw, prompt_len, include_kv)
-    dec = sum(decode_token_latency(fp, schedule.precision_at(i), hw,
-                                   kv_tokens=prompt_len + i, include_kv=include_kv)
-              for i in range(gen_len))
-    return pre, dec
+        return {**self.__dict__, "per_precision_decode_s": {
+            str(k): v for k, v in self.per_precision_decode_s.items()}}
 
 
 def pipeline_perf(fp: ModelFootprint, schedule: PrecisionSchedule, hw: HardwareConfig,
@@ -198,30 +186,28 @@ def pipeline_perf(fp: ModelFootprint, schedule: PrecisionSchedule, hw: HardwareC
     if gen_len > schedule.horizon:
         raise InputError(f"gen_len {gen_len} exceeds the schedule horizon {schedule.horizon}")
 
-    pre, dec = _phase_latencies(fp, schedule, hw, prompt_len, gen_len, include_kv)
-    total = pre + dec
+    def phases(s: PrecisionSchedule) -> tuple[float, float, float]:
+        """Prefill, decode and total seconds of ``s``: the prompt in one weight
+        pass at ``p_prefill``, then decode step ``i`` at token ``i``'s
+        precision, reading ``prompt_len + i`` KV rows and writing one."""
+        pre = prefill_latency(fp, s.p_prefill, hw, prompt_len, include_kv)
+        dec = sum(decode_token_latency(fp, p, hw, prompt_len + i, include_kv)
+                  for i, p in enumerate(s.token_precisions(gen_len)))
+        return pre, dec, pre + dec
 
-    fp16_sched = PrecisionSchedule.constant(FP16, schedule.horizon)
-    fp16_pre, fp16_dec = _phase_latencies(fp, fp16_sched, hw, prompt_len, gen_len, include_kv)
-    fp16_total = fp16_pre + fp16_dec
-
-    p_high = schedule.precisions.p_max
-    high_sched = PrecisionSchedule.constant(p_high, schedule.horizon)
-    high_pre, high_dec = _phase_latencies(fp, high_sched, hw, prompt_len, gen_len, include_kv)
-    high_total = high_pre + high_dec
-
-    used = sorted({schedule.precision_at(i) for i in range(gen_len)})
-    per_precision = {p: decode_token_latency(fp, p, hw, kv_tokens=prompt_len,
-                                             include_kv=include_kv) for p in used}
-    uplift = (pre - prefill_latency(fp, p_high, hw, prompt_len, include_kv)) / total * 100.0
+    pre, dec, total = phases(schedule)
+    high_pre, _, high_total = phases(PrecisionSchedule.constant(schedule.precisions.p_max,
+                                                                schedule.horizon))
+    *_, fp16_total = phases(PrecisionSchedule.constant(FP16, schedule.horizon))
 
     return PerfReport(
         prefill_s=pre, decode_s=dec, total_s=total,
         tokens_per_s=gen_len / dec,
         speedup_vs_fp16=fp16_total / total,
         avg_bitwidth=schedule.bit_token_sum(gen_len) / gen_len,
-        prefill_uplift_pct=uplift,
-        per_precision_decode_s=per_precision,
+        prefill_uplift_pct=(pre - high_pre) / total * 100.0,
+        per_precision_decode_s={p: decode_token_latency(fp, p, hw, prompt_len, include_kv)
+                                for p in sorted(set(schedule.token_precisions(gen_len)))},
         fp16_total_s=fp16_total,
         uniform_high_total_s=high_total,
         uniform_high_speedup=fp16_total / high_total,
@@ -240,14 +226,10 @@ def weighted_gpu_latency(latency_us: Mapping[int, float], schedule: PrecisionSch
         table = {json_int_key(k): json_float(v) for k, v in latency_us.items()}
     if not all(math.isfinite(v) and v > 0 for v in table.values()):
         raise InputError(f"latency table values must be positive and finite: {table}")
-    if FP16 not in table:
-        raise InputError("latency table lacks the fp16 (16) entry")
-    counts: dict[int, int] = {}
-    for i in range(gen_len):
-        p = schedule.precision_at(i)
+    counts = Counter(schedule.token_precisions(gen_len))  # first-seen order
+    for p in (FP16, *counts):
         if p not in table:
             raise InputError(f"latency table lacks precision {p}")
-        counts[p] = counts.get(p, 0) + 1
     if len(counts) == 1:
         weighted = table[next(iter(counts))]
     else:

@@ -41,8 +41,8 @@ class QualityTarget:
     tolerance: float
 
     def __post_init__(self):
-        if self.tolerance < 0:
-            raise ConfigError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not (math.isfinite(self.q_ref) and 0 <= self.tolerance < math.inf):
+            raise ConfigError(f"need a finite q_ref and a finite tolerance >= 0, got {self}")
 
     @property
     def floor(self) -> float:
@@ -114,9 +114,13 @@ class PrecisionSchedule:
             if self.switch_points[p] <= i:
                 return p
 
+    def token_precisions(self, n: int) -> Iterator[int]:
+        """The one charging rule: token ``i`` of the first ``n`` is generated at
+        ``precision_at(i)``. Lazy, so summing a 2^30-token horizon holds no list."""
+        return map(self.precision_at, range(n))
+
     def bit_token_sum(self, tokens: int | None = None) -> int:
-        n = self.horizon if tokens is None else tokens
-        return sum(self.precision_at(i) for i in range(n))
+        return sum(self.token_precisions(self.horizon if tokens is None else tokens))
 
     def to_json(self) -> dict:
         return {
@@ -200,14 +204,11 @@ def avg_bitwidth(subject, tokens_generated: int | None = None) -> float:
     Pass a generation trace (its per-token precisions are averaged) or a
     schedule plus the number of generated tokens. Prefill is never counted.
     """
-    if tokens_generated is None:
-        precisions = list(subject.precisions)
-        if not precisions:
-            raise InputError("trace has no generated tokens")
-        return sum(precisions) / len(precisions)
-    if tokens_generated < 1:
-        raise InputError(f"tokens_generated must be >= 1, got {tokens_generated}")
-    return subject.bit_token_sum(tokens_generated) / tokens_generated
+    precisions = list(subject.precisions if tokens_generated is None
+                      else subject.token_precisions(tokens_generated))
+    if not precisions:
+        raise InputError("no generated tokens to average")
+    return sum(precisions) / len(precisions)
 
 
 # ---------------------------------------------------------------------------

@@ -544,6 +544,10 @@ class SamplerConfig:
     temperature: float | None = None  # None: greedy
     seed: int = 0
 
+    def __post_init__(self):
+        if self.temperature is not None and not 0 < self.temperature < math.inf:
+            raise ConfigError(f"temperature must be finite and > 0, got {self.temperature}")
+
 
 def sample(logits: np.ndarray, cfg: SamplerConfig,
            rng: np.random.Generator | None = None) -> int:
@@ -553,8 +557,6 @@ def sample(logits: np.ndarray, cfg: SamplerConfig,
         raise InputError("logits contain non-finite values")
     if cfg.temperature is None:
         return int(np.argmax(logits))
-    if not cfg.temperature > 0:
-        raise ConfigError(f"temperature must be > 0, got {cfg.temperature}")
     probs = _softmax(logits / cfg.temperature)
     rng = rng if rng is not None else named_rng(cfg.seed, "sampler")
     return int(rng.choice(len(probs), p=probs))
@@ -606,8 +608,12 @@ class GenerationTrace:
             raise FormatError(f"malformed trace JSON: {len(out)} output tokens, "
                               f"{len(precisions)} precisions and {len(hashes)} logits "
                               "hashes; a trace has one of each per token, at least one token")
-        return cls(*lists, termination, p_prefill,
-                   PrecisionSchedule.from_json(sched) if sched else None)
+        sched = PrecisionSchedule.from_json(sched) if sched else None
+        if sched is not None and (precisions != list(sched.token_precisions(len(out)))
+                                  or p_prefill != sched.p_prefill):
+            raise FormatError("malformed trace JSON: its precisions and p_prefill are not "
+                              "those its schedule charges")
+        return cls(*lists, termination, p_prefill, sched)
 
 
 # most prompts decoded in lockstep by one decode_schedules wave: each of its
@@ -663,7 +669,7 @@ class _Walk:
             hashes[r] = [logits_hash(logits)]
         self.walk(block, {r: list(range(len(schedulers))) for r in tokens}, tokens, hashes)
         return [([GenerationTrace(list(prompt), list(toks),
-                                  [s.precision_at(k) for k in range(len(toks))], list(hs),
+                                  list(s.token_precisions(len(toks))), list(hs),
                                   "eos" if toks[-1] == self.eos else "length", pf, s)
                   for s, (toks, hs) in zip(scheds, ends)], feats)
                 for prompt, scheds, ends, feats in zip(prompts, self.schedules, self.ends,

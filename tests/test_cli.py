@@ -7,7 +7,7 @@ import pytest
 
 from pmpd import cli, learnsched, perf, tinylm
 from pmpd.errors import FormatError, InputError
-from pmpd.schedule import SwitchGrid
+from pmpd.schedule import PrecisionSchedule, SwitchGrid
 from pmpd.util import read_json
 
 TINY = ["--layers", "2", "--heads", "2", "--d-model", "64", "--d-ff", "128",
@@ -89,7 +89,14 @@ BAD_FIELDS = {"prompt-token-string": {"prompt_tokens": ["a", 2]},
               "unknown-termination": {"termination": "stop"},
               "float-prefill": {"p_prefill": 4.0},
               # scored as 2 tokens at avg_bitwidth 2.4 over 5 precisions
-              "lists-disagree": {"precisions": [4, 2, 2, 2, 2], "logits_hashes": []}}
+              "lists-disagree": {"precisions": [4, 2, 2, 2, 2], "logits_hashes": []},
+              # scored at 16 bits, though its schedule charges both tokens at 4
+              "precisions-contradict-schedule": {
+                  "precisions": [16, 16],
+                  "schedule": PrecisionSchedule.constant(4, 8).to_json()},
+              "prefill-contradicts-schedule": {
+                  "p_prefill": 2,
+                  "schedule": PrecisionSchedule.two_phase(4, 2, 1, 8).to_json()}}
 BAD_TRACES = {"no-traces": {"foo": 1}, "non-object-trace": {"traces": [5]},
               "no-trace": {"traces": []},
               **{name: {"traces": [{**GOOD_TRACE, **fields}]}
@@ -243,16 +250,50 @@ def test_invalid_schedule_is_input_error(tmp_path, monkeypatch, obj):
     assert code == cli.EXIT_INPUT_ERROR
 
 
-@pytest.mark.parametrize("temperature", ["0", "-1", "nan"])
-def test_generate_rejects_a_temperature_that_is_not_positive(tmp_path, monkeypatch,
+@pytest.fixture
+def no_decode(monkeypatch):
+    """Fails the test if a prompt is decoded."""
+    def decode_schedules(*args, **kwargs):
+        raise AssertionError("a prompt was decoded before the flag was refused")
+
+    monkeypatch.setattr(tinylm, "decode_schedules", decode_schedules)
+
+
+@pytest.mark.parametrize("temperature", ["0", "-1", "nan", "inf"])
+def test_generate_rejects_a_temperature_that_is_not_positive(tmp_path, monkeypatch, no_decode,
                                                              temperature):
-    # greedy decoding is the omitted flag; --temperature 0 must not sample
+    # greedy decoding is the omitted flag; --temperature 0 must not sample, and
+    # --temperature inf sampled uniformly, ignoring the logits
     monkeypatch.chdir(tmp_path)
     quantize("model.pmpd")
     code = run(["generate", "--model", "model.pmpd", "--limit", "1", "--fixed-precision", "3",
                 "--temperature", temperature, "--max-new", "4", "--out", "t.json"])
     assert code == cli.EXIT_INPUT_ERROR
     assert not Path("t.json").exists()
+
+
+NON_FINITE_FLOORS = {
+    "q-ref-nan": ["calibrate-phase", "--q-ref", "nan", "--tolerance", "0.1", "--max-new", "4"],
+    "tolerance-nan": ["calibrate-phase", "--q-ref", "0.3", "--tolerance", "nan",
+                      "--max-new", "4"],
+    "tolerance-inf": ["calibrate-phase", "--q-ref", "0.3", "--tolerance", "inf",
+                      "--max-new", "4"],
+    "solve-tolerance-inf": ["solve-static", "--precisions", "3,2", "--prefill", "4",
+                            "--q-ref", "0.3", "--tolerance", "inf", "--grid-n", "3",
+                            "--ol", "4"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE_FLOORS.values(), ids=NON_FINITE_FLOORS.keys())
+def test_a_non_finite_quality_floor_exits_2_before_any_decode(tmp_path, monkeypatch, no_decode,
+                                                              argv):
+    # a NaN floor picked the fallback and wrote NaN, which is not JSON; an
+    # infinite tolerance made every candidate feasible
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    code = run([argv[0], "--model", "model.pmpd", "--limit", "1", *argv[1:], "--out", "o.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("o.json").exists()
 
 
 PROMPT_COMMANDS = [
@@ -363,7 +404,22 @@ def test_perf_with_gpu_kernels_and_csv(tmp_path, monkeypatch):
     report = read_json("perf.json")
     assert report["gpu"]["weighted_latency_us"] == pytest.approx(7.44)
     assert report["report"]["speedup_vs_fp16"] > 1.0
-    assert Path("sweep.csv").read_text().startswith("scheme,")
+    header, *lines = Path("sweep.csv").read_text().splitlines()
+    assert header == "scheme,avg_bitwidth,total_s,tokens_per_s,speedup_vs_fp16"
+    rows = {name: [float(x) for x in rest] for name, *rest in (ln.split(",") for ln in lines)}
+    # every row is the report of its own scheme, tokens per decode second included
+    fp, hw = perf.FOOTPRINT_PRESETS["vicuna-7b"], perf.NPU_16K
+    schemes = {"pmpd": PrecisionSchedule.two_phase(3, 2, 40, 100, p_prefill=3),
+               "uniform-high": PrecisionSchedule.constant(3, 100),
+               "fp16": PrecisionSchedule.constant(perf.FP16, 100)}
+    assert list(rows) == list(schemes)
+    for name, sched in schemes.items():
+        r = perf.pipeline_perf(fp, sched, hw, 128, 100)
+        assert rows[name] == [r.avg_bitwidth, r.total_s, 100 / r.decode_s, r.speedup_vs_fp16]
+    assert rows["pmpd"][1] == report["report"]["total_s"]
+    assert rows["uniform-high"][1] == report["report"]["uniform_high_total_s"]
+    assert rows["uniform-high"][3] == report["report"]["uniform_high_speedup"]
+    assert rows["fp16"][1] == report["report"]["fp16_total_s"] and rows["fp16"][3] == 1.0
 
 
 BAD_KERNELS = {"non-integer-key": {"3": 8.1, "x": 7.0, "16": 97.1},
@@ -386,6 +442,8 @@ BAD_NETS = {
     "overflowing-grid-n": lambda net: net["grid"].update(n=HUGE),
     "overflowing-p-high": lambda net: net.update(p_high=HUGE),
     "overflowing-feature-block": lambda net: net.update(feature_block=HUGE),
+    # the [d_k, 1] query a matmul refused with a ValueError traceback
+    "query-not-a-vector": lambda net: net["q"].update(shape=[net["q"]["shape"][0], 1]),
 }
 
 

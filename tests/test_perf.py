@@ -4,6 +4,7 @@ from pmpd import perf
 from pmpd.errors import ConfigError, InputError
 from pmpd.perf import (FP16, HardwareConfig, ModelFootprint, decode_token_latency,
                        pipeline_perf, prefill_latency, weighted_gpu_latency)
+from pmpd.quant import PrecisionSet
 from pmpd.schedule import PrecisionSchedule
 
 # bandwidth-only device: compute is effectively free
@@ -115,6 +116,16 @@ def test_report_carries_avg_bitwidth_and_baselines():
     assert set(report.per_precision_decode_s) == {2, 3}
 
 
+@pytest.mark.parametrize("sched", [
+    PrecisionSchedule.two_phase(3, 2, 8, 16, p_prefill=4),
+    PrecisionSchedule(PrecisionSet((4, 3, 2)), 4, {4: 0, 3: 5, 2: 5}, 16),
+    PrecisionSchedule(PrecisionSet((4, 3, 2)), 4, {4: 0, 3: 4, 2: 16}, 16),
+], ids=["two-phase", "equal-switch-points", "switch-at-OL"])
+def test_per_precision_keys_are_the_precisions_charged(sched):
+    report = pipeline_perf(perf.FOOTPRINT_PRESETS["mobilellama-1.4b"], sched, perf.NPU_4K, 32, 16)
+    assert set(report.per_precision_decode_s) == set(sched.token_precisions(16))
+
+
 def test_weighted_gpu_latency_fraction():
     # 40% of steps on the 3-bit kernel at 8.1us, the rest at 7.0us
     sched = PrecisionSchedule.two_phase(3, 2, 40, 100)
@@ -163,3 +174,5 @@ def test_config_validation():
         decode_token_latency(NO_SCALES, 0, BW_ONLY)
     with pytest.raises(InputError):
         prefill_latency(NO_SCALES, 3, BW_ONLY, 0)
+    with pytest.raises(ConfigError):  # both phases price through one roofline
+        prefill_latency(NO_SCALES, 0, BW_ONLY, 8)

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import weakref
 
 import numpy as np
@@ -118,6 +119,22 @@ def test_count_large_horizon_is_exact_integer():
     assert n == 1 + 2 * 4096 + (4096 * 4095) // 2
 
 
+@pytest.mark.parametrize("s", [
+    two_phase(3, 2, 3, 5),
+    PrecisionSchedule(PrecisionSet((4, 3, 2)), 4, {4: 0, 3: 2, 2: 2}, 8),
+    PrecisionSchedule(PrecisionSet((4, 3, 2)), 4, {4: 0, 3: 3, 2: 8}, 8),
+    PrecisionSchedule(PrecisionSet((4, 2)), 4, {4: 0, 2: 8}, 8),
+], ids=["two-phase", "equal-switch-points", "switch-at-OL", "never-switches"])
+def test_token_precisions_charges_token_i_at_precision_at_i(s):
+    for n in (0, 1, s.horizon):
+        assert list(s.token_precisions(n)) == [s.precision_at(i) for i in range(n)]
+
+
+def test_token_precisions_is_lazy_over_a_fixed_schedulers_horizon():
+    # a list of 2^30 precisions would take minutes and gigabytes
+    assert next(iter(FixedScheduler(4).schedule.token_precisions(1 << 30))) == 4
+
+
 # ---------------------------------------------------------------------------
 # avg bitwidth
 # ---------------------------------------------------------------------------
@@ -186,6 +203,16 @@ TABLE = {(2, 2): 0.50, (3, 2): 0.80, (3, 3): 0.82, (4, 4): 0.83,
 
 def table_quality(s):
     return TABLE[(s.p_prefill, s.precisions.p_max)]
+
+
+@pytest.mark.parametrize("q_ref, tolerance", [(0.5, -0.1), (math.nan, 0.1), (0.5, math.nan),
+                                               (math.inf, 0.1), (0.5, math.inf)])
+def test_quality_target_refuses_a_negative_or_non_finite_floor(q_ref, tolerance):
+    # a NaN floor made every candidate infeasible, an infinite tolerance
+    # every candidate feasible
+    with pytest.raises(ConfigError):
+        QualityTarget(q_ref, tolerance)
+    assert QualityTarget(0.5, 0.0).floor == 0.5
 
 
 def test_allocation_lexicographic_rule():
