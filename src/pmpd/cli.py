@@ -181,13 +181,11 @@ def cmd_generate(args) -> int:
     model, tok, prompts = _load_model_and_prompts(args, lines)
     scheduler = _scheduler_from_args(args)
     cfg = tinylm.SamplerConfig(temperature=args.temperature, seed=args.seed)
-    traces = []
-    for line, prompt in zip(lines, prompts):
-        trace = tinylm.generate(model, prompt, scheduler, cfg, tok.eos_id, args.max_new)
-        obj = trace.to_json()
-        obj["prompt"] = line
-        obj["text"] = tok.decode(trace.output_tokens)
-        traces.append(obj)
+    # one scheduler, so each row samples from its own stream, temperature or not
+    rows, _ = tinylm.decode_schedules(model, prompts, [scheduler], cfg, tok.eos_id,
+                                      args.max_new)
+    traces = [{**trace.to_json(), "prompt": line, "text": tok.decode(trace.output_tokens)}
+              for line, (trace,) in zip(lines, rows)]
     _emit(args, {"traces": traces})
     return 0
 

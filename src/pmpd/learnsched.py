@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 NET_TAG = "pmpd-sched-v1"
 LABELS_TAG = "pmpd-labels-v1"
 MATCH_GUARD = 1e-9  # float guard on the "matches or exceeds" label rule
+PARAMS = ("q", "w1", "b1", "w2", "b2")  # a net's trained arrays, in constructor order
 
 
 class SchedulerNet:
@@ -77,7 +78,12 @@ class SchedulerNet:
         return self.w2.shape[0]
 
     def params(self) -> dict[str, np.ndarray]:
-        return {"q": self.q, "w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+        return {name: getattr(self, name) for name in PARAMS}
+
+    def with_params(self, params: dict[str, np.ndarray]) -> "SchedulerNet":
+        """This net's grid, precisions and feature block with ``params``, not copied."""
+        return SchedulerNet(**params, grid=self.grid, p_high=self.p_high, p_low=self.p_low,
+                            feature_block=self.feature_block)
 
     @classmethod
     def init(cls, d_k: int, d_v: int, hidden: int, grid: SwitchGrid,
@@ -93,27 +99,28 @@ class SchedulerNet:
                    p_high, p_low, feature_block)
 
     def to_json(self) -> dict:
-        def arr(a):
-            return {"shape": list(a.shape), "data": [float(x) for x in a.ravel()]}
-        return {"tag": NET_TAG, "grid": {"n": self.grid.n, "OL": self.grid.horizon},
-                "p_high": self.p_high, "p_low": self.p_low,
-                "feature_block": self.feature_block,
-                "q": arr(self.q), "w1": arr(self.w1), "b1": arr(self.b1),
-                "w2": arr(self.w2), "b2": arr(self.b2)}
+        obj = _grid_json(NET_TAG, self.grid, self.p_high, self.p_low, self.feature_block)
+        for name, a in self.params().items():
+            obj[name] = {"shape": list(a.shape), "data": [float(x) for x in a.ravel()]}
+        return obj
 
     @classmethod
     def from_json(cls, obj: dict) -> "SchedulerNet":
-        def arr(entry):
-            return json_floats(entry["data"]).reshape(entry["shape"])
-
         with parsing("scheduler net JSON"):
             if obj.get("tag") != NET_TAG:
                 raise FormatError(f"not a scheduler net artifact (tag {obj.get('tag')!r})")
             try:
-                return cls(arr(obj["q"]), arr(obj["w1"]), arr(obj["b1"]),
-                           arr(obj["w2"]), arr(obj["b2"]), **_grid_fields(obj))
+                return cls(*(json_floats(obj[name]["data"]).reshape(obj[name]["shape"])
+                             for name in PARAMS), **_grid_fields(obj))
             except ConfigError as exc:  # a domain error in a file is a format error
                 raise FormatError(f"malformed scheduler net JSON: {exc}") from exc
+
+
+def _grid_json(tag: str, grid: SwitchGrid, p_high: int, p_low: int,
+               feature_block: int) -> dict:
+    """The header a net file and a label file share, which :func:`_grid_fields` reads."""
+    return {"tag": tag, "grid": {"n": grid.n, "OL": grid.horizon}, "p_high": p_high,
+            "p_low": p_low, "feature_block": feature_block}
 
 
 def _grid_fields(obj: dict) -> dict:
@@ -124,14 +131,19 @@ def _grid_fields(obj: dict) -> dict:
             "feature_block": json_int(obj.get("feature_block", -1))}
 
 
-def _pool_forward(net: SchedulerNet, K: np.ndarray, V: np.ndarray) -> dict:
-    s = (K @ net.q) / np.sqrt(net.d_k)
-    a = tinylm._softmax(s)
+def _pool_forward(net: SchedulerNet, K: np.ndarray, V: np.ndarray) -> tuple:
+    """The one forward pass: the pooling weights, the pooled value vector, the
+    hidden layer before and after its ReLU, and the class logits."""
+    a = tinylm._softmax((K @ net.q) / np.sqrt(net.d_k))
     pooled = a @ V
     z1 = net.w1 @ pooled + net.b1
     h = np.maximum(z1, 0.0)
-    logits = net.w2 @ h + net.b2
-    return {"s": s, "a": a, "pooled": pooled, "z1": z1, "h": h, "logits": logits}
+    return a, pooled, z1, h, net.w2 @ h + net.b2
+
+
+def _logsumexp(logits: np.ndarray) -> float:
+    top = logits.max()
+    return np.log(np.exp(logits - top).sum()) + top
 
 
 def _checked(net: SchedulerNet, K: np.ndarray, V: np.ndarray):
@@ -148,23 +160,15 @@ def _checked(net: SchedulerNet, K: np.ndarray, V: np.ndarray):
 
 def pool_kv(net: SchedulerNet, K: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Attention-pool the value rows with weights softmax(q·K^T / sqrt(d_k))."""
-    K, V = _checked(net, K, V)
-    return _pool_forward(net, K, V)["pooled"]
-
-
-def class_logits(net: SchedulerNet, K: np.ndarray, V: np.ndarray) -> np.ndarray:
-    K, V = _checked(net, K, V)
-    return _pool_forward(net, K, V)["logits"]
+    return _pool_forward(net, *_checked(net, K, V))[1]
 
 
 def predict_schedule(net: SchedulerNet, cache,
                      p_prefill: int | None = None) -> PrecisionSchedule:
     """Map a prefilled cache to a valid two-precision schedule: the argmax
     class (lowest index on ties) selects the low precision's switch point."""
-    K, V = cache.layer_kv(net.feature_block)
-    logits = class_logits(net, K, V)
-    cls_idx = int(np.argmax(logits))
-    switch = net.grid.points[cls_idx]
+    logits = _pool_forward(net, *_checked(net, *cache.layer_kv(net.feature_block)))[-1]
+    switch = net.grid.points[int(np.argmax(logits))]
     return PrecisionSchedule.two_phase(net.p_high, net.p_low, switch,
                                        net.grid.horizon, p_prefill)
 
@@ -221,6 +225,8 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
     """
     if not seed_prompts:
         raise InputError("seed prompt set is empty")
+    if any(len(toks) == 0 for toks in seed_prompts):
+        raise InputError("a seed prompt is empty; truncation needs at least one token")
     rng = named_rng(seed, "truncation")
     pf = p_high if p_prefill is None else p_prefill
     horizon = grid.horizon
@@ -251,9 +257,7 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
 
 def save_labels(path, examples: Sequence[LabeledExample], grid: SwitchGrid,
                 p_high: int, p_low: int, feature_block: int = -1) -> None:
-    header = {"tag": LABELS_TAG, "grid": {"n": grid.n, "OL": grid.horizon},
-              "p_high": p_high, "p_low": p_low, "feature_block": feature_block}
-    lines = [canonical_json(header)]
+    lines = [canonical_json(_grid_json(LABELS_TAG, grid, p_high, p_low, feature_block))]
     for ex in examples:
         lines.append(canonical_json({
             "label": ex.label, "t": int(ex.k.shape[0]),
@@ -326,15 +330,9 @@ def example_loss_and_grads(net: SchedulerNet, K: np.ndarray, V: np.ndarray,
     including the query vector through the pooling softmax."""
     K = np.asarray(K, dtype=np.float64)
     V = np.asarray(V, dtype=np.float64)
-    f = _pool_forward(net, K, V)
-    logits, a, pooled, z1, h = f["logits"], f["a"], f["pooled"], f["z1"], f["h"]
-
-    shifted = logits - logits.max()
-    logsumexp = np.log(np.exp(shifted).sum()) + logits.max()
-    loss = logsumexp - logits[label]
-    probs = np.exp(logits - logsumexp)
-
-    dlogits = probs.copy()
+    a, pooled, z1, h, logits = _pool_forward(net, K, V)
+    lse = _logsumexp(logits)
+    dlogits = np.exp(logits - lse)  # the softmax, minus the one-hot label below
     dlogits[label] -= 1.0
     dw2 = np.outer(dlogits, h)
     db2 = dlogits
@@ -346,18 +344,18 @@ def example_loss_and_grads(net: SchedulerNet, K: np.ndarray, V: np.ndarray,
     da = V @ dpooled
     ds = a * (da - float(a @ da))
     dq = (K.T @ ds) / np.sqrt(net.d_k)
-    return float(loss), {"q": dq, "w1": dw1, "b1": db1, "w2": dw2, "b2": db2}
+    return float(lse - logits[label]), dict(zip(PARAMS, (dq, dw1, db1, dw2, db2)))
 
 
-def dataset_loss(net: SchedulerNet, dataset: Sequence[LabeledExample]) -> float:
-    return sum(example_loss_and_grads(net, ex.k, ex.v, ex.label)[0]
-               for ex in dataset) / len(dataset)
-
-
-def accuracy(net: SchedulerNet, dataset: Sequence[LabeledExample]) -> float:
-    hits = sum(int(np.argmax(class_logits(net, ex.k, ex.v))) == ex.label
-               for ex in dataset)
-    return hits / len(dataset)
+def _evaluate(net: SchedulerNet, dataset: Sequence[LabeledExample]) -> tuple[float, float]:
+    """Mean cross-entropy and argmax accuracy over ``dataset``, one forward pass
+    per example; the loss of each is the one :func:`example_loss_and_grads` returns."""
+    loss, hits = 0.0, 0
+    for ex in dataset:
+        logits = _pool_forward(net, *_checked(net, ex.k, ex.v))[-1]
+        loss += float(_logsumexp(logits) - logits[ex.label])
+        hits += int(np.argmax(logits)) == ex.label
+    return loss / len(dataset), hits / len(dataset)
 
 
 def train(net: SchedulerNet, dataset: Sequence[LabeledExample],
@@ -373,12 +371,11 @@ def train(net: SchedulerNet, dataset: Sequence[LabeledExample],
     for ex in dataset:
         if not 0 <= ex.label < net.n_classes:
             raise InputError(f"label {ex.label} outside [0, {net.n_classes})")
+        _checked(net, ex.k, ex.v)
     rng = named_rng(cfg.seed, "training")
     params = {k: v.copy() for k, v in net.params().items()}
     velocity = {k: np.zeros_like(v) for k, v in params.items()}
-    work = SchedulerNet(params["q"], params["w1"], params["b1"], params["w2"],
-                        params["b2"], net.grid, net.p_high, net.p_low,
-                        net.feature_block)
+    work = net.with_params(params)  # shares params, so it sees each update
 
     losses = []
     for epoch in range(cfg.epochs):
@@ -404,8 +401,5 @@ def train(net: SchedulerNet, dataset: Sequence[LabeledExample],
                 "lower the learning rate")
         losses.append(epoch_loss)
 
-    trained = SchedulerNet(params["q"], params["w1"], params["b1"], params["w2"],
-                           params["b2"], net.grid, net.p_high, net.p_low,
-                           net.feature_block)
-    return TrainResult(trained, losses, dataset_loss(trained, dataset),
-                       accuracy(trained, dataset))
+    trained = net.with_params(params)
+    return TrainResult(trained, losses, *_evaluate(trained, dataset))

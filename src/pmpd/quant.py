@@ -200,9 +200,12 @@ def dequantize(qt: QuantizedTensor, p: int) -> np.ndarray:
     """Reconstruct real weights at precision ``p`` <= ``p_max``.
 
     At full precision the code maps straight back onto the grid. Below full
-    precision a truncated code addresses a bucket of ``2**(p_max - p)`` grid
-    points and the bucket center is returned, halving the truncation bias
-    relative to the bucket floor. Step-0 groups reconstruct to their min.
+    precision a truncated code ``c`` stands for the codes ``c·2^m … (c+1)·2^m − 1``
+    (``m = p_max - p``) and reconstructs to ``c·2^m + 2^(m−1)`` steps above the
+    group min. Round-to-nearest code ``k`` covers ``[k − ½, k + ½)`` steps, so
+    that is half a step above the centre of the real values ``c`` covers
+    (ROADMAP item 10 corrects it on its own, as it moves every output below
+    ``p_max``). Step-0 groups reconstruct to their min.
     """
     if not 1 <= p <= qt.p_max:
         raise ConfigError(f"precision {p} outside [1, {qt.p_max}]")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -117,10 +117,7 @@ class ModelConfig:
         return self.d_model // self.n_heads
 
     def to_json(self) -> dict:
-        return {"n_layers": self.n_layers, "n_heads": self.n_heads,
-                "d_model": self.d_model, "d_ff": self.d_ff,
-                "vocab_size": self.vocab_size, "max_context": self.max_context,
-                "rope_theta": self.rope_theta}
+        return asdict(self)
 
 
 def _weight_shapes(cfg: ModelConfig) -> list[tuple[str, tuple[int, int]]]:

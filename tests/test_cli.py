@@ -7,7 +7,7 @@ import pytest
 
 from pmpd import cli, learnsched, perf, tinylm
 from pmpd.errors import FormatError, InputError
-from pmpd.schedule import PrecisionSchedule, SwitchGrid
+from pmpd.schedule import FixedScheduler, PrecisionSchedule, SwitchGrid
 from pmpd.util import read_json
 
 TINY = ["--layers", "2", "--heads", "2", "--d-model", "64", "--d-ff", "128",
@@ -52,6 +52,29 @@ def test_generate_fixed_equals_all_high_schedule(tmp_path, monkeypatch):
     for f, s in zip(fixed, sched):
         assert f["output_tokens"] == s["output_tokens"]
         assert f["logits_hashes"] == s["logits_hashes"]
+
+
+@pytest.mark.parametrize("temperature", [None, 0.7])
+def test_generate_writes_the_traces_of_per_prompt_generation(tmp_path, monkeypatch,
+                                                              temperature):
+    # one lockstep call over prompts of three lengths, given longest first
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    lines = ["The quick brown fox jumps over the lazy dog", "A lantern", "Rain on the roof"]
+    Path("prompts.txt").write_text("\n".join(lines) + "\n")
+    sampling = [] if temperature is None else ["--temperature", str(temperature)]
+    assert run(["generate", "--model", "model.pmpd", "--prompts", "prompts.txt",
+                "--fixed-precision", "3", "--max-new", "10", "--seed", "5", *sampling,
+                "--out", "t.json"]) == 0
+    model = tinylm.ModelVariants.load("model.pmpd")
+    cfg = tinylm.SamplerConfig(temperature=temperature, seed=5)
+    expected = []
+    for line in lines:
+        trace = tinylm.generate(model, list(line.encode()), FixedScheduler(3), cfg,
+                                max_new=10)
+        expected.append({**trace.to_json(), "prompt": line,
+                         "text": tinylm.ByteTokenizer().decode(trace.output_tokens)})
+    assert read_json("t.json")["traces"] == expected
 
 
 def test_eval_against_self_is_perfect(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pmpd.learnsched import (LabeledExample, LearnedScheduler, SchedulerNet,
                              pool_kv, predict_schedule, save_labels, train)
 from pmpd.metrics import rouge_l
 from pmpd.schedule import FixedScheduler, PrecisionSchedule, StaticScheduler, SwitchGrid
+from pmpd.util import read_json, write_json
 
 GRID = SwitchGrid(5, 16)
 
@@ -199,6 +202,30 @@ def test_training_rejects_bad_labels_and_divergence():
         train(make_net(n=3, d=4), data, TrainConfig(lr=1e12, epochs=30, seed=0))
 
 
+@pytest.mark.parametrize("k_shape, v_shape", [((0, 4), (0, 4)), ((2, 5), (2, 4)),
+                                              ((2, 4), (2, 3)), ((2, 4), (3, 4))])
+def test_training_refuses_kv_the_net_cannot_pool(k_shape, v_shape):
+    # an empty prompt's features, a width other than the net's, or K and V of
+    # different lengths: a ConfigError before the first epoch, not numpy's error
+    good = LabeledExample(np.zeros((1, 4), np.float32), np.zeros((1, 4), np.float32), 0)
+    bad = LabeledExample(np.zeros(k_shape, np.float32), np.zeros(v_shape, np.float32), 1)
+    with pytest.raises(ConfigError, match="K .* V"):
+        train(make_net(n=3), [good, bad], TrainConfig(epochs=1))
+
+
+def test_final_loss_and_accuracy_are_those_of_the_trained_net():
+    data = make_separable_dataset(per_class=6, noise=2.0)
+    net = SchedulerNet.init(6, 6, 8, SwitchGrid(5, 16), 3, 2, seed=2)
+    result = train(net, data, TrainConfig(epochs=3, seed=4))
+    losses = [example_loss_and_grads(result.net, ex.k, ex.v, ex.label)[0] for ex in data]
+    assert result.final_loss == sum(losses) / len(data)
+    points = result.net.grid.points
+    hits = [points.index(predict_schedule(result.net, FakeCache(ex.k, ex.v))
+                         .switch_points[2]) == ex.label for ex in data]
+    assert result.final_accuracy == sum(hits) / len(data)
+    assert 0 < result.final_accuracy < 1  # both outcomes occur, so both are counted
+
+
 @pytest.mark.parametrize("bad", [{"batch": 0}, {"batch": -1}, {"epochs": 0}, {"epochs": -3},
                                  {"lr": 0.0}, {"lr": -5.0}, {"lr": float("nan")},
                                  {"lr": float("inf")}, {"momentum": -0.1},
@@ -234,6 +261,11 @@ def test_generate_labels_end_to_end(small_model, corpus_prompts):
         assert ex.k.shape == (ex.prompt_len, small_model.config.d_model)
 
 
+def test_generate_labels_refuses_an_empty_seed_prompt(small_model):
+    with pytest.raises(InputError, match="empty"):
+        generate_labels(small_model, [list(b"A lantern"), []], SwitchGrid(3, 8), 3, 2)
+
+
 def test_generate_labels_deterministic(small_model, corpus_prompts):
     grid = SwitchGrid(3, 8)
     a, _ = generate_labels(small_model, corpus_prompts[:3], grid, 3, 2, seed=21)
@@ -255,6 +287,17 @@ def test_labels_file_round_trip(tmp_path):
     assert loaded[0].label == 1 and loaded[0].scores == [0.1, 0.2, 0.9]
     assert np.array_equal(loaded[0].k, examples[0].k)
     assert np.array_equal(loaded[0].v, examples[0].v)
+
+
+def test_net_file_and_label_header_share_one_grid_format(tmp_path):
+    grid = SwitchGrid(4, 12)
+    net = SchedulerNet.init(4, 5, 3, grid, 4, 2, seed=0, feature_block=1)
+    write_json(tmp_path / "net.json", net.to_json())
+    save_labels(tmp_path / "labels.jsonl", [], grid, 4, 2, feature_block=1)
+    header = json.loads((tmp_path / "labels.jsonl").read_text().splitlines()[0])
+    expected = {"grid": grid, "p_high": 4, "p_low": 2, "feature_block": 1}
+    assert learnsched._grid_fields(read_json(tmp_path / "net.json")) == expected
+    assert learnsched._grid_fields(header) == expected
 
 
 @pytest.mark.parametrize("body", [
