@@ -151,6 +151,11 @@ def random_weights(cfg: ModelConfig, seed: int):
 
 INIT_SCHEME = "gaussian-inv-sqrt-dmodel"
 
+# a layer's q, k and v projections, stored as one [d, 3d] array "wqkv" per
+# precision; and the arrays of one layer of ModelVariants.resolved, in order
+_QKV = ("wq", "wk", "wv")
+_LAYER = ("norm_attn", "wqkv", "wo", "norm_mlp", "w_up", "w_down")
+
 
 class ModelVariants:
     """One quantized weight store readable at any precision in its set.
@@ -208,33 +213,44 @@ class ModelVariants:
 
     def weights(self, name: str, p: int) -> np.ndarray:
         """Read-only float64 weights of a tensor at precision ``p``, computed
-        once per (tensor, precision); 16 reads the original real weights."""
+        once per (tensor, precision); 16 reads the original real weights. A
+        layer's ``wq``, ``wk`` and ``wv`` are stored once, as the column
+        blocks of its ``[d, 3d]`` ``layers.i.wqkv``, and read as views of it."""
         w = self._weights64.get((name, p))
         if w is not None:
             return w
+        layer, _, part = name.rpartition(".")
+        if part in _QKV:
+            j = _QKV.index(part) * self.config.d_model
+            w = self.weights(f"{layer}.wqkv", p)[:, j : j + self.config.d_model]
+        elif part == "wqkv":
+            w = _readonly(np.concatenate([self._float64(f"{layer}.{t}", p) for t in _QKV], 1))
+        else:
+            w = _readonly(self._float64(name, p))
+        return self._weights64.setdefault((name, p), w)
+
+    def _float64(self, name: str, p: int) -> np.ndarray:
+        """A fresh float64 copy of tensor ``name`` at ``p``, uncached."""
         if p == FULL_PRECISION:
             if self.full_weights is None:
                 raise ConfigError(
                     "full-precision weights unavailable: model was loaded without "
                     "an init seed and cannot serve precision 16")
-            w = self.full_weights[name].astype(np.float64)
-        elif p in self.precisions:
-            w = dequantize(self.tensors[name], p)
-        else:
-            raise ContractViolation(
-                f"precision {p} not in declared set {list(self.precisions)}")
-        return self._weights64.setdefault((name, p), _readonly(w))
+            return self.full_weights[name].astype(np.float64)
+        if p in self.precisions:
+            return dequantize(self.tensors[name], p)
+        raise ContractViolation(f"precision {p} not in declared set {list(self.precisions)}")
 
     def resolved(self, p: int) -> tuple:
         """The arrays a forward pass at ``p`` reads, gathered once from :meth:`weights`
         and :meth:`norm`: ``(embed, layers, final_norm, head)``, a layer being
-        ``(norm_attn, wq, wk, wv, wo, norm_mlp, w_up, w_down)``."""
+        ``(norm_attn, wqkv, wo, norm_mlp, w_up, w_down)``."""
         if p not in self._resolved:
-            embed, *mats, head = [self.weights(name, p) for name, _ in _weight_shapes(self.config)]
-            layers = tuple((self.norm(f"layers.{i}.norm_attn"), *mats[6 * i : 6 * i + 4],
-                            self.norm(f"layers.{i}.norm_mlp"), *mats[6 * i + 4 : 6 * i + 6])
+            layers = tuple(tuple(self.norm(f"layers.{i}.{t}") if t.startswith("norm")
+                                 else self.weights(f"layers.{i}.{t}", p) for t in _LAYER)
                            for i in range(self.config.n_layers))
-            self._resolved[p] = (embed, layers, self.norm("final_norm"), head)
+            self._resolved[p] = (self.weights("embed", p), layers, self.norm("final_norm"),
+                                 self.weights("head", p))
         return self._resolved[p]
 
     def save(self, path) -> None:
@@ -292,8 +308,10 @@ class KVCache:
     @property
     def T(self) -> int:
         """Tokens held by a one-row cache."""
-        (t,) = self.lengths
-        return int(t)
+        if len(self.lengths) != 1:
+            raise ConfigError(f"a cache of {len(self.lengths)} rows has no single length: "
+                              "T and layer_kv read a one-row cache")
+        return int(self.lengths[0])
 
     def row(self, r: int) -> "KVCache":
         """Row ``r`` as a one-row cache sharing its K/V and length, no copy."""
@@ -315,7 +333,11 @@ class KVCache:
 # ---------------------------------------------------------------------------
 
 def _rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    # np.mean is this reduce followed by this divide, minus its wrapper's cost
+    # np.mean is this reduce followed by this divide, minus its wrapper's cost;
+    # one row's scale is one float, the same bits: IEEE / and sqrt round
+    # correctly in numpy and in math alike
+    if x.ndim == 1:
+        return x / math.sqrt(float(np.add.reduce(x * x)) / len(x) + eps) * gain
     rms = np.sqrt(np.add.reduce(x * x, -1, keepdims=True) / x.shape[-1] + eps)
     return x / rms * gain
 
@@ -340,9 +362,10 @@ def _rope_tables(cfg: ModelConfig):
 
 
 def _apply_rope(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    # x: [..., b, n, heads, d_head]; c/s: [b, n, 1, d_head], or [n, 1, d_head] for
-    # one row. Rotating the halves (x1, x2) is (x1*c - x2*s, x2*c + x1*s); with s
-    # sign-folded that is x*c + (x2, x1)*s, bit for bit: x1*c + x2*(-s) == x1*c - x2*s
+    # x: [..., heads, d_head]; c/s: the table rows of x's positions, shaped to
+    # broadcast over its other axes. Rotating the halves (x1, x2) is
+    # (x1*c - x2*s, x2*c + x1*s); with s sign-folded that is x*c + (x2, x1)*s,
+    # bit for bit: x1*c + x2*(-s) == x1*c - x2*s
     half = x.shape[-1] // 2
     return x * c + np.concatenate([x[..., half:], x[..., :half]], axis=-1) * s
 
@@ -371,8 +394,9 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.nda
     return np.einsum("bhnt,bthd->bnhd", _softmax(scores), v)
 
 
-def _check(model: ModelVariants, p: int, ids: np.ndarray, cache: KVCache, end: int) -> None:
-    """Refuse ``p`` outside the model's set, ids outside the vocabulary or ``end`` > capacity."""
+def _check(model: ModelVariants, p: int, ids: Sequence, cache: KVCache, end: int) -> None:
+    """Refuse ``p`` outside the model's set, ``end`` > capacity, or an id that is
+    not an ``int`` or numpy integer (a ``bool`` is not) inside the vocabulary."""
     if p not in model.allowed_precisions():
         raise ContractViolation(
             f"precision {p} not in the model's set {sorted(model.allowed_precisions())}")
@@ -381,8 +405,11 @@ def _check(model: ModelVariants, p: int, ids: np.ndarray, cache: KVCache, end: i
     if end > limit:
         raise InputError(f"sequence length {end} exceeds the cache's {limit} "
                          f"positions (max_context {cfg.max_context})")
-    if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
-        raise InputError(f"token id outside vocabulary of size {cfg.vocab_size}")
+    for t in ids:
+        if not isinstance(t, (int, np.integer)) or type(t) is bool:
+            raise InputError(f"token id {t!r} is not an integer")
+        if not 0 <= t < cfg.vocab_size:
+            raise InputError(f"token id {t} outside vocabulary of size {cfg.vocab_size}")
 
 
 def _mlp(x: np.ndarray, norm_mlp, w_up, w_down) -> np.ndarray:
@@ -391,51 +418,77 @@ def _mlp(x: np.ndarray, norm_mlp, w_up, w_down) -> np.ndarray:
     return x + (_silu(u[..., : len(w_down)]) * u[..., len(w_down) :]) @ w_down
 
 
+def _step(model: ModelVariants, p: int, token, cache: KVCache, r: int) -> np.ndarray:
+    """Append one position to cache row ``r`` for id ``token`` at weight
+    precision ``p``; returns its logits ``[vocab]``.
+
+    The one-row decode step, straight-line and bit-identical to a row of
+    :func:`_decode`: the embedding and RoPE rows are basic slices, each
+    layer's q|k|v is one gemv whose V goes straight into the cache row and
+    whose contiguous ``[2, H, dh]`` q|k is rotated in one go, and every
+    vector stays 1-D, so RMSNorm's scale is one float.
+    """
+    T0 = int(cache.lengths[r])
+    if T0 < 1:
+        raise InputError("decode_step requires a prefilled cache")
+    _check(model, p, (token,), cache, T0 + 1)
+    embed, layers, final_norm, head = model.resolved(p)
+    H, dh, d = model.config.n_heads, model.config.d_head, model.config.d_model
+    x = embed[token]
+    cos, sin = (table[T0] for table in model.rope)  # [1, dh]
+    kc, vc = (a.reshape(*a.shape[:3], H, dh) for a in (cache.k, cache.v))
+    for i, (norm_attn, wqkv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
+        qkv = _rmsnorm(x, norm_attn) @ wqkv
+        cache.v[i, r, T0] = qkv[2 * d :]
+        q, kc[i, r, T0] = _apply_rope(qkv[: 2 * d].reshape(2, H, dh), cos, sin)
+        ctx = _attend(q[None, None], kc[i, r : r + 1, : T0 + 1], vc[i, r : r + 1, : T0 + 1],
+                      1.0 / math.sqrt(dh))
+        x = _mlp(x + ctx.reshape(d) @ wo, norm_mlp, w_up, w_down)
+    cache.lengths[r] = T0 + 1
+    return _rmsnorm(x, final_norm) @ head
+
+
 def _decode(model: ModelVariants, p: int, tokens, cache: KVCache,
             rows: Sequence[int]) -> np.ndarray:
-    """Append one position to each cache row ``rows[j]`` (strictly increasing)
-    for id ``tokens[j]`` at weight precision ``p``; returns their logits ``[b, vocab]``.
+    """Append one position to each of two or more cache rows ``rows[j]``
+    (strictly increasing) for id ``tokens[j]`` at weight precision ``p``;
+    returns their logits ``[b, vocab]``.
 
-    Each row gets exactly the arithmetic a one-row call would do, so a batch
-    of rows is bit-identical to running them one by one. The projections are
-    stacked ``[b, 1, d] @ W`` products, which numpy evaluates as one gemv per
-    row (one row keeps 2-D ``[1, d]``, the same gemv at less cost per call),
-    never one ``[b, d]`` gemm, whose sums differ in the last bits. Attention
-    is one :func:`_attend` per run of adjacent rows holding equal lengths,
-    never a padded one: ``-inf`` padding is exact in einsum's layout too, but
-    was no faster. RMSNorm, RoPE, softmax and SiLU work row by row. A row's
-    new position is written before it attends over its keys ``[0, T0 + 1)``
-    only, so nothing at or past a row's length reaches the result.
+    Each row gets exactly the arithmetic of a one-row step (:func:`_step`),
+    so a batch of rows is bit-identical to running them one by one. The
+    projections, q|k|v fused, are stacked ``[b, 1, d] @ W`` products, which
+    numpy evaluates as one gemv per row, never one ``[b, d]`` gemm, whose
+    sums differ in the last bits. Attention is one :func:`_attend` per run of
+    adjacent rows holding equal lengths, never a padded one: ``-inf``
+    padding is exact in einsum's layout too, but was no faster. RMSNorm,
+    RoPE, softmax and SiLU work row by row. A row's new position is written
+    before it attends over its keys ``[0, T0 + 1)`` only, so nothing at or
+    past a row's length reaches the result.
     """
-    ids = np.asarray(tokens, dtype=np.int64)
-    b = len(ids)
-    starts = [cache.lengths[r] for r in rows]
-    if not starts or min(starts) < 1:
+    b = len(rows)
+    starts = [int(cache.lengths[r]) for r in rows]
+    if min(starts) < 1:
         raise InputError("decode_step requires a prefilled cache")
-    _check(model, p, ids, cache, max(starts) + 1)
+    _check(model, p, tokens, cache, max(starts) + 1)
     # runs of adjacent rows at equal length: batch indices [j0, j1), first row, length
     cuts = [j for j in range(1, b) if (rows[j] - rows[j - 1], starts[j]) != (1, starts[j - 1])]
     runs = [(j0, j1, rows[j0], starts[j0]) for j0, j1 in zip([0, *cuts], [*cuts, b])]
     embed, layers, final_norm, head = model.resolved(p)
     H, dh, d = model.config.n_heads, model.config.d_head, model.config.d_model
-    lead = (1,) if b == 1 else (b, 1)
-    x = embed[ids.reshape(lead)]
+    x = embed[np.asarray(tokens, dtype=np.int64)[:, None]]  # [b, 1, d]
     cos, sin = (table[starts][:, None] for table in model.rope)  # [b, 1, 1, dh]
     kc, vc = (a.reshape(*a.shape[:3], H, dh) for a in (cache.k, cache.v))
-    for i, (norm_attn, wq, wk, wv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
-        h = _rmsnorm(x, norm_attn)
-        v = (h @ wv).reshape(b, H, dh)
-        qk = np.empty((2, *lead, d))
-        np.matmul(h, wq, out=qk[0])
-        np.matmul(h, wk, out=qk[1])
-        q, k = _apply_rope(qk.reshape(2, b, 1, H, dh), cos, sin)
+    for i, (norm_attn, wqkv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
+        qkv = (_rmsnorm(x, norm_attn) @ wqkv).reshape(b, 3, H, dh)
+        # [b, 2, H, dh] rotated: q is its [b, 1, H, dh] first slice, one query per row
+        qk = _apply_rope(qkv[:, :2], cos, sin)
+        q, k, v = qk[:, :1], qk[:, 1], qkv[:, 2]
         ctx = []
         for j0, j1, r0, T0 in runs:
             ck, cv = kc[i, r0 : r0 + j1 - j0, : T0 + 1], vc[i, r0 : r0 + j1 - j0, : T0 + 1]
-            ck[:, T0], cv[:, T0] = k[j0:j1, 0], v[j0:j1]
+            ck[:, T0], cv[:, T0] = k[j0:j1], v[j0:j1]
             ctx.append(_attend(q[j0:j1], ck, cv, 1.0 / math.sqrt(dh)))
-        ctx = ctx[0] if len(ctx) == 1 else np.concatenate(ctx)
-        x = _mlp(x + ctx.reshape(x.shape) @ wo, norm_mlp, w_up, w_down)
+        x = _mlp(x + np.concatenate(ctx).reshape(b, 1, d) @ wo, norm_mlp, w_up, w_down)
     for r, t in zip(rows, starts):
         cache.lengths[r] = t + 1
     return (_rmsnorm(x, final_norm) @ head).reshape(b, -1)
@@ -461,21 +514,19 @@ def _extend(model: ModelVariants, p: int, tokens, cache: KVCache,
     depend on the other rows' values, whatever the BLAS kernel; a product
     with fewer rows would tile its sums differently.
     """
-    ids = np.asarray(tokens, dtype=np.int64)
-    T0, n = cache.T, len(ids)
-    _check(model, p, ids, cache, T0 + n)
+    T0, n = cache.T, len(tokens)
+    _check(model, p, tokens, cache, T0 + n)
     embed, layers, final_norm, head = model.resolved(p)
     H, dh, d = model.config.n_heads, model.config.d_head, model.config.d_model
-    x = embed[ids]
+    x = embed[np.asarray(tokens, dtype=np.int64)]
     cos, sin = (table[T0 : T0 + n] for table in model.rope)
     kc, vc = (a.reshape(*a.shape[:3], H, dh) for a in (cache.k, cache.v))
-    for i, (norm_attn, wq, wk, wv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
-        h = _rmsnorm(x, norm_attn)
-        vc[i, :, T0 : T0 + n] = (h @ wv).reshape(1, n, H, dh)
-        qk = np.empty((2, n, d))
-        np.matmul(h, wq, out=qk[0])
-        np.matmul(h, wk, out=qk[1])
-        q, kc[i, :, T0 : T0 + n] = _apply_rope(qk.reshape(2, 1, n, H, dh), cos, sin)
+    for i, (norm_attn, wqkv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
+        # q, k and v in one call of three gemms over wqkv's [d, d] blocks: one
+        # [n, 3d] gemm sums differently on some kernels (Haswell, Nehalem)
+        qkv = _rmsnorm(x, norm_attn) @ wqkv.reshape(d, 3, d).transpose(1, 0, 2)  # [3, n, d]
+        vc[i, :, T0 : T0 + n] = qkv[2].reshape(1, n, H, dh)
+        q, kc[i, :, T0 : T0 + n] = _apply_rope(qkv[:2].reshape(2, 1, n, H, dh), cos, sin)
         ctx = np.zeros((1, n, H, dh))
         # block [a, e) over the keys [0, T0 + e); in prefill's last layer query n - 1 only
         for a in range(n - 1 if last and i == len(layers) - 1 else 0, n, BLOCK):
@@ -513,16 +564,21 @@ def decode_step(model: ModelVariants, p: int, tokens, cache: KVCache,
     default, strictly increasing), row ``rows[j]`` consuming ``tokens[j]``;
     appends one position per layer to each and returns their logits
     ``[len(rows), vocab]``. A single int token steps one row and gets that
-    row's logits."""
-    one = isinstance(tokens, (int, np.integer))
+    row's logits. One row runs the straight-line :func:`_step`, two or more
+    the lockstep :func:`_decode`; a row's bits are the same in both."""
+    one = not hasattr(tokens, "__len__")
     tokens = [tokens] if one else tokens
     rows = range(len(cache.lengths)) if rows is None else rows
-    # the rows strictly increasing, each one of the cache's
-    if len(tokens) != len(rows) or list(rows) != sorted({*rows} & {*range(len(cache.lengths))}):
+    # at least one row, the rows strictly increasing, each one of the cache's
+    if (len(rows) == 0 or len(tokens) != len(rows)
+            or list(rows) != sorted({*rows} & {*range(len(cache.lengths))})):
         raise InputError(f"{len(tokens)} tokens for rows {list(rows)} of a {len(cache.lengths)}"
-                         "-row cache: one token per row, the rows strictly increasing")
-    logits = _decode(model, p, tokens, cache, rows)
-    return (logits[0] if one else logits), cache
+                         "-row cache: one token per row, at least one row, the rows strictly "
+                         "increasing")
+    if len(rows) > 1:
+        return _decode(model, p, tokens, cache, rows), cache
+    logits = _step(model, p, tokens[0], cache, rows[0])
+    return (logits if one else logits[None]), cache
 
 
 def forward_full(model: ModelVariants, p: int, tokens: Sequence[int]) -> np.ndarray:
@@ -548,12 +604,12 @@ class SamplerConfig:
 
 def sample(logits: np.ndarray, cfg: SamplerConfig,
            rng: np.random.Generator | None = None) -> int:
-    """Greedy argmax (lowest index on ties) or seeded temperature sampling."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(logits)):
+    """Greedy argmax (lowest index on ties) or seeded temperature sampling of
+    a float array of logits."""
+    if not np.isfinite(logits).all():
         raise InputError("logits contain non-finite values")
     if cfg.temperature is None:
-        return int(np.argmax(logits))
+        return int(logits.argmax())
     probs = _softmax(logits / cfg.temperature)
     rng = rng if rng is not None else named_rng(cfg.seed, "sampler")
     return int(rng.choice(len(probs), p=probs))

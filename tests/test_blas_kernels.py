@@ -20,11 +20,13 @@ import pytest
 import pmpd
 
 KERNELS = ["Sandybridge", "Haswell", "Nehalem"]
-# the naive-forward test, the batch-invariance and row-product guards, rows
-# of a block step against one-row steps, and every lockstep-equals-generate test
+# the naive-forward test, the batch-invariance, row-product and fused-q|k|v
+# guards, rows of a block step against one-row steps, and every
+# lockstep-equals-generate test
 SELECTED = ["tests/test_tinylm.py", "tests/test_schedule.py", "-k", " or ".join((
     "test_forward_matches_the_naive_pass_bit_for_bit",
     "test_stacked_products_and_batched_attention_are_batch_invariant",
+    "test_the_fused_qkv_product_equals_three_separate_products",
     "test_the_heads_rows_depend_on_the_row_count_not_the_other_rows",
     "test_a_layers_rows_depend_on_the_row_count_not_the_other_rows",
     "test_decode_step_over_rows_equals_one_row_at_a_time",

@@ -142,8 +142,8 @@ def test_stacked_products_and_batched_attention_are_batch_invariant(toy_model, B
     cfg = toy_model.config
     H, dh, d, T = cfg.n_heads, cfg.d_head, cfg.d_model, 37
     _, layers, _, head = toy_model.resolved(4)
-    _, wq, wk, wv, wo, _, w_up, w_down = layers[0]
-    for w in (wq, wk, wv, wo, w_up, w_down, head):
+    _, wqkv, wo, _, w_up, w_down = layers[0]
+    for w in (wqkv, wo, w_up, w_down, head):
         x = rng.normal(size=(B, 1, w.shape[0]))
         stacked = x @ w
         assert all(stacked[b].tobytes() == (x[b] @ w).tobytes() for b in range(B))
@@ -181,13 +181,38 @@ def test_the_heads_rows_depend_on_the_row_count_not_the_other_rows(toy_model, n)
 @pytest.mark.parametrize("name", ["wq", "wk", "wv", "wo", "w_up", "w_down"])
 def test_a_layers_rows_depend_on_the_row_count_not_the_other_rows(toy_model, name):
     # the same rule for every product of prefill's last layer, all kept at n
-    # rows: the rows other than the last carry a zero context into wo and the
-    # MLP, and the last row's sums must not see what they hold; a numpy or
-    # BLAS kernel that breaks this fails here
-    _, wq, wk, wv, wo, _, w_up, w_down = toy_model.resolved(4)[1][0]
-    w = {"wq": wq, "wk": wk, "wv": wv, "wo": wo, "w_up": w_up, "w_down": w_down}[name]
+    # rows (wq, wk and wv as the [d, d] blocks of wqkv it multiplies): the
+    # rows other than the last carry a zero context into wo and the MLP, and
+    # the last row's sums must not see what they hold; a numpy or BLAS
+    # kernel that breaks this fails here
+    w = toy_model.weights(f"layers.0.{name}", 4)
     for n in (2, 3, 17, 48, 65, 130, 199):
         assert_the_last_row_ignores_the_other_rows(w, n, n)
+
+
+@pytest.mark.parametrize("p", [FULL_PRECISION, 4, 2])
+def test_the_fused_qkv_product_equals_three_separate_products(toy_model, p):
+    # a layer's q, k and v come from its one [d, 3d] wqkv, and each must
+    # equal the product with that projection alone, a contiguous [d, d]
+    # array, bit for bit. A decode step takes one fused gemv per row: a 1-D
+    # row, or stacked [b, 1, d] rows. A prefill's [n, d] rows take one
+    # stacked call of three gemms over wqkv's [d, d] column blocks, because
+    # a fused [n, 3d] gemm tiles its sums differently on some kernels
+    # (Haswell, Nehalem, Prescott: rows 11 to 30 among others)
+    cfg = toy_model.config
+    d = cfg.d_model
+    wqkv = toy_model.resolved(p)[1][-1][1]
+    alone = [np.array(toy_model.weights(f"layers.{cfg.n_layers - 1}.{t}", p))
+             for t in ("wq", "wk", "wv")]
+    rng = np.random.default_rng(p)
+    for shape in ((d,), (1, d), (2, 1, d), (3, 1, d), (12, 1, d), (33, 1, d)):
+        x = rng.normal(size=shape)
+        want = np.concatenate([x @ w for w in alone], axis=-1)
+        assert (x @ wqkv).tobytes() == want.tobytes(), shape
+    blocks = wqkv.reshape(d, 3, d).transpose(1, 0, 2)
+    for n in (1, 2, 3, 11, 13, 17, 18, 30, 48, 65, 130, 199):
+        x = rng.normal(size=(n, d))
+        assert (x @ blocks).tobytes() == np.stack([x @ w for w in alone]).tobytes(), n
 
 
 @pytest.mark.parametrize("rows", [1, 2])
@@ -357,11 +382,11 @@ def test_input_validation(small_model):
         prefill(small_model, 4, PROMPT, tinylm.KVCache(2, 64, 40, rows=3))
     block = prefilled_block(small_model, [PROMPT[:5], PROMPT[:9], PROMPT])
     k, v, lengths = block.k.copy(), block.v.copy(), block.lengths.copy()
-    # rows that repeat, fall or lie outside the block, and token counts that
-    # differ from the row count
+    # rows that repeat, fall or lie outside the block, no rows, and token
+    # counts that differ from the row count
     for tokens, rows in (([65, 66], [1, 1]), ([65, 66], [2, 1]), ([65], [0, 1]),
                          ([65, 66], None), (65, None), ([65], [3]), ([65, 66], [0, 5]),
-                         ([65], [-1])):
+                         ([65], [-1]), ([], [])):
         with pytest.raises(InputError):
             decode_step(small_model, 4, tokens, block, rows)
     with pytest.raises(InputError):
@@ -381,6 +406,39 @@ def test_input_validation(small_model):
     with pytest.raises(InputError):  # row 1 holds its capacity
         decode_step(small_model, 4, [65, 66, 67], full)
     assert full.lengths.tolist() == [5, len(PROMPT), 9]
+
+
+@pytest.mark.parametrize("bad", [1.7, 3.9, True, np.float64(2.0), np.bool_(True), "A", None])
+def test_a_token_id_that_is_not_an_integer_is_refused(small_model, bad):
+    # ids were read through np.asarray(..., dtype=np.int64), which ran 1.7
+    # as token 1 and True as token 1; every kernel now refuses them, unwritten
+    _, cache = prefill(small_model, 4, PROMPT)
+    block = prefilled_block(small_model, [PROMPT[:5], PROMPT])
+    k, v, lengths = block.k.copy(), block.v.copy(), block.lengths.copy()
+    calls = (lambda: prefill(small_model, 4, [65, bad]),
+             lambda: forward_full(small_model, 4, [bad, 65]),
+             lambda: decode_step(small_model, 4, bad, cache),
+             lambda: decode_step(small_model, 4, [bad], cache),
+             lambda: decode_step(small_model, 4, [65, bad], block))
+    for call in calls:
+        with pytest.raises(InputError, match="not an integer"):
+            call()
+    assert cache.T == len(PROMPT) and block.lengths.tolist() == lengths.tolist()
+    assert block.k.tobytes() == k.tobytes() and block.v.tobytes() == v.tobytes()
+    # numpy integers are ids like Python ints
+    want, _ = decode_step(small_model, 4, 65, prefill(small_model, 4, PROMPT)[1])
+    assert decode_step(small_model, 4, np.int32(65), cache)[0].tobytes() == want.tobytes()
+    assert (prefill(small_model, 4, list(np.array(PROMPT, dtype=np.uint8)))[0].tobytes()
+            == prefill(small_model, 4, PROMPT)[0].tobytes())
+
+
+def test_a_blocks_length_and_layer_kv_are_refused_naming_its_rows():
+    block = tinylm.KVCache(2, 64, 16, rows=3)
+    with pytest.raises(ConfigError, match="3 rows"):
+        block.T
+    with pytest.raises(ConfigError, match="3 rows"):
+        block.layer_kv(0)
+    assert block.row(1).T == 0 and block.row(1).layer_kv(-1)[0].shape == (0, 64)
 
 
 def test_decode_rejects_full_context():
@@ -624,10 +682,32 @@ def test_resolved_tuple_holds_the_cached_weight_arrays():
         assert embed is model.weights("embed", p) and head is model.weights("head", p)
         assert final_norm is model.norm("final_norm")
         for i, layer in enumerate(layers):
-            names = ("norm_attn", "wq", "wk", "wv", "wo", "norm_mlp", "w_up", "w_down")
+            names = ("norm_attn", "wqkv", "wo", "norm_mlp", "w_up", "w_down")
             for name, arr in zip(names, layer, strict=True):
                 name = f"layers.{i}.{name}"
                 assert arr is (model.norm(name) if "norm" in name else model.weights(name, p))
+
+
+def test_q_k_v_are_views_of_one_fused_array_and_add_no_bytes(toy_model):
+    # a layer's wq, wk and wv share memory with its wqkv instead of being
+    # stored twice, so a precision's float64 weights take exactly the
+    # tensors' own size: 5.5 MiB for the README's model (this fixture)
+    cfg = toy_model.config
+    for p in (4, 3, 2, FULL_PRECISION):
+        for i in range(cfg.n_layers):
+            wqkv = toy_model.weights(f"layers.{i}.wqkv", p)
+            assert wqkv.shape == (cfg.d_model, 3 * cfg.d_model) and not wqkv.flags.writeable
+            for t in ("wq", "wk", "wv"):
+                w = toy_model.weights(f"layers.{i}.{t}", p)
+                assert w.base is wqkv
+        owners = {}
+        for name in toy_model.tensors:
+            w = toy_model.weights(name, p)
+            root = w if w.base is None else w.base
+            owners[id(root)] = root.nbytes
+        sizes = sum(8 * t.rows * t.cols for t in toy_model.tensors.values())
+        assert sum(owners.values()) == sizes
+        assert round(sizes / 2**20, 1) == 5.5
 
 
 def test_undeclared_precision_leaves_the_kv_cache_untouched(small_model):
