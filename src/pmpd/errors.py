@@ -18,7 +18,7 @@ class InputError(PmpdError):
 
 
 class FormatError(InputError):
-    """A file pmpd reads failed validation; raised for a malformed value by ``util.parsing``."""
+    """A value read is malformed or outside a constructor's domain (``util.parsing``)."""
 
 
 class ContractViolation(PmpdError):

@@ -109,11 +109,8 @@ class SchedulerNet:
         with parsing("scheduler net JSON"):
             if obj.get("tag") != NET_TAG:
                 raise FormatError(f"not a scheduler net artifact (tag {obj.get('tag')!r})")
-            try:
-                return cls(*(json_floats(obj[name]["data"]).reshape(obj[name]["shape"])
-                             for name in PARAMS), **_grid_fields(obj))
-            except ConfigError as exc:  # a domain error in a file is a format error
-                raise FormatError(f"malformed scheduler net JSON: {exc}") from exc
+            return cls(*(json_floats(obj[name]["data"]).reshape(obj[name]["shape"])
+                         for name in PARAMS), **_grid_fields(obj))
 
 
 def _grid_json(tag: str, grid: SwitchGrid, p_high: int, p_low: int,

@@ -96,9 +96,9 @@ class PrecisionSchedule:
                               f"non-decreasing within [0, {self.horizon}]")
 
     @classmethod
-    def constant(cls, p: int, horizon: int, p_prefill: int | None = None,
-                 feasible: bool = True) -> "PrecisionSchedule":
-        return cls((p,), p if p_prefill is None else p_prefill, {p: 0}, horizon, feasible)
+    def constant(cls, p: int, horizon: int,
+                 p_prefill: int | None = None) -> "PrecisionSchedule":
+        return cls((p,), p if p_prefill is None else p_prefill, {p: 0}, horizon)
 
     @classmethod
     def two_phase(cls, p_high: int, p_low: int, switch: int, horizon: int,

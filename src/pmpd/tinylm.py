@@ -46,26 +46,21 @@ class ByteTokenizer:
 class VocabTokenizer:
     """Greedy longest-match tokenizer over an explicit string vocabulary."""
 
-    def __init__(self, tokens: Sequence[str], eos_id: int | None = None):
-        if not tokens:
-            raise InputError("vocabulary is empty")
+    def __init__(self, tokens: list[str], eos_id: int | None = None):
+        if not (isinstance(tokens, list) and tokens and all(type(t) is str for t in tokens)):
+            raise ConfigError("tokens must be a non-empty list of strings")
+        if eos_id is not None and (type(eos_id) is not int or eos_id < 0):
+            raise ConfigError(f"eos must be absent or a non-negative integer, got {eos_id!r}")
         self.tokens = list(tokens)
-        self.eos_id = len(self.tokens) if eos_id is None else int(eos_id)
-        self.vocab_size = max(len(self.tokens), self.eos_id + 1)
-        self._by_length = sorted(range(len(self.tokens)),
-                                 key=lambda i: -len(self.tokens[i]))
+        self.eos_id = len(tokens) if eos_id is None else eos_id
+        self.vocab_size = max(len(tokens), self.eos_id + 1)
+        self._by_length = sorted(range(len(tokens)), key=lambda i: -len(tokens[i]))
 
     @classmethod
     def from_json(cls, path) -> "VocabTokenizer":
         obj = read_json(path)
-        tokens = obj.get("tokens") if isinstance(obj, dict) else None
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise FormatError(f"vocabulary file {path} lacks a 'tokens' list of strings")
-        eos = obj.get("eos")
-        if eos is not None and (type(eos) is not int or eos < 0):
-            raise FormatError(f"vocabulary file {path}: 'eos' must be a non-negative "
-                              f"integer, got {eos!r}")
-        return cls(tokens, eos)
+        with parsing(f"vocabulary file {path}"):
+            return cls(obj["tokens"], obj.get("eos"))
 
     def encode(self, text: str) -> list[int]:
         out, pos = [], 0
@@ -267,16 +262,13 @@ class ModelVariants:
     def load(cls, path) -> "ModelVariants":
         tensors, meta = parse_model(read_bytes(path))
         with parsing("weight file metadata"):
-            try:
-                config = ModelConfig(**meta["config"])
-                precisions = PrecisionSet(tuple(meta["precisions"]))
-                norms = {k: json_floats(v) for k, v in meta["norms"].items()}
-                init, full = meta.get("init"), None
-                if init is not None and init.get("scheme") == INIT_SCHEME:
-                    full, _ = random_weights(config, json_int(init["seed"]))
-                return cls(config, precisions, tensors, norms, full_weights=full, init_info=init)
-            except ConfigError as exc:  # a domain error in a file is a format error
-                raise FormatError(f"malformed weight file metadata: {exc}") from exc
+            config = ModelConfig(**meta["config"])
+            precisions = PrecisionSet(tuple(meta["precisions"]))
+            norms = {k: json_floats(v) for k, v in meta["norms"].items()}
+            init, full = meta.get("init"), None
+            if init is not None and init.get("scheme") == INIT_SCHEME:
+                full, _ = random_weights(config, json_int(init["seed"]))
+            return cls(config, precisions, tensors, norms, full_weights=full, init_info=init)
 
     def allowed_precisions(self) -> frozenset[int]:
         """The declared set, plus 16 when the real weights are available."""
@@ -546,7 +538,7 @@ def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
     last-position logits and the cache. Every product runs at all positions;
     only the final layer's attention is the last position's alone (see
     :func:`_extend`)."""
-    if not prompt:
+    if len(prompt) == 0:
         raise InputError("prompt is empty")
     if len(prompt) >= model.config.max_context:
         raise InputError(
@@ -566,7 +558,7 @@ def decode_step(model: ModelVariants, p: int, tokens, cache: KVCache,
     ``[len(rows), vocab]``. A single int token steps one row and gets that
     row's logits. One row runs the straight-line :func:`_step`, two or more
     the lockstep :func:`_decode`; a row's bits are the same in both."""
-    one = not hasattr(tokens, "__len__")
+    one = np.ndim(tokens) == 0
     tokens = [tokens] if one else tokens
     rows = range(len(cache.lengths)) if rows is None else rows
     # at least one row, the rows strictly increasing, each one of the cache's
@@ -721,7 +713,7 @@ class _Walk:
             tokens[r] = [sample(logits, self.sampler_cfg, rng)]
             hashes[r] = [logits_hash(logits)]
         self.walk(block, {r: list(range(len(schedulers))) for r in tokens}, tokens, hashes)
-        return [([GenerationTrace(list(prompt), list(toks),
+        return [([GenerationTrace([int(t) for t in prompt], list(toks),
                                   list(s.token_precisions(len(toks))), list(hs),
                                   "eos" if toks[-1] == self.eos else "length", pf, s)
                   for s, (toks, hs) in zip(scheds, ends)], feats)
@@ -796,7 +788,9 @@ def decode_schedules(model: ModelVariants, prompts: Sequence[Sequence[int]],
     and rolls its rows back (see :class:`KVCache`), and every row at the
     same node and precision advances through one ``decode_step`` call. That
     call is exact row by row (see :func:`_decode`), so each trace is
-    bit-identical to a walk of its prompt and schedule alone.
+    bit-identical to a walk of its prompt and schedule alone. A prompt whose
+    ``len(prompt) + max_new - 1`` positions exceed ``max_context`` is refused
+    before the first prefill, EOS or not.
     Each row samples from its own sampler stream, but the stream is not
     forked, so only a greedy sampler may walk more than one schedule.
 
@@ -811,6 +805,10 @@ def decode_schedules(model: ModelVariants, prompts: Sequence[Sequence[int]],
     if cfg.temperature is not None and len(schedulers) > 1:
         raise ConfigError("a temperature sampler decodes one schedule at a time, "
                           f"got {len(schedulers)}: its RNG is not forked")
+    need = max((len(prompt) + max_new - 1 for prompt in prompts), default=0)
+    if need > model.config.max_context:
+        raise InputError(f"the longest prompt and max_new {max_new} need {need} positions, "
+                         f"more than max_context {model.config.max_context}")
     groups: dict[int, list[int]] = {}
     for i, scheduler in enumerate(schedulers):
         groups.setdefault(scheduler.p_prefill, []).append(i)

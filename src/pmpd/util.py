@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, InputError
+from .errors import ConfigError, FormatError, InputError
 
 
 def named_rng(seed: int, label: str) -> np.random.Generator:
@@ -45,10 +45,12 @@ def read_bytes(path) -> bytes:
 def parsing(what: str):
     """The one rule for reading a file: what Python raises on a value of the wrong
     type, shape or range (``int(1e400)``, ``[].get``, the JSON and UTF-8 decoders'
-    ``ValueError``s...) becomes :class:`FormatError`; a ``PmpdError`` passes."""
+    ``ValueError``s...) or a constructor raises on one outside its domain (its
+    :class:`ConfigError`) becomes :class:`FormatError` naming ``what``; others pass."""
     try:
         yield
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError, OverflowError,
+            ConfigError) as exc:
         raise FormatError(f"malformed {what}: {exc}") from exc
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from pathlib import Path
 
@@ -558,6 +559,85 @@ def test_read_json_errors_are_typed(tmp_path):
     bad.write_text("[1, 2")
     with pytest.raises(FormatError):
         read_json(bad)
+
+
+def _write_labels(edit_header) -> None:
+    example = learnsched.LabeledExample(np.ones((3, 8), np.float32),
+                                        np.ones((3, 8), np.float32), 0, [0.5] * 3, 3)
+    learnsched.save_labels("labels.jsonl", [example], SwitchGrid(3, 8), 4, 2)
+    header, line = Path("labels.jsonl").read_text().splitlines()
+    header = json.loads(header)
+    edit_header(header)
+    Path("labels.jsonl").write_text(f"{json.dumps(header)}\n{line}\n")
+
+
+def _write_json(name, obj):
+    return lambda: Path(name).write_text(json.dumps(obj))
+
+
+BAD_SWITCH_POINTS = {"precisions": [4, 2], "prefill": 4, "st": {"4": 0}, "OL": 8}
+BAD_GRID = {"n": 1, "OL": 8}
+GENERATE = ["generate", "--model", "model.pmpd", "--prompt", "a", "--max-new", "4"]
+# (write the input, read it in code, read it through the CLI, what the error names)
+OUT_OF_DOMAIN = {
+    "schedule": (_write_json("in.json", BAD_SWITCH_POINTS),
+                 lambda: PrecisionSchedule.from_json(read_json("in.json")),
+                 [*PERF, "--preset", "vicuna-7b", "--schedule", "in.json"], "schedule JSON"),
+    "hardware": (_write_json("in.json", {"mac_units": 0, "clock_hz": 1e9,
+                                         "mem_bw_bytes_per_s": 32e9}),
+                 lambda: perf.HardwareConfig.from_json(read_json("in.json")),
+                 [*PERF, "--preset", "vicuna-7b", "--hardware", "in.json",
+                  "--fixed-precision", "3"], "hardware JSON"),
+    "footprint": (_write_json("in.json", {**perf.FOOTPRINT_PRESETS["vicuna-7b"].to_json(),
+                                          "group_size": 0}),
+                  lambda: perf.ModelFootprint.from_json(read_json("in.json")),
+                  [*PERF, "--footprint", "in.json", "--fixed-precision", "3"],
+                  "footprint JSON"),
+    "scheduler-net": (_write_json("in.json", {**learnsched.SchedulerNet.init(
+                          64, 64, 4, SwitchGrid(3, 8), 4, 2).to_json(), "grid": BAD_GRID}),
+                      lambda: learnsched.SchedulerNet.from_json(read_json("in.json")),
+                      [*GENERATE, "--learned", "in.json", "--prefill", "4"],
+                      "scheduler net JSON"),
+    "label-header": (lambda: _write_labels(lambda header: header.update(grid=BAD_GRID)),
+                     lambda: learnsched.load_labels("labels.jsonl"),
+                     ["train-scheduler", "--labels", "labels.jsonl", "--hidden", "4",
+                      "--epochs", "1"], "label file labels.jsonl"),
+    "weight-file-metadata": (
+        lambda: _rewrite_metadata("model.pmpd", lambda meta: meta.update(precisions=[9])),
+        lambda: tinylm.ModelVariants.load("model.pmpd"),
+        [*GENERATE, "--fixed-precision", "3"], "weight file metadata"),
+    "vocabulary-float-eos": (_write_json("in.json", {"tokens": ["a", "b"], "eos": 1.7}),
+                             lambda: tinylm.VocabTokenizer.from_json("in.json"),
+                             [*GENERATE, "--vocab", "in.json", "--fixed-precision", "3"],
+                             "vocabulary file in.json"),
+    "vocabulary-boolean-eos": (_write_json("in.json", {"tokens": ["a", "b"], "eos": True}),
+                               lambda: tinylm.VocabTokenizer.from_json("in.json"),
+                               [*GENERATE, "--vocab", "in.json", "--fixed-precision", "3"],
+                               "vocabulary file in.json"),
+    "trace-schedule": (_write_json("in.json", {"traces": [{**GOOD_TRACE,
+                                                           "schedule": BAD_SWITCH_POINTS}]}),
+                       lambda: tinylm.GenerationTrace.from_json(
+                           read_json("in.json")["traces"][0]),
+                       ["eval", "--traces", "in.json", "--references", "in.json"],
+                       "schedule JSON"),
+    "precision-list": (lambda: None, lambda: cli._precisions("9"),
+                       ["quantize", "--random", "--precisions", "9", *TINY],
+                       "precision list '9'"),
+}
+
+
+@pytest.mark.parametrize("write, read, argv, what", OUT_OF_DOMAIN.values(),
+                         ids=OUT_OF_DOMAIN.keys())
+def test_an_out_of_domain_value_read_is_a_format_error_naming_its_source(
+        tmp_path, monkeypatch, write, read, argv, what):
+    # a constructor's ConfigError, raised while reading, is the reader's FormatError
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    write()
+    with pytest.raises(FormatError, match=f"^malformed {re.escape(what)}: "):
+        read()
+    assert run([*argv, "--out", "out.json"]) == cli.EXIT_INPUT_ERROR
+    assert not Path("out.json").exists()
     with pytest.raises(InputError):
         read_json(tmp_path / "missing.json")
 

@@ -1,7 +1,9 @@
 """One malformed-input rule: only ``util.parsing`` turns what Python raises on
-a malformed value into a ``PmpdError``. Every other ``except`` clause in
-``src/pmpd`` names a pmpd error, or ``OSError`` for a file that cannot be
-read at all. Only ``util.json_int`` reads an integer with ``operator.index``."""
+a malformed value, or a constructor's ``ConfigError`` on a value outside its
+domain, into ``FormatError``. Every other ``except`` clause in ``src/pmpd``
+names a pmpd error other than ``ConfigError``, or ``OSError`` for a file that
+cannot be read at all. Only ``util.json_int`` reads an integer with
+``operator.index``."""
 import ast
 import json
 import operator
@@ -10,14 +12,16 @@ from pathlib import Path
 import pytest
 
 from pmpd import errors
-from pmpd.errors import ConfigError, ContractViolation, FormatError
+from pmpd.errors import ContractViolation, FormatError, InputError
+from pmpd.quant import PrecisionSet
 from pmpd.util import parsing
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "pmpd"
 MALFORMED = {"KeyError", "IndexError", "TypeError", "ValueError", "AttributeError",
-             "OverflowError"}
-ALLOWED = {"OSError"} | {name for name, obj in vars(errors).items()
-                         if isinstance(obj, type) and issubclass(obj, errors.PmpdError)}
+             "OverflowError", "ConfigError"}
+ALLOWED = ({"OSError"} | {name for name, obj in vars(errors).items()
+                          if isinstance(obj, type) and issubclass(obj, errors.PmpdError)}
+           ) - MALFORMED
 
 
 def caught_names(handler: ast.ExceptHandler) -> set[str]:
@@ -80,7 +84,8 @@ MALFORMED_VALUES = {"missing-key": lambda: {}["k"], "missing-index": lambda: [][
                     "not-a-number": lambda: int("x"), "infinity": lambda: int(1e400),
                     "not-a-dict": lambda: [].get, "bad-json": lambda: json.loads("[1,"),
                     "not-utf8": lambda: b"\xff".decode("utf-8"),
-                    "float-for-int": lambda: operator.index(2.0)}
+                    "float-for-int": lambda: operator.index(2.0),
+                    "out-of-domain": lambda: PrecisionSet((9,))}
 
 
 @pytest.mark.parametrize("read", MALFORMED_VALUES.values(), ids=MALFORMED_VALUES.keys())
@@ -91,7 +96,7 @@ def test_parsing_turns_a_malformed_value_into_format_error(read):
 
 
 def test_parsing_passes_pmpd_errors_and_other_failures_through():
-    for exc in (ConfigError("domain"), ContractViolation("bug"), ZeroDivisionError()):
+    for exc in (InputError("input"), ContractViolation("bug"), ZeroDivisionError()):
         with pytest.raises(type(exc)):
             with parsing("thing"):
                 raise exc

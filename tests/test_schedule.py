@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pmpd import schedule, tinylm
-from pmpd.errors import ConfigError, ContractViolation, InputError
+from pmpd.errors import ConfigError, ContractViolation, FormatError, InputError
 from pmpd.learnsched import LearnedScheduler, SchedulerNet, generate_labels, label_from_scores
 from pmpd.metrics import rouge_l
 from pmpd.quant import PrecisionSet
@@ -370,7 +370,7 @@ def test_schedule_from_json_rejects_garbage():
     for bad in ({**good, "st": [0, 4]}, {**good, "OL": 1e400}, [good], None):
         with pytest.raises(InputError):
             PrecisionSchedule.from_json(bad)
-    with pytest.raises(ConfigError):
+    with pytest.raises(FormatError, match="^malformed schedule JSON: switch points"):
         PrecisionSchedule.from_json({**good, "st": {"3": 0}})
 
 

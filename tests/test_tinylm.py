@@ -62,6 +62,14 @@ def test_vocab_tokenizer_longest_match(tmp_path):
         tok.encode("xyz")
 
 
+@pytest.mark.parametrize("tokens, eos", [([], None), (["a", 2], None), ("ab", None),
+                                         (["a"], 1.7), (["a"], True), (["a"], -1)])
+def test_a_vocabulary_outside_its_domain_is_refused(tokens, eos):
+    # int(1.7) and int(True) made token 1 the EOS
+    with pytest.raises(ConfigError):
+        VocabTokenizer(tokens, eos)
+
+
 # ---------------------------------------------------------------------------
 # forward / cache consistency
 # ---------------------------------------------------------------------------
@@ -541,6 +549,58 @@ def test_max_new_below_one_rejected(small_model):
         generate(small_model, PROMPT, FixedScheduler(4), max_new=0)
 
 
+def counting_prefills(monkeypatch) -> list:
+    """The arguments of every ``prefill`` call from here on."""
+    calls, real = [], tinylm.prefill
+    monkeypatch.setattr(tinylm, "prefill", lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_a_request_that_cannot_fit_is_refused_before_any_prefill(small_model, monkeypatch):
+    # it was refused by the decode step that overflowed, after the wave's prefills
+    calls = counting_prefills(monkeypatch)
+    mc = small_model.config.max_context
+    with pytest.raises(InputError, match=f"{mc + 1} positions, more than max_context {mc}"):
+        tinylm.decode_schedules(small_model, [PROMPT, [1] * (mc - 10)], [FixedScheduler(4)],
+                                max_new=12)
+    assert calls == []
+
+
+def test_a_request_of_exactly_max_context_decodes_to_the_last_position(small_model,
+                                                                        monkeypatch):
+    calls = counting_prefills(monkeypatch)
+    mc = small_model.config.max_context
+    trace = generate(small_model, [1] * (mc - 11), FixedScheduler(4),
+                     eos_id=small_model.config.vocab_size, max_new=12)
+    assert len(trace.output_tokens) == 12 and trace.termination == "length"
+    assert calls[0][3].capacity == mc
+
+
+def test_an_array_prompt_prefills_like_a_list(small_model):
+    logits, cache = prefill(small_model, 4, np.array(PROMPT))
+    assert logits.tobytes() == prefill(small_model, 4, PROMPT)[0].tobytes()
+    assert cache.T == len(PROMPT)
+    with pytest.raises(InputError, match="empty"):
+        prefill(small_model, 4, np.array([], dtype=np.int64))
+
+
+def test_an_array_prompt_generates_like_a_list(small_model):
+    trace = generate(small_model, np.array(PROMPT), FixedScheduler(4), max_new=6)
+    assert trace.prompt_tokens == PROMPT
+    assert {type(t) for t in trace.prompt_tokens} == {int}  # JSON-serializable
+    same = generate(small_model, PROMPT, FixedScheduler(4), max_new=6)
+    assert trace.to_json() == same.to_json()
+
+
+def test_a_zero_dimensional_array_token_is_refused(small_model):
+    _, cache = prefill(small_model, 4, PROMPT)
+    with pytest.raises(InputError, match="not an integer"):
+        decode_step(small_model, 4, np.array(65), cache)
+    assert cache.T == len(PROMPT)
+    logits, _ = decode_step(small_model, 4, np.int64(65), cache)  # a numpy scalar steps
+    assert logits.shape == (small_model.config.vocab_size,)
+
+
 SAMPLERS = {"greedy": SamplerConfig(),
             "temperature": SamplerConfig(temperature=0.8, seed=5)}
 
@@ -586,7 +646,7 @@ def test_non_greedy_sampler_walks_one_schedule_only(small_model, monkeypatch):
     # the rule is checked before any prefill
     monkeypatch.setattr(tinylm, "prefill", None)
     with pytest.raises(ConfigError, match="not forked"):
-        tinylm.decode_schedules(small_model, PROMPT, schedulers, SAMPLERS["temperature"],
+        tinylm.decode_schedules(small_model, [PROMPT], schedulers, SAMPLERS["temperature"],
                                 max_new=8)
 
 
