@@ -227,7 +227,7 @@ def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: Switc
     rng = named_rng(seed, "truncation")
     pf = p_high if p_prefill is None else p_prefill
     horizon = grid.horizon
-    max_prompt = variants.config.max_context - horizon
+    max_prompt = variants.config.max_context - horizon + 1
     if max_prompt < 1:
         raise ConfigError(
             f"grid horizon {horizon} leaves no room for prompts in a "

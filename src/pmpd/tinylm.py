@@ -362,28 +362,45 @@ def _apply_rope(x: np.ndarray, c: np.ndarray, s: np.ndarray) -> np.ndarray:
     return x * c + np.concatenate([x[..., half:], x[..., :half]], axis=-1) * s
 
 
-# queries per attention block of an n > 1 forward (8 and 32 were slower: sweep
-# in CHANGES.md); _CAUSAL masks the strict upper triangle of a block's keys
-BLOCK = 16
-_CAUSAL = np.triu(np.ones((BLOCK, BLOCK), dtype=bool), 1)
+# queries per attention block of an n > 1 forward (16 and 64 were slower: sweep
+# in CHANGES.md); _CAUSAL masks, keys first, the keys after each query of a block
+BLOCK = 32
+_CAUSAL = np.tril(np.ones((BLOCK, BLOCK), dtype=bool), -1)
+
+
+def _key_softmax(scores: np.ndarray, axis: int) -> np.ndarray:
+    """Softmax over the key axis ``axis`` (0 or -1), its keys summed in key
+    order: the last entry of ``np.add.accumulate``, whatever the memory
+    layout. A reduce sums a contiguous axis pairwise."""
+    e = np.exp(scores - np.maximum.reduce(scores, axis, keepdims=True))
+    total = np.add.accumulate(e, axis)
+    return e / (total[-1:] if axis == 0 else total[..., -1:])
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
     """Causal attention of ``m`` queries ``[b, m, H, dh]`` at the last ``m`` of the
     key positions ``k``/``v`` ``[b, T, H, dh]``: query ``i`` sees keys ``0..T-m+i``.
 
-    The scores and weights stay in einsum's own output layout, whose key
-    axis is strided, so the softmax and the context einsum reduce over the
-    keys in sequence. That makes masked trailing keys add exactly nothing:
-    ``exp(-inf)`` is 0 and leaves the max alone. Copied into a C-ordered
-    buffer, the key axis would be summed pairwise and the logits would move.
+    One query (a decode step, a prefill's last layer) is one einsum pair over
+    every row and head. A block of ``m >= 2`` queries is one einsum pair per
+    row and head, its scores stored keys first, ``[T, m]``: each call then
+    iterates over three axes, numpy's fast einsum loop, not four. Either way
+    the softmax sums the keys in order (:func:`_key_softmax`) and the context
+    einsum reduces them in sequence, so masked trailing keys add exactly
+    nothing: ``exp(-inf)`` is 0 and leaves the max alone.
     """
     m = q.shape[1]
-    scores = np.einsum("bnhd,bthd->bhnt", q, k)
-    scores *= scale
-    if m > 1:
-        np.copyto(scores[..., -m:], -np.inf, where=_CAUSAL[:m, :m])
-    return np.einsum("bhnt,bthd->bnhd", _softmax(scores), v)
+    if m == 1:
+        scores = np.einsum("bnhd,bthd->bhnt", q, k)
+        scores *= scale
+        return np.einsum("bhnt,bthd->bnhd", _key_softmax(scores, -1), v)
+    ctx = np.empty(q.shape)
+    for b, h in np.ndindex(q.shape[0], q.shape[2]):
+        scores = np.einsum("nd,td->tn", q[b, :, h], k[b, :, h])
+        scores *= scale
+        np.copyto(scores[-m:], -np.inf, where=_CAUSAL[:m, :m])
+        ctx[b, :, h] = np.einsum("tn,td->nd", _key_softmax(scores, 0), v[b, :, h])
+    return ctx
 
 
 def _check(model: ModelVariants, p: int, ids: Sequence, cache: KVCache, end: int) -> None:
@@ -494,9 +511,10 @@ def _extend(model: ModelVariants, p: int, tokens, cache: KVCache,
 
     The new positions attend in blocks of :data:`BLOCK` queries: block
     ``[a, e)`` over the keys ``[0, T0 + e)`` only, never scoring the key
-    blocks wholly above the causal diagonal. That is bit-identical to
-    scoring every key and masking the upper triangle, as masked keys trail
-    each row (see :func:`_attend`).
+    blocks wholly above the causal diagonal, one head at a time when it
+    holds two or more queries. That is bit-identical to scoring every key
+    and masking the upper triangle, at any head count, as masked keys trail
+    each query and every sum over keys runs in key order (see :func:`_attend`).
 
     Every product runs at all ``n`` rows, in every layer. With ``last`` the
     final layer's only attention is that of query ``n - 1``, one 1-query
@@ -540,9 +558,6 @@ def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
     :func:`_extend`)."""
     if len(prompt) == 0:
         raise InputError("prompt is empty")
-    if len(prompt) >= model.config.max_context:
-        raise InputError(
-            f"prompt length {len(prompt)} must be < max_context {model.config.max_context}")
     if cache is None:
         cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
     elif cache.lengths.tolist() != [0]:
@@ -679,9 +694,10 @@ class _Walk:
         self.sampler_cfg = sampler_cfg
         self.eos = eos
         self.max_new = max_new
-        # per row: its schedules, its sampler stream and each schedule's end
+        # per row: its schedules, its sampler stream (None for a greedy
+        # sampler, which never draws) and each schedule's end
         self.schedules: list[list[PrecisionSchedule]] = []
-        self.rngs: list[np.random.Generator] = []
+        self.rngs: list[np.random.Generator | None] = []
         self.ends: list[list] = []
 
     def decode(self, prompts, pf, schedulers, feature_block):
@@ -706,7 +722,8 @@ class _Walk:
                                                 f"model's set {sorted(allowed)}")
             features.append(None if feature_block is None else
                             tuple(a.copy() for a in row.layer_kv(feature_block)))
-            rng = named_rng(self.sampler_cfg.seed, "sampler")
+            rng = (None if self.sampler_cfg.temperature is None
+                   else named_rng(self.sampler_cfg.seed, "sampler"))
             self.schedules.append(schedules)
             self.rngs.append(rng)
             self.ends.append([None] * len(schedules))

@@ -21,10 +21,13 @@ import pmpd
 
 KERNELS = ["Sandybridge", "Haswell", "Nehalem"]
 # the naive-forward test, the batch-invariance, row-product and fused-q|k|v
-# guards, rows of a block step against one-row steps, and every
+# guards, block-causal attention and prefill against the full pass at 1, 2
+# and 4 heads, rows of a block step against one-row steps, and every
 # lockstep-equals-generate test
 SELECTED = ["tests/test_tinylm.py", "tests/test_schedule.py", "-k", " or ".join((
     "test_forward_matches_the_naive_pass_bit_for_bit",
+    "test_block_causal_attention_equals_the_full_masked_pass",
+    "test_prefill_equals_the_last_row_of_forward_full_at_every_head_count",
     "test_stacked_products_and_batched_attention_are_batch_invariant",
     "test_the_fused_qkv_product_equals_three_separate_products",
     "test_the_heads_rows_depend_on_the_row_count_not_the_other_rows",

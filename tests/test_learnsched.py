@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pmpd import learnsched, tinylm
+from pmpd import learnsched, quant, tinylm
 from pmpd.errors import ConfigError, FormatError, InputError
 from pmpd.learnsched import (LabeledExample, LearnedScheduler, SchedulerNet,
                              TrainConfig, example_loss_and_grads,
@@ -259,6 +259,16 @@ def test_generate_labels_end_to_end(small_model, corpus_prompts):
         assert ex.scores[ex.label] >= threshold
         assert all(s < threshold for s in ex.scores[: ex.label])
         assert ex.k.shape == (ex.prompt_len, small_model.config.d_model)
+
+
+def test_generate_labels_cuts_prompts_to_what_the_horizon_leaves():
+    # a prompt of max_context - horizon + 1 tokens decodes its horizon to the
+    # cache's last position, the engine's capacity rule
+    cfg = tinylm.ModelConfig(n_layers=1, n_heads=2, d_model=32, d_ff=64, max_context=16)
+    model = tinylm.ModelVariants.from_random(cfg, quant.PrecisionSet((3, 2)), seed=1)
+    examples, _ = generate_labels(model, [list(b"A lantern swings over the dark water")] * 4,
+                                  SwitchGrid(3, 8), 3, 2, seed=13)
+    assert max(ex.prompt_len for ex in examples) == 16 - 8 + 1
 
 
 def test_generate_labels_refuses_an_empty_seed_prompt(small_model):

@@ -225,31 +225,47 @@ def test_the_fused_qkv_product_equals_three_separate_products(toy_model, p):
 
 @pytest.mark.parametrize("rows", [1, 2])
 @pytest.mark.parametrize("T0", [0, 5])
-@pytest.mark.parametrize("n", [2, 15, 16, 17, 48, 81])
-def test_block_causal_attention_equals_the_full_masked_pass(toy_model, n, T0, rows):
+@pytest.mark.parametrize("n", [*range(1, tinylm.BLOCK + 2), 48, 81])
+def test_block_causal_attention_equals_the_full_masked_pass(n, T0, rows):
     # a prefill attends block by block over key prefixes, exact only because
-    # numpy reduces the key axis of einsum's output layout in sequence, so
-    # keys past a block's diagonal (never scored) and its trailing -inf
-    # entries (weight 0) add nothing; a numpy that sums it otherwise fails here
-    rng = np.random.default_rng(100 * n + 10 * T0 + rows)
-    cfg = toy_model.config
-    H, dh, T = cfg.n_heads, cfg.d_head, T0 + n
+    # every softmax and context einsum sums the keys in sequence, so keys past
+    # a block's diagonal (never scored) and its trailing -inf entries (weight
+    # 0) add nothing. The full pass sums its softmax by accumulate too: a
+    # reduce over one head's contiguous key axis sums pairwise. n up to BLOCK
+    # makes every block width, the one-query block included
+    dh, T = 32, T0 + n
     scale = 1.0 / np.sqrt(dh)
-    q = rng.normal(size=(rows, n, H, dh))
-    # K/V as a cache holds them: rows of a wider capacity, read up to T
-    kv = np.zeros((2, rows, T + 9, H, dh))
-    kv[:, :, :T] = rng.normal(size=(2, rows, T, H, dh))
-    K, V = kv[:, :, :T]
-    scores = np.einsum("bnhd,bthd->bhnt", q, K)
-    scores *= scale
-    seen = np.arange(T)[None, :] <= (T0 + np.arange(n))[:, None]
-    attn = tinylm._softmax(np.where(seen, scores, -np.inf), axis=-1)
-    full = np.einsum("bhnt,bthd->bnhd", attn, V)
-    blocks = []
-    for a in range(0, n, tinylm.BLOCK):
-        e = min(a + tinylm.BLOCK, n)
-        blocks.append(tinylm._attend(q[:, a:e], K[:, : T0 + e], V[:, : T0 + e], scale))
-    assert np.concatenate(blocks, axis=1).tobytes() == full.tobytes()
+    for H in (1, 2, 4):
+        rng = np.random.default_rng(1000 * n + 100 * H + 10 * T0 + rows)
+        q = rng.normal(size=(rows, n, H, dh))
+        # K/V as a cache holds them: rows of a wider capacity, read up to T
+        kv = np.zeros((2, rows, T + 9, H, dh))
+        kv[:, :, :T] = rng.normal(size=(2, rows, T, H, dh))
+        K, V = kv[:, :, :T]
+        scores = np.einsum("bnhd,bthd->bhnt", q, K)
+        scores *= scale
+        seen = np.arange(T)[None, :] <= (T0 + np.arange(n))[:, None]
+        masked = np.where(seen, scores, -np.inf)
+        ex = np.exp(masked - masked.max(-1, keepdims=True))
+        full = np.einsum("bhnt,bthd->bnhd", ex / np.add.accumulate(ex, -1)[..., -1:], V)
+        blocks = []
+        for a in range(0, n, tinylm.BLOCK):
+            e = min(a + tinylm.BLOCK, n)
+            blocks.append(tinylm._attend(q[:, a:e], K[:, : T0 + e], V[:, : T0 + e], scale))
+        assert np.concatenate(blocks, axis=1).tobytes() == full.tobytes(), H
+
+
+@pytest.mark.parametrize("H", [1, 2, 4])
+def test_prefill_equals_the_last_row_of_forward_full_at_every_head_count(H):
+    # prefill's last layer attends for its last query alone, on the one-query
+    # branch, and the full pass for it in a block: both must sum keys in order.
+    # One head makes the one-query branch's key axis contiguous
+    cfg = ModelConfig(n_layers=2, n_heads=H, d_model=32, d_ff=64, max_context=96)
+    model = tinylm.ModelVariants.from_random(cfg, quant.PrecisionSet((4, 2)), seed=H)
+    tokens = [int(t) for t in np.random.default_rng(H).integers(0, cfg.vocab_size, 89)]
+    for L in range(2, 90):
+        logits, _ = prefill(model, 4, tokens[:L])
+        assert logits.tobytes() == forward_full(model, 4, tokens[:L])[-1].tobytes(), L
 
 
 def test_decode_step_over_rows_equals_one_row_at_a_time(small_model):
@@ -378,7 +394,7 @@ def test_input_validation(small_model):
     with pytest.raises(InputError):
         prefill(small_model, 4, [])
     with pytest.raises(InputError):
-        prefill(small_model, 4, [1] * small_model.config.max_context)
+        prefill(small_model, 4, [1] * (small_model.config.max_context + 1))
     with pytest.raises(InputError):
         prefill(small_model, 4, [999])
     _, cache = prefill(small_model, 4, PROMPT)
@@ -574,6 +590,35 @@ def test_a_request_of_exactly_max_context_decodes_to_the_last_position(small_mod
                      eos_id=small_model.config.vocab_size, max_new=12)
     assert len(trace.output_tokens) == 12 and trace.termination == "length"
     assert calls[0][3].capacity == mc
+
+
+def test_a_prompt_of_max_context_tokens_is_prefilled(monkeypatch):
+    # one capacity rule, the kernels' own check: prefill once refused a prompt
+    # of max_context tokens, and only when its wave came to be prefilled
+    cfg = ModelConfig(n_layers=1, n_heads=2, d_model=32, d_ff=64, max_context=8)
+    model = tinylm.ModelVariants.from_random(cfg, quant.PrecisionSet((4,)), seed=1)
+    traces, _ = tinylm.decode_schedules(model, [[1] * 3, [1] * 8], [FixedScheduler(4)],
+                                        max_new=1)
+    assert [len(t.prompt_tokens) for (t,) in traces] == [3, 8]
+    assert all(len(t.output_tokens) == 1 for (t,) in traces)
+    calls = counting_prefills(monkeypatch)
+    with pytest.raises(InputError, match="need 9 positions, more than max_context 8"):
+        tinylm.decode_schedules(model, [[1] * 3, [1] * 9], [FixedScheduler(4)], max_new=1)
+    assert calls == []
+    with pytest.raises(InputError, match="sequence length 9 exceeds"):
+        prefill(model, 4, [1] * 9)
+
+
+def test_a_greedy_walk_builds_no_sampler_stream(small_model, monkeypatch):
+    # greedy sampling never draws, so no row's stream is seeded
+    calls, real = [], tinylm.named_rng
+    monkeypatch.setattr(tinylm, "named_rng", lambda *args: calls.append(args) or real(*args))
+    tinylm.decode_schedules(small_model, [PROMPT, list(b"A lantern")], [FixedScheduler(4)],
+                            max_new=4)
+    assert calls == []
+    tinylm.decode_schedules(small_model, [PROMPT, list(b"A lantern")], [FixedScheduler(4)],
+                            SAMPLERS["temperature"], max_new=4)
+    assert calls == [(5, "sampler")] * 2
 
 
 def test_an_array_prompt_prefills_like_a_list(small_model):
