@@ -67,9 +67,12 @@ def _load_model_and_prompts(args, lines: list[str]):
     return model, tok, _encode_prompts(tok, lines, args.limit)
 
 
-def _hashable_args(args, exclude=("out",)) -> dict:
+_UNHASHED = ("out", "func")  # arguments that do not change a command's output
+
+
+def _hashable_args(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items())
-            if k not in (*exclude, "func") and v is not None}
+            if k not in _UNHASHED and v is not None}
 
 
 def _emit(args, payload: dict) -> None:

@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .errors import ConfigError, InputError
 from .quant import FULL_PRECISION
-from .schedule import PrecisionSchedule
+from .schedule import PrecisionSchedule, avg_bitwidth
 from .util import json_bool, json_float, json_int, json_int_key, parsing
 
 FP16 = FULL_PRECISION
@@ -204,7 +204,7 @@ def pipeline_perf(fp: ModelFootprint, schedule: PrecisionSchedule, hw: HardwareC
         prefill_s=pre, decode_s=dec, total_s=total,
         tokens_per_s=gen_len / dec,
         speedup_vs_fp16=fp16_total / total,
-        avg_bitwidth=schedule.bit_token_sum(gen_len) / gen_len,
+        avg_bitwidth=avg_bitwidth(schedule, gen_len),
         prefill_uplift_pct=(pre - high_pre) / total * 100.0,
         per_precision_decode_s={p: decode_token_latency(fp, p, hw, prompt_len, include_kv)
                                 for p in sorted(set(schedule.token_precisions(gen_len)))},

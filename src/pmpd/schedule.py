@@ -13,17 +13,17 @@ Phase-aware precision allocation (constant candidates, one per prefill and
 decode pair) and the grid-restricted static solver (one candidate per grid
 switch map) are two callers of one selection rule: keep the cheapest
 candidate whose mean score meets the quality floor. :func:`score_candidates`,
-the one scoring rule, which label generation shares, decodes the candidates
-as ``StaticScheduler``s by one :func:`pmpd.tinylm.decode_schedules` call, the
-engine's one generation entry point, which decodes the prompts in lockstep
-waves, prefills each prompt once per prefill precision and decodes shared
-prefixes once.
+the one scoring rule, which label generation shares, makes two calls of
+:func:`pmpd.tinylm.decode_schedules`, the engine's one generation entry
+point: the first decodes the fp16 references of all its prompts, the second
+the kept prompts' candidates as ``StaticScheduler``s. That entry point
+decodes the prompts in lockstep waves, prefills each prompt once per prefill
+precision and decodes shared prefixes once.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -212,47 +212,25 @@ def avg_bitwidth(subject, tokens_generated: int | None = None) -> float:
 
 
 # ---------------------------------------------------------------------------
-# quality references
+# candidate scoring
 # ---------------------------------------------------------------------------
-
-# per model: (prompt, max_new, eos_id) -> reference tokens or None; a model's
-# entries go when the model does
-_REFERENCES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def reference_outputs(variants, prompts: Sequence[Sequence[int]], max_new: int,
-                      eos_id: int | None = None) -> list[list[int] | None]:
-    """Greedy full-precision output of each prompt, the quality reference its
-    candidates are scored against; ``None`` when it is just EOS, an empty
-    reference. Generated once per model and (prompt, ``max_new``,
-    ``eos_id``): the memo's misses are decoded by one lockstep call, and a
-    call that raises stores nothing."""
-    from . import tinylm
-
-    memo = _REFERENCES.setdefault(variants, {})
-    keys = [(tuple(prompt), max_new, eos_id) for prompt in prompts]
-    misses = list(dict.fromkeys(key for key in keys if key not in memo))
-    if misses:
-        traces, _ = tinylm.decode_schedules(variants, [key[0] for key in misses],
-                                            [FixedScheduler(FULL_PRECISION)],
-                                            eos_id=eos_id, max_new=max_new)
-        for key, (trace,) in zip(misses, traces):
-            empty = trace.termination == "eos" and len(trace.output_tokens) == 1
-            memo[key] = None if empty else tuple(trace.output_tokens)
-    return [None if memo[key] is None else list(memo[key]) for key in keys]
-
 
 def score_candidates(variants, prompts, candidates: Sequence[PrecisionSchedule],
                      max_new: int, eos_id: int | None = None, feature_block: int | None = None):
     """The one scoring rule: the Rouge-L F1 of each candidate's greedy output
-    against each prompt's full-precision reference, skipping the prompts whose
-    reference is empty. The kept prompts and all candidates, as
-    ``StaticScheduler``s, are decoded by one :func:`pmpd.tinylm.decode_schedules`
-    call. Returns the kept prompts' indices, ``scores[kept][candidate]`` and
-    that call's features, one dict per kept prompt."""
+    against each prompt's greedy full-precision reference, skipping the
+    prompts whose reference is empty (just EOS). One
+    :func:`pmpd.tinylm.decode_schedules` call decodes every prompt's
+    reference, a second the kept prompts with all candidates as
+    ``StaticScheduler``s. Returns the kept prompts' indices,
+    ``scores[kept][candidate]`` and the second call's features, one dict per
+    kept prompt."""
     from . import tinylm
 
-    refs = reference_outputs(variants, prompts, max_new, eos_id)
+    ref_traces, _ = tinylm.decode_schedules(variants, prompts, [FixedScheduler(FULL_PRECISION)],
+                                            eos_id=eos_id, max_new=max_new)
+    refs = [None if trace.termination == "eos" and len(trace.output_tokens) == 1
+            else trace.output_tokens for (trace,) in ref_traces]
     kept = [n for n, ref in enumerate(refs) if ref is not None]
     traces, features = tinylm.decode_schedules(variants, [prompts[n] for n in kept],
                                                [StaticScheduler(s) for s in candidates],
@@ -304,9 +282,7 @@ def allocate_phase_precisions(variants, calib_prompts: Sequence[Sequence[int]],
     minimizes decode precision first, then prefill precision. If nothing
     qualifies the highest pair is returned with the fallback flag set.
     """
-    ps = precisions if precisions is not None else getattr(variants, "precisions", None)
-    if ps is None:
-        raise ConfigError("no precision set supplied")
+    ps = variants.precisions if precisions is None else precisions
     pairs = sorted((pf, pd) for pd in ps for pf in ps if pf >= pd)
     candidates = [PrecisionSchedule.constant(pd, max_new, pf) for pf, pd in pairs]
     best, qualities, skipped = _cheapest_feasible(variants, calib_prompts, candidates,

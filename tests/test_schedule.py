@@ -14,7 +14,7 @@ from pmpd.quant import PrecisionSet
 from pmpd.schedule import (FixedScheduler, PrecisionSchedule, QualityTarget,
                            StaticScheduler, SwitchGrid, allocate_phase_precisions,
                            avg_bitwidth, count_schedules, enumerate_switch_maps,
-                           reference_outputs, solve_static)
+                           solve_static)
 from pmpd.tinylm import FULL_PRECISION, SamplerConfig
 
 
@@ -689,14 +689,14 @@ def fresh_small_model():
     return tinylm.ModelVariants.from_random(cfg, PrecisionSet((4, 3, 2)), seed=7)
 
 
-def test_references_are_generated_once_per_model_and_key(corpus_prompts, monkeypatch):
+def test_every_solve_decodes_the_references_of_all_its_prompts(corpus_prompts, monkeypatch):
     references = []
     decode_schedules = tinylm.decode_schedules
 
     def counted(model, prompts, schedulers, *args, **kwargs):
         if [s.p_prefill for s in schedulers] == [FULL_PRECISION]:
-            references.extend((tuple(prompt), kwargs["max_new"], kwargs["eos_id"])
-                              for prompt in prompts)
+            references.append([(tuple(prompt), kwargs["max_new"], kwargs["eos_id"])
+                               for prompt in prompts])
         return decode_schedules(model, prompts, schedulers, *args, **kwargs)
 
     monkeypatch.setattr(tinylm, "decode_schedules", counted)
@@ -706,33 +706,15 @@ def test_references_are_generated_once_per_model_and_key(corpus_prompts, monkeyp
     solve_static(model, first, target, grid, **kw)
     details: list = []
     best = solve_static(model, second, target, grid, details_out=details, **kw)
-    keys = {(tuple(p), 12, None) for p in corpus_prompts[:6]}
-    assert sorted(references) == sorted(keys)
-    # the memoized references select exactly what freshly generated ones do
-    del references[:]
+    # one reference call per solve, over all its prompts, shared ones included
+    assert references == [[(tuple(p), 12, None) for p in prompts]
+                          for prompts in (first, second)]
+    # an earlier solve on the same model changes nothing
     fresh_details: list = []
     again = solve_static(fresh_small_model(), second, target, grid,
                          details_out=fresh_details, **kw)
     assert again.to_json() == best.to_json() and best.feasible
-    assert fresh_details == details and len(references) == len(second)
-
-
-def test_reference_memo_stores_nothing_for_a_failed_call_and_dies_with_its_model():
-    model = fresh_small_model()
-    for _ in range(2):
-        with pytest.raises(InputError):  # a good prompt beside a bad one stores nothing
-            reference_outputs(model, [[1, 2], []], 8)
-        with pytest.raises(InputError):
-            reference_outputs(model, [[1, 2]], 0)
-    assert not schedule._REFERENCES.get(model)
-    refs = reference_outputs(model, [[1, 2], [3], [1, 2]], 8)
-    assert len(schedule._REFERENCES[model]) == 2 and refs[0] == refs[2]
-    refs[0].append(-1)  # callers get copies
-    assert reference_outputs(model, [[1, 2]], 8) == [refs[2]]
-    before, alive = len(schedule._REFERENCES), weakref.ref(model)
-    del model
-    gc.collect()
-    assert alive() is None and len(schedule._REFERENCES) < before
+    assert fresh_details == details and len(references) == 3
 
 
 def test_generate_labels_prefills_once_per_prompt(toy_model, corpus_prompts, monkeypatch):
@@ -804,6 +786,10 @@ def test_score_candidates_skips_an_empty_reference_and_scores_like_generate(
         for pf, (k, v) in feats.items():
             want_k, want_v = tinylm.prefill(small_model, pf, prompts[n])[1].layer_kv(0)
             assert k.tobytes() == want_k.tobytes() and v.tobytes() == want_v.tobytes()
+    with pytest.raises(InputError):  # an empty prompt beside a good one
+        schedule.score_candidates(small_model, [[1, 2], []], candidates, 8)
+    with pytest.raises(InputError):
+        schedule.score_candidates(small_model, [[1, 2]], candidates, 0)
 
 
 def test_calibration_and_solver_qualities_are_the_scorer_column_means(small_model,
