@@ -46,9 +46,9 @@ class SchedulerNet:
         self.w2 = np.asarray(w2, dtype=np.float64)
         self.b2 = np.asarray(b2, dtype=np.float64)
         self.grid = grid
-        self.p_high = int(p_high)
-        self.p_low = int(p_low)
-        self.feature_block = int(feature_block)
+        self.p_high = json_int(p_high)
+        self.p_low = json_int(p_low)
+        self.feature_block = json_int(feature_block)
         if self.q.ndim != 1:
             raise ConfigError(f"query must be a vector, got shape {self.q.shape}")
         if self.w1.shape != (self.hidden, self.d_v) or self.b1.shape != (self.hidden,):
@@ -123,7 +123,7 @@ def _grid_json(tag: str, grid: SwitchGrid, p_high: int, p_low: int,
 def _grid_fields(obj: dict) -> dict:
     """The grid, precisions and feature block a net file and a label file's header
     both carry, as keyword arguments of :class:`SchedulerNet` and its ``init``."""
-    return {"grid": SwitchGrid(json_int(obj["grid"]["n"]), json_int(obj["grid"]["OL"])),
+    return {"grid": SwitchGrid(obj["grid"]["n"], obj["grid"]["OL"]),
             "p_high": json_int(obj["p_high"]), "p_low": json_int(obj["p_low"]),
             "feature_block": json_int(obj.get("feature_block", -1))}
 
@@ -175,7 +175,7 @@ class LearnedScheduler:
 
     def __init__(self, net: SchedulerNet, p_prefill: int | None = None):
         self.net = net
-        self.p_prefill = net.p_high if p_prefill is None else int(p_prefill)
+        self.p_prefill = net.p_high if p_prefill is None else json_int(p_prefill)
 
     def resolve(self, cache) -> PrecisionSchedule:
         return predict_schedule(self.net, cache, self.p_prefill)
@@ -203,7 +203,6 @@ def label_from_scores(scores: Sequence[float]) -> int:
     for j, s in enumerate(scores):
         if s >= threshold:
             return j
-    return len(scores) - 1
 
 
 def generate_labels(variants, seed_prompts: Sequence[Sequence[int]], grid: SwitchGrid,

@@ -58,6 +58,8 @@ class SwitchGrid:
     points: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        for name in ("n", "horizon"):
+            object.__setattr__(self, name, json_int(getattr(self, name)))
         if self.n < 2:
             raise ConfigError(f"grid needs at least 2 points, got {self.n}")
         if self.horizon < 1:
@@ -79,9 +81,9 @@ class PrecisionSchedule:
         if not isinstance(precisions, PrecisionSet):
             precisions = PrecisionSet(tuple(precisions))
         self.precisions = precisions
-        self.p_prefill = int(p_prefill)
-        self.switch_points = {int(p): int(i) for p, i in switch_points.items()}
-        self.horizon = int(horizon)
+        self.p_prefill = json_int(p_prefill)
+        self.switch_points = {json_int(p): json_int(i) for p, i in switch_points.items()}
+        self.horizon = json_int(horizon)
         self.feasible = bool(feasible)
         ps = precisions.precisions
         if sorted(self.switch_points) != sorted(ps):
@@ -134,9 +136,8 @@ class PrecisionSchedule:
     @classmethod
     def from_json(cls, obj: dict) -> "PrecisionSchedule":
         with parsing("schedule JSON"):
-            return cls(tuple(obj["precisions"]), json_int(obj["prefill"]),
-                       {json_int_key(p): json_int(i) for p, i in obj["st"].items()},
-                       json_int(obj["OL"]),
+            return cls(tuple(obj["precisions"]), obj["prefill"],
+                       {json_int_key(p): i for p, i in obj["st"].items()}, obj["OL"],
                        json_bool(obj.get("feasible", True), "schedule 'feasible'"))
 
     def __repr__(self):

@@ -157,7 +157,8 @@ class ModelVariants:
 
     Instances are immutable after construction apart from never-evicted caches
     of the float64 weights per (tensor, precision) and of :meth:`resolved`'s
-    tuples of them. Each walk owns its private KV block and traces.
+    tuples of them. :meth:`norm` returns a gain of ``norms``, read-only float64
+    (rounded through float32). Each walk owns its private KV block and traces.
     """
 
     def __init__(self, config: ModelConfig, precisions: PrecisionSet,
@@ -167,12 +168,12 @@ class ModelVariants:
         self.config = config
         self.precisions = precisions
         self.tensors = tensors
-        self.norms = {k: np.asarray(v, dtype=np.float32) for k, v in norms.items()}
+        self.norms = {k: _readonly(np.asarray(v, dtype=np.float32).astype(np.float64))
+                      for k, v in norms.items()}
         self.full_weights = full_weights
         self.init_info = init_info
         self._allowed = frozenset(precisions.precisions) | (
             {FULL_PRECISION} if full_weights is not None else frozenset())
-        self._norm64 = {k: _readonly(v.astype(np.float64)) for k, v in self.norms.items()}
         self._weights64: dict[tuple[str, int], np.ndarray] = {}
         self._resolved: dict[int, tuple] = {}
         self.rope = _rope_tables(config)
@@ -182,7 +183,7 @@ class ModelVariants:
             if t is None or (t.rows, t.cols) != shape:
                 raise ConfigError(f"tensor '{name}' missing or mis-shaped for this config")
         for name in _norm_names(config):
-            gain = self._norm64.get(name)
+            gain = self.norms.get(name)
             if gain is None or gain.shape != (config.d_model,) or not np.isfinite(gain).all():
                 raise ConfigError(f"norm gain '{name}' missing, mis-shaped or non-finite")
         p_maxes = sorted({t.p_max for t in tensors.values()})
@@ -204,7 +205,7 @@ class ModelVariants:
         return next(iter(self.tensors.values())).group_size
 
     def norm(self, name: str) -> np.ndarray:
-        return self._norm64[name]
+        return self.norms[name]
 
     def weights(self, name: str, p: int) -> np.ndarray:
         """Read-only float64 weights of a tensor at precision ``p``, computed
@@ -282,15 +283,15 @@ def _readonly(arr: np.ndarray) -> np.ndarray:
 
 
 class KVCache:
-    """Per-layer key/value rows of every processed token of a block of ``rows``
-    sequences (one by default), full precision: row ``r`` holds
-    ``lengths[r]`` tokens in ``k``/``v[:, r]``. Positions at or past a row's
-    length are never read, so lowering ``lengths[r]`` rolls the row back;
-    :meth:`row` is row ``r`` as a one-row cache."""
+    """Per-layer K/V by head, ``[n_layers, rows, capacity, n_heads, d_head]`` as the
+    kernels read it, of a block of ``rows`` sequences (one by default), full
+    precision: row ``r`` holds ``lengths[r]`` tokens in ``k``/``v[:, r]``. Positions
+    at or past a row's length are never read, so lowering ``lengths[r]`` rolls
+    the row back; :meth:`row` is row ``r`` as a one-row cache."""
 
-    def __init__(self, n_layers: int, width: int, capacity: int, rows: int = 1):
-        self.k = np.zeros((n_layers, rows, capacity, width))
-        self.v = np.zeros((n_layers, rows, capacity, width))
+    def __init__(self, cfg: ModelConfig, capacity: int, rows: int = 1):
+        shape = (cfg.n_layers, rows, capacity, cfg.n_heads, cfg.d_head)
+        self.k, self.v = np.zeros(shape), np.zeros(shape)
         self.lengths = np.zeros(rows, dtype=np.int64)
 
     @property
@@ -313,11 +314,12 @@ class KVCache:
         return view
 
     def layer_kv(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """(K, V) of shape [T, width] for one layer of a one-row cache; -1
-        addresses the last block."""
+        """(K, V) of one layer of a one-row cache as ``[T, d_model]`` views, the
+        heads side by side; -1 addresses the last block."""
         if not -len(self.k) <= layer < len(self.k):
             raise ConfigError(f"layer {layer} outside the cache's {len(self.k)} layers")
-        return self.k[layer, 0, : self.T], self.v[layer, 0, : self.T]
+        T, width = self.T, self.k.shape[3] * self.k.shape[4]
+        return self.k[layer, 0, :T].reshape(T, width), self.v[layer, 0, :T].reshape(T, width)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +379,9 @@ def _key_softmax(scores: np.ndarray, axis: int) -> np.ndarray:
     return e / (total[-1:] if axis == 0 else total[..., -1:])
 
 
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
-    """Causal attention of ``m`` queries ``[b, m, H, dh]`` at the last ``m`` of the
-    key positions ``k``/``v`` ``[b, T, H, dh]``: query ``i`` sees keys ``0..T-m+i``.
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Causal attention, scaled by ``1/sqrt(dh)``, of ``m`` queries ``[b, m, H, dh]``
+    at the last ``m`` of the keys ``k``/``v`` ``[b, T, H, dh]``: query ``i`` sees ``0..T-m+i``.
 
     One query (a decode step, a prefill's last layer) is one einsum pair over
     every row and head. A block of ``m >= 2`` queries is one einsum pair per
@@ -389,7 +391,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, scale: float) -> np.nda
     einsum reduces them in sequence, so masked trailing keys add exactly
     nothing: ``exp(-inf)`` is 0 and leaves the max alone.
     """
-    m = q.shape[1]
+    m, scale = q.shape[1], 1.0 / math.sqrt(q.shape[-1])
     if m == 1:
         scores = np.einsum("bnhd,bthd->bhnt", q, k)
         scores *= scale
@@ -445,13 +447,12 @@ def _step(model: ModelVariants, p: int, token, cache: KVCache, r: int) -> np.nda
     H, dh, d = model.config.n_heads, model.config.d_head, model.config.d_model
     x = embed[token]
     cos, sin = (table[T0] for table in model.rope)  # [1, dh]
-    kc, vc = (a.reshape(*a.shape[:3], H, dh) for a in (cache.k, cache.v))
     for i, (norm_attn, wqkv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
-        qkv = _rmsnorm(x, norm_attn) @ wqkv
-        cache.v[i, r, T0] = qkv[2 * d :]
-        q, kc[i, r, T0] = _apply_rope(qkv[: 2 * d].reshape(2, H, dh), cos, sin)
-        ctx = _attend(q[None, None], kc[i, r : r + 1, : T0 + 1], vc[i, r : r + 1, : T0 + 1],
-                      1.0 / math.sqrt(dh))
+        qkv = (_rmsnorm(x, norm_attn) @ wqkv).reshape(3, H, dh)
+        cache.v[i, r, T0] = qkv[2]
+        q, cache.k[i, r, T0] = _apply_rope(qkv[:2], cos, sin)
+        ctx = _attend(q[None, None], cache.k[i, r : r + 1, : T0 + 1],
+                      cache.v[i, r : r + 1, : T0 + 1])
         x = _mlp(x + ctx.reshape(d) @ wo, norm_mlp, w_up, w_down)
     cache.lengths[r] = T0 + 1
     return _rmsnorm(x, final_norm) @ head
@@ -486,7 +487,6 @@ def _decode(model: ModelVariants, p: int, tokens, cache: KVCache,
     H, dh, d = model.config.n_heads, model.config.d_head, model.config.d_model
     x = embed[np.asarray(tokens, dtype=np.int64)[:, None]]  # [b, 1, d]
     cos, sin = (table[starts][:, None] for table in model.rope)  # [b, 1, 1, dh]
-    kc, vc = (a.reshape(*a.shape[:3], H, dh) for a in (cache.k, cache.v))
     for i, (norm_attn, wqkv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
         qkv = (_rmsnorm(x, norm_attn) @ wqkv).reshape(b, 3, H, dh)
         # [b, 2, H, dh] rotated: q is its [b, 1, H, dh] first slice, one query per row
@@ -494,9 +494,9 @@ def _decode(model: ModelVariants, p: int, tokens, cache: KVCache,
         q, k, v = qk[:, :1], qk[:, 1], qkv[:, 2]
         ctx = []
         for j0, j1, r0, T0 in runs:
-            ck, cv = kc[i, r0 : r0 + j1 - j0, : T0 + 1], vc[i, r0 : r0 + j1 - j0, : T0 + 1]
+            ck, cv = (a[i, r0 : r0 + j1 - j0, : T0 + 1] for a in (cache.k, cache.v))
             ck[:, T0], cv[:, T0] = k[j0:j1], v[j0:j1]
-            ctx.append(_attend(q[j0:j1], ck, cv, 1.0 / math.sqrt(dh)))
+            ctx.append(_attend(q[j0:j1], ck, cv))
         x = _mlp(x + np.concatenate(ctx).reshape(b, 1, d) @ wo, norm_mlp, w_up, w_down)
     for r, t in zip(rows, starts):
         cache.lengths[r] = t + 1
@@ -530,19 +530,18 @@ def _extend(model: ModelVariants, p: int, tokens, cache: KVCache,
     H, dh, d = model.config.n_heads, model.config.d_head, model.config.d_model
     x = embed[np.asarray(tokens, dtype=np.int64)]
     cos, sin = (table[T0 : T0 + n] for table in model.rope)
-    kc, vc = (a.reshape(*a.shape[:3], H, dh) for a in (cache.k, cache.v))
     for i, (norm_attn, wqkv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
         # q, k and v in one call of three gemms over wqkv's [d, d] blocks: one
         # [n, 3d] gemm sums differently on some kernels (Haswell, Nehalem)
         qkv = _rmsnorm(x, norm_attn) @ wqkv.reshape(d, 3, d).transpose(1, 0, 2)  # [3, n, d]
-        vc[i, :, T0 : T0 + n] = qkv[2].reshape(1, n, H, dh)
-        q, kc[i, :, T0 : T0 + n] = _apply_rope(qkv[:2].reshape(2, 1, n, H, dh), cos, sin)
+        cache.v[i, :, T0 : T0 + n] = qkv[2].reshape(1, n, H, dh)
+        q, cache.k[i, :, T0 : T0 + n] = _apply_rope(qkv[:2].reshape(2, 1, n, H, dh), cos, sin)
         ctx = np.zeros((1, n, H, dh))
         # block [a, e) over the keys [0, T0 + e); in prefill's last layer query n - 1 only
         for a in range(n - 1 if last and i == len(layers) - 1 else 0, n, BLOCK):
             e = min(a + BLOCK, n)
-            ctx[:, a:e] = _attend(q[:, a:e], kc[i, :, : T0 + e], vc[i, :, : T0 + e],
-                                  1.0 / math.sqrt(dh))
+            ctx[:, a:e] = _attend(q[:, a:e], cache.k[i, :, : T0 + e],
+                                  cache.v[i, :, : T0 + e])
         x = _mlp(x + ctx.reshape(n, d) @ wo, norm_mlp, w_up, w_down)
     cache.lengths += n
     logits = _rmsnorm(x, final_norm) @ head
@@ -559,7 +558,7 @@ def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
     if len(prompt) == 0:
         raise InputError("prompt is empty")
     if cache is None:
-        cache = KVCache(model.config.n_layers, model.config.d_model, model.config.max_context)
+        cache = KVCache(model.config, model.config.max_context)
     elif cache.lengths.tolist() != [0]:
         raise InputError(f"prefill fills an empty one-row cache, got lengths {cache.lengths}")
     return _extend(model, p, prompt, cache, last=True), cache
@@ -591,7 +590,7 @@ def decode_step(model: ModelVariants, p: int, tokens, cache: KVCache,
 def forward_full(model: ModelVariants, p: int, tokens: Sequence[int]) -> np.ndarray:
     """From-scratch causal pass returning logits at every position (the
     consistency oracle for incremental decoding)."""
-    cache = KVCache(model.config.n_layers, model.config.d_model, len(tokens))
+    cache = KVCache(model.config, len(tokens))
     return _extend(model, p, tokens, cache)
 
 
@@ -702,12 +701,12 @@ class _Walk:
 
     def decode(self, prompts, pf, schedulers, feature_block):
         """Prefill ``prompts`` (one wave, shortest first) at ``pf`` straight into
-        the rows of one block, resolve every scheduler on its prompt's row and
-        walk the block; returns per prompt its traces in ``schedulers`` order
-        and copies of its prefill's (K, V) rows of layer ``feature_block``."""
+        the rows of one block, ``len(prompts[-1]) + max_new - 1`` positions each,
+        resolve every scheduler on its prompt's row and walk the block; returns
+        per prompt its traces in ``schedulers`` order and copies of its
+        prefill's (K, V) rows of layer ``feature_block``."""
         mc, allowed = self.model.config, self.model.allowed_precisions()
-        block = KVCache(mc.n_layers, mc.d_model,
-                        min(len(prompts[-1]) + self.max_new, mc.max_context), len(prompts))
+        block = KVCache(mc, len(prompts[-1]) + self.max_new - 1, len(prompts))
         tokens, hashes, features = {}, {}, []
         for r, prompt in enumerate(prompts):
             logits, row = prefill(self.model, pf, prompt, block.row(r))
@@ -791,10 +790,10 @@ def decode_schedules(model: ModelVariants, prompts: Sequence[Sequence[int]],
     schedule from that prompt's prefilled cache before the first decode
     step, so a learned scheduler sees exactly the prompt's rows; static and
     fixed schedulers return theirs as-is. Each prompt is prefilled straight
-    into its row of one block of ``len(prompt) + max_new`` positions per row
-    (the wave's longest prompt, capped at ``max_context``), which the
-    scheduler reads through :meth:`KVCache.row` and which is then walked in
-    lockstep; a wave of one prompt is a one-row block.
+    into its row of one block of ``len(prompt) + max_new - 1`` positions per
+    row (the wave's longest prompt, within ``max_context`` by the rule
+    below), which the scheduler reads through :meth:`KVCache.row` and which
+    is then walked in lockstep; a wave of one prompt is a one-row block.
 
     Token 0 is sampled from the prefill logits, and decode step ``i``
     consumes token ``i`` at ``precision_at(i)``, the precision token ``i`` is

@@ -136,6 +136,15 @@ def test_malformed_eval_traces_are_input_error(tmp_path, monkeypatch, obj):
     assert not Path("e.json").exists()
 
 
+def test_eval_refuses_more_traces_than_references(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("t.json").write_text(json.dumps({"traces": [GOOD_TRACE, GOOD_TRACE]}))
+    Path("r.json").write_text(json.dumps({"traces": [GOOD_TRACE]}))
+    code = run(["eval", "--traces", "t.json", "--references", "r.json", "--out", "e.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("e.json").exists()
+
+
 def test_empty_reference_trace_is_input_error(tmp_path, monkeypatch):
     # a reference trace is scored against but never averaged, so only the
     # parser can refuse one without tokens
@@ -250,6 +259,27 @@ def test_bad_schedule_precision_is_contract_violation(tmp_path, monkeypatch):
     code = run(["generate", "--model", "model.pmpd", "--limit", "1",
                 "--schedule", "bad.json", "--max-new", "8", "--out", "t.json"])
     assert code == cli.EXIT_CONTRACT_VIOLATION
+
+
+def test_a_decode_precision_the_model_lacks_is_contract_violation(tmp_path, monkeypatch):
+    # its prefill precision is served, so the walk refuses it when it resolves
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    Path("bad.json").write_text(json.dumps(PrecisionSchedule.two_phase(4, 1, 2, 8).to_json()))
+    code = run(["generate", "--model", "model.pmpd", "--limit", "1",
+                "--schedule", "bad.json", "--max-new", "8", "--out", "t.json"])
+    assert code == cli.EXIT_CONTRACT_VIOLATION
+    assert not Path("t.json").exists()
+
+
+@pytest.mark.parametrize("gen_len", ["0", "9"])
+def test_perf_refuses_a_gen_len_outside_the_schedule(tmp_path, monkeypatch, gen_len):
+    monkeypatch.chdir(tmp_path)
+    Path("s.json").write_text(json.dumps(PrecisionSchedule.two_phase(4, 2, 4, 8).to_json()))
+    code = run(["perf", "--preset", "vicuna-7b", "--schedule", "s.json",
+                "--prompt-len", "8", "--gen-len", gen_len, "--out", "perf.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("perf.json").exists()
 
 
 INVALID_SCHEDULES = {
@@ -505,7 +535,8 @@ def test_overflowing_label_example_is_format_error(tmp_path, monkeypatch, field)
 BAD_TRAINING = {"mixed-widths": ([(3, 8, 8), (3, 8, 6)], "4"),
                 "zero-rows": ([(3, 8, 8), (0, 8, 8)], "4"),
                 "zero-width": ([(3, 8, 0)], "4"),
-                "zero-hidden": ([(3, 8, 8)], "0")}
+                "zero-hidden": ([(3, 8, 8)], "0"),
+                "no-examples": ([], "4")}
 
 
 @pytest.mark.parametrize("shapes, hidden", BAD_TRAINING.values(), ids=BAD_TRAINING.keys())
@@ -518,6 +549,17 @@ def test_unusable_training_input_is_input_error(tmp_path, monkeypatch, shapes, h
     code = run(["train-scheduler", "--labels", "labels.jsonl", "--hidden", hidden,
                 "--epochs", "1", "--out", "net.json"])
     assert code == cli.EXIT_INPUT_ERROR
+
+
+def test_an_empty_label_file_is_format_error(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("labels.jsonl").write_text("")
+    with pytest.raises(FormatError, match="is empty"):
+        learnsched.load_labels("labels.jsonl")
+    code = run(["train-scheduler", "--labels", "labels.jsonl", "--hidden", "4",
+                "--epochs", "1", "--out", "net.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert not Path("net.json").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--batch", "0"), ("--batch", "-1"),

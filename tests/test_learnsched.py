@@ -356,6 +356,27 @@ def test_net_json_round_trip():
     assert (back.p_high, back.p_low) == (net.p_high, net.p_low)
 
 
+@pytest.mark.parametrize("field, value", [("p_high", 4.7), ("p_low", 2.2),
+                                          ("feature_block", -1.0), ("p_low", True)])
+def test_a_net_built_in_code_refuses_a_non_integer(field, value):
+    # int() truncated them: p_high 4.7 was kept as 4, p_low 2.2 as 2
+    net = make_net()
+    fields = {"grid": net.grid, "p_high": 3, "p_low": 2, "feature_block": -1, field: value}
+    with pytest.raises(TypeError):
+        SchedulerNet(**net.params(), **fields)
+
+
+def test_a_learned_scheduler_refuses_a_non_integer_prefill():
+    net = make_net()
+    with pytest.raises(TypeError):
+        LearnedScheduler(net, 4.5)  # was built with p_prefill 4
+    numpy_net = SchedulerNet(**net.params(), grid=net.grid, p_high=np.int64(3),
+                             p_low=np.int32(2), feature_block=np.int64(-1))
+    assert (numpy_net.p_high, numpy_net.p_low, numpy_net.feature_block) == (3, 2, -1)
+    assert type(numpy_net.p_high) is int
+    assert LearnedScheduler(numpy_net, np.int64(4)).p_prefill == 4
+
+
 def test_feature_block_outside_the_model_is_config_error(small_model):
     d = small_model.config.d_model
     for block in (2, -3):  # small_model has two layers

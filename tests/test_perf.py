@@ -157,6 +157,11 @@ def test_weighted_gpu_latency_missing_precision():
         weighted_gpu_latency({3: 8.1, 2: 7.0}, sched, 8)
 
 
+def test_weighted_gpu_latency_refuses_no_generated_tokens():
+    with pytest.raises(InputError, match="gen_len must be >= 1"):
+        weighted_gpu_latency({3: 8.1, 16: 97.1}, PrecisionSchedule.constant(3, 8), 0)
+
+
 def test_footprint_totals_and_vicuna_scale():
     fp = perf.FOOTPRINT_PRESETS["vicuna-7b"]
     assert fp.total_params == fp.attn_params + fp.mlp_params + fp.embed_params

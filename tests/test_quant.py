@@ -232,6 +232,20 @@ def _with_meta(blob: bytes, **changes) -> bytes:
     return blob[:8] + struct.pack("<I", len(new)) + new + blob[12 + meta_len :]
 
 
+def test_parse_rejects_a_header_cut_short_after_the_magic():
+    blob = quant.serialize_model(_two_tensors(), {})
+    for n in (4, 8, 11):
+        with pytest.raises(FormatError, match=f"truncated header: {n} bytes"):
+            quant.parse_model(blob[:n])
+
+
+def test_parse_rejects_p_max_outside_1_to_8():
+    blob = quant.serialize_model(_two_tensors(), {})
+    for p_max in (0, 9):
+        with pytest.raises(FormatError, match="p_max must be an integer in"):
+            quant.parse_model(_with_meta(blob, p_max=p_max))
+
+
 def test_parse_rejects_non_positive_group_size():
     blob = quant.serialize_model(_two_tensors(), {})
     with pytest.raises(FormatError, match="group_size"):

@@ -73,6 +73,26 @@ def test_switch_points_must_name_exactly_the_precisions(st):
         PrecisionSchedule(PrecisionSet((4, 3)), 4, st, 8)
 
 
+@pytest.mark.parametrize("args", [((4, 2), 4.5, {4: 0, 2: 3}, 8),
+                                  ((4, 2), 4, {4: 0, 2: 3.7}, 8),
+                                  ((4, 2), 4, {4.0: 0, 2: 3}, 8),
+                                  ((4, 2), 4, {4: 0, 2: 3}, 8.2),
+                                  ((4, 2), True, {4: 0, 2: 3}, 8)],
+                         ids=["prefill", "switch", "key", "horizon", "bool-prefill"])
+def test_a_schedule_built_in_code_refuses_a_non_integer(args):
+    # int() truncated them: prefill 4.5 was built as 4, switch 3.7 as 3, OL 8.2 as 8
+    with pytest.raises(TypeError):
+        PrecisionSchedule(*args)
+
+
+def test_a_schedule_takes_numpy_integers_as_ints():
+    i = np.int64
+    s = PrecisionSchedule((4, 2), i(4), {i(4): i(0), i(2): i(3)}, i(8))
+    assert (s.p_prefill, s.switch_points, s.horizon) == (4, {4: 0, 2: 3}, 8)
+    assert all(type(x) is int
+               for x in (s.p_prefill, s.horizon, *s.switch_points, *s.switch_points.values()))
+
+
 def test_precision_at_non_increasing_on_random_valid_schedules():
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -186,6 +206,18 @@ def test_grid_rounding_and_validation():
         SwitchGrid(1, 10)
 
 
+@pytest.mark.parametrize("n, horizon", [(3, 8.5), (2.0, 8), (2, True), (True, 8)])
+def test_a_grid_built_in_code_refuses_a_non_integer(n, horizon):
+    # SwitchGrid(3, 8.5).points was (0, 4, 9), a point past its own horizon
+    with pytest.raises(TypeError):
+        SwitchGrid(n, horizon)
+
+
+def test_a_grid_takes_numpy_integers_as_ints():
+    g = SwitchGrid(np.int64(3), np.int32(8))
+    assert g == SwitchGrid(3, 8) and type(g.n) is int and type(g.horizon) is int
+
+
 def test_grid_refuses_more_points_than_tokens_before_building_any():
     assert SwitchGrid(9, 8).points == tuple(range(9))
     with pytest.raises(ConfigError) as exc:
@@ -242,6 +274,19 @@ def test_allocation_rejects_empty_calibration_set():
     with pytest.raises(InputError):
         allocate_phase_precisions(None, [], QualityTarget(0.5, 0.1),
                                   precisions=PrecisionSet((3, 2)))
+
+
+def test_a_search_whose_every_reference_is_empty_is_refused(small_model):
+    # with EOS the first token the fp16 model emits, the only reference is just EOS
+    prompt = list(b"The river finds its way")
+    eos = tinylm.generate(small_model, prompt, FixedScheduler(FULL_PRECISION),
+                          max_new=1).output_tokens[0]
+    with pytest.raises(InputError, match="every calibration/validation prompt produced"):
+        allocate_phase_precisions(small_model, [prompt], QualityTarget(0.5, 0.1),
+                                  max_new=4, eos_id=eos)
+    with pytest.raises(InputError, match="every calibration/validation prompt produced"):
+        solve_static(small_model, [prompt], QualityTarget(0.5, 0.1), SwitchGrid(2, 4),
+                     precisions=PrecisionSet((4, 2)), p_prefill=4, eos_id=eos)
 
 
 def test_allocation_report_json_round_shape():
@@ -372,6 +417,11 @@ def test_schedule_from_json_rejects_garbage():
             PrecisionSchedule.from_json(bad)
     with pytest.raises(FormatError, match="^malformed schedule JSON: switch points"):
         PrecisionSchedule.from_json({**good, "st": {"3": 0}})
+    # read through the constructor, a non-integer is still a malformed file
+    for bad in ({**good, "prefill": 3.5}, {**good, "st": {"3": 0, "2": 4.0}},
+                {**good, "OL": True}):
+        with pytest.raises(FormatError, match="^malformed schedule JSON"):
+            PrecisionSchedule.from_json(bad)
 
 
 def test_full_precision_schedule_survives_json_round_trip():
@@ -592,7 +642,7 @@ def test_lockstep_live_kv_stays_within_the_wave_budget(toy_model, corpus_prompts
         live.add(self)
 
     monkeypatch.setattr(tinylm.KVCache, "__init__", tracked)
-    seen = []
+    seen, longest = [], weakref.WeakKeyDictionary()  # block -> longest prompt prefilled
 
     def only_block(cache):
         # the one live cache and whether ``cache`` is it or a view of it
@@ -603,7 +653,8 @@ def test_lockstep_live_kv_stays_within_the_wave_budget(toy_model, corpus_prompts
 
     def step(model, p, tokens, cache, rows=None):
         block, inside = only_block(cache)
-        seen.append(("step", cache is block and inside, len(block.lengths), block.capacity))
+        seen.append(("step", cache is block and inside, len(block.lengths),
+                     block.capacity - longest[block]))
         return decode_step(model, p, tokens, cache, rows)
 
     monkeypatch.setattr(tinylm, "decode_step", step)
@@ -613,7 +664,9 @@ def test_lockstep_live_kv_stays_within_the_wave_budget(toy_model, corpus_prompts
         inside = only_block(cache)[1]
         logits, filled = prefill(model, p, prompt, cache)
         block, after = only_block(filled)
-        seen.append(("prefill", inside and after, len(block.lengths), block.capacity))
+        longest[block] = max(longest.get(block, 0), len(prompt))
+        seen.append(("prefill", inside and after, len(block.lengths),
+                     block.capacity - longest[block]))
         return logits, filled
 
     monkeypatch.setattr(tinylm, "prefill", counted_prefill)
@@ -622,14 +675,15 @@ def test_lockstep_live_kv_stays_within_the_wave_budget(toy_model, corpus_prompts
                   for st in enumerate_switch_maps(ps.precisions, SwitchGrid(4, horizon).points)]
     prompts = mixed_prompts(corpus_prompts, (8, 30, 12, 30, 48, 20, 8, 40, 16))
     tinylm.decode_schedules(toy_model, prompts, schedulers, max_new=horizon, feature_block=-1)
-    longest = max(map(len, prompts))
     # from the first prefill on, a walk's only live KV is its block, of one
-    # wave at its longest prompt plus max_new: each prefill writes into a row
-    # of it and every branch decodes in it
+    # wave at its longest prompt plus the max_new - 1 positions its steps
+    # write: each prefill writes into a row of it (shortest first) and every
+    # branch decodes in it
     assert [kind for kind, *_ in seen].count("prefill") == len(prompts)
     assert "step" in {kind for kind, *_ in seen}
-    for kind, inside, rows, capacity in seen:
-        assert inside and rows <= tinylm.WAVE and capacity <= longest + horizon
+    for kind, inside, rows, room in seen:
+        assert inside and rows <= tinylm.WAVE and room >= horizon - 1
+        assert kind == "prefill" or room == horizon - 1
     assert not live
 
 

@@ -251,7 +251,7 @@ def test_block_causal_attention_equals_the_full_masked_pass(n, T0, rows):
         blocks = []
         for a in range(0, n, tinylm.BLOCK):
             e = min(a + tinylm.BLOCK, n)
-            blocks.append(tinylm._attend(q[:, a:e], K[:, : T0 + e], V[:, : T0 + e], scale))
+            blocks.append(tinylm._attend(q[:, a:e], K[:, : T0 + e], V[:, : T0 + e]))
         assert np.concatenate(blocks, axis=1).tobytes() == full.tobytes(), H
 
 
@@ -301,7 +301,7 @@ def test_decode_step_advances_cache_by_one(small_model):
 
 def prefilled_block(model, prompts, capacity=40):
     """A block cache with one row per prompt, each prefilled in place at precision 4."""
-    block = tinylm.KVCache(model.config.n_layers, model.config.d_model, capacity, len(prompts))
+    block = tinylm.KVCache(model.config, capacity, len(prompts))
     for r, prompt in enumerate(prompts):
         prefill(model, 4, prompt, block.row(r))
     return block
@@ -399,11 +399,11 @@ def test_input_validation(small_model):
         prefill(small_model, 4, [999])
     _, cache = prefill(small_model, 4, PROMPT)
     with pytest.raises(InputError):
-        decode_step(small_model, 4, 5, tinylm.KVCache(2, 64, 16))
+        decode_step(small_model, 4, 5, tinylm.KVCache(small_model.config, 16))
     with pytest.raises(ContractViolation):
         prefill(small_model, 5, PROMPT)
     with pytest.raises(InputError):  # prefill fills one row, never row 0 of a block
-        prefill(small_model, 4, PROMPT, tinylm.KVCache(2, 64, 40, rows=3))
+        prefill(small_model, 4, PROMPT, tinylm.KVCache(small_model.config, 40, rows=3))
     block = prefilled_block(small_model, [PROMPT[:5], PROMPT[:9], PROMPT])
     k, v, lengths = block.k.copy(), block.v.copy(), block.lengths.copy()
     # rows that repeat, fall or lie outside the block, no rows, and token
@@ -456,13 +456,54 @@ def test_a_token_id_that_is_not_an_integer_is_refused(small_model, bad):
             == prefill(small_model, 4, PROMPT)[0].tobytes())
 
 
-def test_a_blocks_length_and_layer_kv_are_refused_naming_its_rows():
-    block = tinylm.KVCache(2, 64, 16, rows=3)
+@pytest.mark.parametrize("capacity, rows", [(16, 1), (40, 3)])
+def test_the_cache_stores_keys_and_values_by_head(small_model, capacity, rows):
+    cfg = small_model.config
+    cache = tinylm.KVCache(cfg, capacity, rows)
+    shape = (cfg.n_layers, rows, capacity, cfg.n_heads, cfg.d_head)
+    assert cache.k.shape == cache.v.shape == shape
+
+
+def test_layer_kv_is_a_d_model_wide_view_of_the_cache(small_model):
+    cfg = small_model.config
+    block = prefilled_block(small_model, [PROMPT[:5], PROMPT])
+    for r, n in enumerate((5, len(PROMPT))):
+        k, v = block.row(r).layer_kv(-1)
+        assert k.shape == v.shape == (n, cfg.d_model)
+        assert np.shares_memory(k, block.k) and np.shares_memory(v, block.v)
+        assert k.tobytes() == block.k[-1, r, :n].tobytes()
+        assert v.tobytes() == block.v[-1, r, :n].tobytes()
+
+
+def test_a_blocks_length_and_layer_kv_are_refused_naming_its_rows(small_model):
+    block = tinylm.KVCache(small_model.config, 16, rows=3)
     with pytest.raises(ConfigError, match="3 rows"):
         block.T
     with pytest.raises(ConfigError, match="3 rows"):
         block.layer_kv(0)
+    # an empty row is still d_model wide
     assert block.row(1).T == 0 and block.row(1).layer_kv(-1)[0].shape == (0, 64)
+
+
+def test_a_step_over_an_unprefilled_row_is_refused_unwritten(small_model):
+    block = tinylm.KVCache(small_model.config, 40, rows=2)
+    prefill(small_model, 4, PROMPT, block.row(0))
+    k, v, lengths = block.k.copy(), block.v.copy(), block.lengths.copy()
+    with pytest.raises(InputError, match="prefilled"):
+        decode_step(small_model, 4, [65, 66], block, [0, 1])
+    assert block.lengths.tolist() == lengths.tolist()
+    assert block.k.tobytes() == k.tobytes() and block.v.tobytes() == v.tobytes()
+
+
+def test_a_schedule_the_model_cannot_decode_is_refused_before_any_step(small_model,
+                                                                      monkeypatch):
+    # prefill at 4 is served, decode precision 1 is not: found at resolve time
+    steps = []
+    monkeypatch.setattr(tinylm, "decode_step", lambda *args: steps.append(args))
+    sched = PrecisionSchedule.two_phase(4, 1, 2, 8)
+    with pytest.raises(ContractViolation, match="precision 1 outside"):
+        tinylm.decode_schedules(small_model, [PROMPT], [StaticScheduler(sched)], max_new=8)
+    assert steps == []
 
 
 def test_decode_rejects_full_context():
