@@ -22,6 +22,7 @@ from . import tinylm
 from .errors import ConfigError, FormatError, InputError
 # unused, but benchmarks/tracing.py wraps it and tests/test_bench_hooks.py needs it
 from .metrics import rouge_l  # noqa: F401
+from .quant import PrecisionSet
 from .schedule import PrecisionSchedule, SwitchGrid, score_candidates
 from .util import (b64_to_f32, canonical_json, f32_to_b64, json_floats, json_int, named_rng,
                    parsing, read_text)
@@ -46,8 +47,8 @@ class SchedulerNet:
         self.w2 = np.asarray(w2, dtype=np.float64)
         self.b2 = np.asarray(b2, dtype=np.float64)
         self.grid = grid
-        self.p_high = json_int(p_high)
-        self.p_low = json_int(p_low)
+        # a strictly descending pair of model precisions
+        self.p_high, self.p_low = PrecisionSet((p_high, p_low)).precisions
         self.feature_block = json_int(feature_block)
         if self.q.ndim != 1:
             raise ConfigError(f"query must be a vector, got shape {self.q.shape}")
@@ -122,10 +123,11 @@ def _grid_json(tag: str, grid: SwitchGrid, p_high: int, p_low: int,
 
 def _grid_fields(obj: dict) -> dict:
     """The grid, precisions and feature block a net file and a label file's header
-    both carry, as keyword arguments of :class:`SchedulerNet` and its ``init``."""
-    return {"grid": SwitchGrid(obj["grid"]["n"], obj["grid"]["OL"]),
-            "p_high": json_int(obj["p_high"]), "p_low": json_int(obj["p_low"]),
-            "feature_block": json_int(obj.get("feature_block", -1))}
+    both carry, as keyword arguments of :class:`SchedulerNet` and its ``init``;
+    ``p_high`` must lie above ``p_low`` in a label file too."""
+    p_high, p_low = PrecisionSet((obj["p_high"], obj["p_low"])).precisions
+    return {"grid": SwitchGrid(obj["grid"]["n"], obj["grid"]["OL"]), "p_high": p_high,
+            "p_low": p_low, "feature_block": json_int(obj.get("feature_block", -1))}
 
 
 def _pool_forward(net: SchedulerNet, K: np.ndarray, V: np.ndarray) -> tuple:

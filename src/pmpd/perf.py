@@ -177,14 +177,19 @@ class PerfReport:
             str(k): v for k, v in self.per_precision_decode_s.items()}}
 
 
-def pipeline_perf(fp: ModelFootprint, schedule: PrecisionSchedule, hw: HardwareConfig,
-                  prompt_len: int, gen_len: int, include_kv: bool = True) -> PerfReport:
-    """End-to-end model of prefill plus scheduled decoding, with the fp16 and
-    uniform-high baselines evaluated on the same device for comparison."""
+def _check_gen_len(schedule: PrecisionSchedule, gen_len: int) -> None:
+    """Refuse a ``gen_len`` below 1 or past the schedule's horizon."""
     if gen_len < 1:
         raise InputError(f"gen_len must be >= 1, got {gen_len}")
     if gen_len > schedule.horizon:
         raise InputError(f"gen_len {gen_len} exceeds the schedule horizon {schedule.horizon}")
+
+
+def pipeline_perf(fp: ModelFootprint, schedule: PrecisionSchedule, hw: HardwareConfig,
+                  prompt_len: int, gen_len: int, include_kv: bool = True) -> PerfReport:
+    """End-to-end model of prefill plus scheduled decoding, with the fp16 and
+    uniform-high baselines evaluated on the same device for comparison."""
+    _check_gen_len(schedule, gen_len)
 
     def phases(s: PrecisionSchedule) -> tuple[float, float, float]:
         """Prefill, decode and total seconds of ``s``: the prompt in one weight
@@ -220,8 +225,7 @@ def weighted_gpu_latency(latency_us: Mapping[int, float], schedule: PrecisionSch
                          gen_len: int) -> tuple[float, float]:
     """Decode-step-weighted mean of measured per-precision kernel latencies,
     and its speedup over the fp16 kernel."""
-    if gen_len < 1:
-        raise InputError(f"gen_len must be >= 1, got {gen_len}")
+    _check_gen_len(schedule, gen_len)
     with parsing("latency table (integer precisions to microseconds)"):
         table = {json_int_key(k): json_float(v) for k, v in latency_us.items()}
     if not all(math.isfinite(v) and v > 0 for v in table.values()):

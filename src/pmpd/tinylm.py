@@ -308,6 +308,8 @@ class KVCache:
 
     def row(self, r: int) -> "KVCache":
         """Row ``r`` as a one-row cache sharing its K/V and length, no copy."""
+        if not 0 <= r < len(self.lengths):
+            raise ConfigError(f"row {r} outside the cache's {len(self.lengths)} rows")
         view = object.__new__(KVCache)
         view.k, view.v = self.k[:, r : r + 1], self.v[:, r : r + 1]
         view.lengths = self.lengths[r : r + 1]
@@ -505,76 +507,72 @@ def _decode(model: ModelVariants, p: int, tokens, cache: KVCache,
 
 def _extend(model: ModelVariants, p: int, tokens, cache: KVCache,
             last: bool = False) -> np.ndarray:
-    """Run the ``n >= 1`` ids ``tokens`` through a one-row cache at weight
-    precision ``p``, extending it; returns the logits ``[n, vocab]`` of the
-    new positions, or with ``last`` (a prefill) those of the last, ``[vocab]``.
+    """Fill the empty one-row ``cache`` from position 0 with the ``n >= 1`` ids
+    ``tokens`` at weight precision ``p``; returns the logits ``[n, vocab]`` of
+    every position, or with ``last`` (a prefill) those of the last, ``[vocab]``.
 
-    The new positions attend in blocks of :data:`BLOCK` queries: block
-    ``[a, e)`` over the keys ``[0, T0 + e)`` only, never scoring the key
-    blocks wholly above the causal diagonal, one head at a time when it
-    holds two or more queries. That is bit-identical to scoring every key
-    and masking the upper triangle, at any head count, as masked keys trail
-    each query and every sum over keys runs in key order (see :func:`_attend`).
+    The positions attend in blocks of :data:`BLOCK` queries: block ``[a, e)``
+    over the keys ``[0, e)`` only, never scoring the key blocks wholly above
+    the causal diagonal, one head at a time when it holds two or more
+    queries. That is bit-identical to scoring every key and masking the
+    upper triangle, at any head count, as masked keys trail each query and
+    every sum over keys runs in key order (see :func:`_attend`).
 
     Every product runs at all ``n`` rows, in every layer. With ``last`` the
     final layer's only attention is that of query ``n - 1``, one 1-query
-    block over the keys ``[0, T0 + n)``; the other rows' context stays zero,
-    and nothing reads what those rows carry on. That is bit-identical to the
+    block over the keys ``[0, n)``; the other rows' context stays zero, and
+    nothing reads what those rows carry on. That is bit-identical to the
     full pass because at a fixed row count a row of ``X @ W`` does not
     depend on the other rows' values, whatever the BLAS kernel; a product
     with fewer rows would tile its sums differently.
     """
-    T0, n = cache.T, len(tokens)
-    _check(model, p, tokens, cache, T0 + n)
+    n = len(tokens)
+    if n == 0 or cache.lengths.tolist() != [0]:
+        raise InputError(f"a forward pass fills an empty one-row cache from one or more "
+                         f"tokens, got {n} tokens and cache lengths {cache.lengths}")
+    _check(model, p, tokens, cache, n)
     embed, layers, final_norm, head = model.resolved(p)
     H, dh, d = model.config.n_heads, model.config.d_head, model.config.d_model
     x = embed[np.asarray(tokens, dtype=np.int64)]
-    cos, sin = (table[T0 : T0 + n] for table in model.rope)
+    cos, sin = (table[:n] for table in model.rope)
     for i, (norm_attn, wqkv, wo, norm_mlp, w_up, w_down) in enumerate(layers):
         # q, k and v in one call of three gemms over wqkv's [d, d] blocks: one
         # [n, 3d] gemm sums differently on some kernels (Haswell, Nehalem)
         qkv = _rmsnorm(x, norm_attn) @ wqkv.reshape(d, 3, d).transpose(1, 0, 2)  # [3, n, d]
-        cache.v[i, :, T0 : T0 + n] = qkv[2].reshape(1, n, H, dh)
-        q, cache.k[i, :, T0 : T0 + n] = _apply_rope(qkv[:2].reshape(2, 1, n, H, dh), cos, sin)
+        cache.v[i, :, :n] = qkv[2].reshape(1, n, H, dh)
+        q, cache.k[i, :, :n] = _apply_rope(qkv[:2].reshape(2, 1, n, H, dh), cos, sin)
         ctx = np.zeros((1, n, H, dh))
-        # block [a, e) over the keys [0, T0 + e); in prefill's last layer query n - 1 only
+        # block [a, e) over the keys [0, e); in prefill's last layer query n - 1 only
         for a in range(n - 1 if last and i == len(layers) - 1 else 0, n, BLOCK):
             e = min(a + BLOCK, n)
-            ctx[:, a:e] = _attend(q[:, a:e], cache.k[i, :, : T0 + e],
-                                  cache.v[i, :, : T0 + e])
+            ctx[:, a:e] = _attend(q[:, a:e], cache.k[i, :, :e], cache.v[i, :, :e])
         x = _mlp(x + ctx.reshape(n, d) @ wo, norm_mlp, w_up, w_down)
-    cache.lengths += n
+    cache.lengths[0] = n
     logits = _rmsnorm(x, final_norm) @ head
     return logits[-1] if last else logits
 
 
 def prefill(model: ModelVariants, p: int, prompt: Sequence[int],
             cache: KVCache | None = None) -> tuple[np.ndarray, KVCache]:
-    """Causal pass over the whole prompt into an empty one-row ``cache`` (a
-    fresh one of ``max_context`` positions by default); returns the
-    last-position logits and the cache. Every product runs at all positions;
-    only the final layer's attention is the last position's alone (see
-    :func:`_extend`)."""
-    if len(prompt) == 0:
-        raise InputError("prompt is empty")
+    """Causal pass over the non-empty ``prompt`` into an empty one-row
+    ``cache`` (a fresh one of ``max_context`` positions by default); returns
+    the last-position logits and the cache. Every product runs at all
+    positions; only the final layer's attention is the last position's
+    alone (see :func:`_extend`)."""
     if cache is None:
         cache = KVCache(model.config, model.config.max_context)
-    elif cache.lengths.tolist() != [0]:
-        raise InputError(f"prefill fills an empty one-row cache, got lengths {cache.lengths}")
     return _extend(model, p, prompt, cache, last=True), cache
 
 
-def decode_step(model: ModelVariants, p: int, tokens, cache: KVCache,
-                rows: Sequence[int] | None = None) -> tuple[np.ndarray, KVCache]:
-    """One autoregressive step of the cache rows ``rows`` (every row by
-    default, strictly increasing), row ``rows[j]`` consuming ``tokens[j]``;
-    appends one position per layer to each and returns their logits
-    ``[len(rows), vocab]``. A single int token steps one row and gets that
-    row's logits. One row runs the straight-line :func:`_step`, two or more
-    the lockstep :func:`_decode`; a row's bits are the same in both."""
-    one = np.ndim(tokens) == 0
-    tokens = [tokens] if one else tokens
-    rows = range(len(cache.lengths)) if rows is None else rows
+def decode_step(model: ModelVariants, p: int, tokens: Sequence[int], cache: KVCache,
+                rows: Sequence[int]) -> np.ndarray:
+    """One autoregressive step of the cache rows ``rows`` (strictly
+    increasing), row ``rows[j]`` consuming id ``tokens[j]``; appends one
+    position per layer to each and returns their logits ``[len(rows), vocab]``.
+    One row runs the straight-line :func:`_step`, two or more the lockstep
+    :func:`_decode`; a row's bits are the same in both."""
+    if np.ndim(tokens) != 1:
+        raise InputError(f"decode_step takes a sequence of token ids, got {tokens!r}")
     # at least one row, the rows strictly increasing, each one of the cache's
     if (len(rows) == 0 or len(tokens) != len(rows)
             or list(rows) != sorted({*rows} & {*range(len(cache.lengths))})):
@@ -582,9 +580,8 @@ def decode_step(model: ModelVariants, p: int, tokens, cache: KVCache,
                          "-row cache: one token per row, at least one row, the rows strictly "
                          "increasing")
     if len(rows) > 1:
-        return _decode(model, p, tokens, cache, rows), cache
-    logits = _step(model, p, tokens[0], cache, rows[0])
-    return (logits if one else logits[None]), cache
+        return _decode(model, p, tokens, cache, rows)
+    return _step(model, p, tokens[0], cache, rows[0])[None]
 
 
 def forward_full(model: ModelVariants, p: int, tokens: Sequence[int]) -> np.ndarray:
@@ -610,14 +607,15 @@ class SamplerConfig:
 
 def sample(logits: np.ndarray, cfg: SamplerConfig,
            rng: np.random.Generator | None = None) -> int:
-    """Greedy argmax (lowest index on ties) or seeded temperature sampling of
-    a float array of logits."""
+    """Greedy argmax (lowest index on ties) of a float array of logits, or with a
+    temperature one draw from ``rng``, a stream seeded once per sequence."""
     if not np.isfinite(logits).all():
         raise InputError("logits contain non-finite values")
     if cfg.temperature is None:
         return int(logits.argmax())
+    if rng is None:
+        raise ConfigError("a temperature sampler needs the sequence's stream, rng")
     probs = _softmax(logits / cfg.temperature)
-    rng = rng if rng is not None else named_rng(cfg.seed, "sampler")
     return int(rng.choice(len(probs), p=probs))
 
 
@@ -739,7 +737,7 @@ class _Walk:
     def advance(self, p, cache, rows, tokens, hashes) -> None:
         """One decode step at ``p`` of the block rows ``rows``; appends each
         row's sampled token and its logits' hash to ``tokens[r]``/``hashes[r]``."""
-        logits, _ = decode_step(self.model, p, [tokens[r][-1] for r in rows], cache, rows)
+        logits = decode_step(self.model, p, [tokens[r][-1] for r in rows], cache, rows)
         for r, row_logits in zip(rows, logits):
             tokens[r].append(sample(row_logits, self.sampler_cfg, self.rngs[r]))
             hashes[r].append(logits_hash(row_logits))

@@ -42,9 +42,9 @@ class NaiveCache:
 
 
 def _naive_forward(model, p, tokens, cache):
-    """The forward pass written out as the bitwise reference for both
-    kernels, ``tinylm._extend`` (prefill, chunks, ``forward_full``) and
-    ``tinylm._decode`` (``decode_step``): one sequence, every matrix read through
+    """The forward pass written out as the bitwise reference for all three
+    kernels, ``tinylm._extend`` (``prefill``, ``forward_full``) and ``tinylm._step``
+    and ``tinylm._decode`` (``decode_step``): one sequence, every matrix read through
     ``model.weights(name, p)`` and every gain through ``model.norm(name)`` at
     its use, the RoPE tables computed for the call's positions, and
     ``np.mean``/``np.max``/``np.sum``. Extends ``cache`` (a
@@ -109,8 +109,8 @@ def _naive_generate(model, prompt, scheduler, sampler_cfg=None, eos_id=None, max
     tokens = [tinylm.sample(logits, cfg, rng)]
     hashes = [tinylm.logits_hash(logits)]
     while tokens[-1] != eos and len(tokens) < max_new:
-        logits, cache = tinylm.decode_step(model, sched.precision_at(len(tokens) - 1),
-                                           tokens[-1], cache)
+        (logits,) = tinylm.decode_step(model, sched.precision_at(len(tokens) - 1),
+                                       [tokens[-1]], cache, [0])
         tokens.append(tinylm.sample(logits, cfg, rng))
         hashes.append(tinylm.logits_hash(logits))
     return tinylm.GenerationTrace(list(prompt), tokens,

@@ -127,7 +127,7 @@ def test_criterion_06_incremental_matches_full_forward(toy_model):
             got = [tinylm.forward_full(toy_model, p, tokens[:1])[0]]
             _, cache = tinylm.prefill(toy_model, p, tokens[:1])
             for t in tokens[1:]:
-                logits, cache = tinylm.decode_step(toy_model, p, t, cache)
+                (logits,) = tinylm.decode_step(toy_model, p, [t], cache, [0])
                 got.append(logits)
             for pos in range(len(tokens)):
                 rel = np.max(np.abs(got[pos] - full[pos]) / (np.abs(full[pos]) + 1e-9))

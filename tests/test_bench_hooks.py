@@ -1,6 +1,11 @@
 """The benchmark's tracer (``benchmarks/tracing.py``) wraps pmpd functions
 by attribute name, so renaming or deleting one breaks the traced benchmark.
-Installing and removing the tracer here makes such a change fail the suite."""
+Installing and removing the tracer here makes such a change fail the suite,
+and so does a change that breaks a call the benchmark's workloads make."""
+import json
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +14,9 @@ from pmpd import learnsched, metrics, perf, quant, schedule, tinylm
 from pmpd.schedule import FixedScheduler, PrecisionSchedule, StaticScheduler
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+# one line per workload and trace setting of ``benchmarks/run.py --smoke``
+SMOKE_LINE = re.compile(r"^smoke (\S+) trace=([01]): \d+ metrics, \d+ attempted, (\d+) failed$",
+                        re.M)
 OWNERS = (learnsched, metrics, perf, quant, schedule, tinylm, tinylm.ModelVariants)
 
 
@@ -62,7 +70,7 @@ def test_tracer_sees_every_prefill_and_decode_step_of_a_lockstep_call(monkeypatc
     steps = []
     decode_step = tinylm.decode_step
 
-    def counted(model, p, tokens, cache, rows=None):
+    def counted(model, p, tokens, cache, rows):
         steps.append(len(rows))
         return decode_step(model, p, tokens, cache, rows)
 
@@ -82,3 +90,17 @@ def test_tracer_sees_every_prefill_and_decode_step_of_a_lockstep_call(monkeypatc
     # one call per trie node and precision steps every row of the wave there
     assert 1 < max(steps) <= tinylm.WAVE and len(steps) < sum(steps)
     assert all(t.termination == "length" for row in traces for t in row)
+
+
+def test_the_benchmark_smoke_run_checks_every_output_without_a_failure():
+    # every workload at tiny size, untraced and traced, through the calls
+    # benchmarks/workloads.py makes and the tracer's wrap points. Failures
+    # only: benchmarks/test_smoke.py also checks the metrics it emits
+    root = BENCHMARKS.parent
+    proc = subprocess.run([sys.executable, str(BENCHMARKS / "run.py"), "--smoke"], cwd=root,
+                          capture_output=True, text=True, timeout=300)
+    log = proc.stdout[-4000:] + proc.stderr[-4000:]
+    names = [w["name"] for w in json.loads((root / "BENCHMARK.json").read_text())["workloads"]]
+    runs = {(name, trace): failed for name, trace, failed in SMOKE_LINE.findall(proc.stdout)}
+    assert sorted(runs) == sorted((name, trace) for name in names for trace in "01"), log
+    assert set(runs.values()) == {"0"}, log

@@ -495,6 +495,8 @@ BAD_NETS = {
     "net-is-a-list": lambda net: [net],
     "overflowing-grid-n": lambda net: net["grid"].update(n=HUGE),
     "overflowing-p-high": lambda net: net.update(p_high=HUGE),
+    "p-high-below-p-low": lambda net: net.update(p_high=2, p_low=4),
+    "p-high-equal-to-p-low": lambda net: net.update(p_high=4, p_low=4),
     "overflowing-feature-block": lambda net: net.update(feature_block=HUGE),
     # the [d_k, 1] query a matmul refused with a ValueError traceback
     "query-not-a-vector": lambda net: net["q"].update(shape=[net["q"]["shape"][0], 1]),
@@ -509,9 +511,11 @@ def test_malformed_learned_net_is_format_error(tmp_path, monkeypatch, mutate):
     Path("net.json").write_text(_dumps(mutate(net) or net))
     with pytest.raises(FormatError):
         learnsched.SchedulerNet.from_json(read_json("net.json"))
+    prefills = []  # refused as the net is read, before any prefill
+    monkeypatch.setattr(tinylm, "prefill", lambda *args: prefills.append(args))
     code = run(["generate", "--model", "model.pmpd", "--limit", "1", "--learned",
                 "net.json", "--prefill", "4", "--max-new", "4", "--out", "t.json"])
-    assert code == cli.EXIT_INPUT_ERROR
+    assert code == cli.EXIT_INPUT_ERROR and prefills == []
 
 
 @pytest.mark.parametrize("field", ["label", "prompt_len"])
@@ -644,6 +648,12 @@ OUT_OF_DOMAIN = {
                      lambda: learnsched.load_labels("labels.jsonl"),
                      ["train-scheduler", "--labels", "labels.jsonl", "--hidden", "4",
                       "--epochs", "1"], "label file labels.jsonl"),
+    # refused as the file is read, naming it, not by the net built from it
+    "label-header-ascending-precisions": (
+        lambda: _write_labels(lambda header: header.update(p_high=2, p_low=4)),
+        lambda: learnsched.load_labels("labels.jsonl"),
+        ["train-scheduler", "--labels", "labels.jsonl", "--hidden", "4", "--epochs", "1"],
+        "label file labels.jsonl"),
     "weight-file-metadata": (
         lambda: _rewrite_metadata("model.pmpd", lambda meta: meta.update(precisions=[9])),
         lambda: tinylm.ModelVariants.load("model.pmpd"),

@@ -71,6 +71,13 @@ def test_pool_rejects_dimension_mismatch():
         pool_kv(net, np.zeros((0, 4)), np.zeros((0, 4)))
 
 
+@pytest.mark.parametrize("p_high, p_low", [(2, 4), (4, 4), (4, 9)])
+def test_a_net_whose_high_precision_is_not_above_its_low_is_refused(p_high, p_low):
+    # refused where the net is built, not at its first prediction
+    with pytest.raises(ConfigError, match="precisions"):
+        SchedulerNet.init(32, 32, 4, SwitchGrid(3, 8), p_high, p_low)
+
+
 # ---------------------------------------------------------------------------
 # prediction
 # ---------------------------------------------------------------------------

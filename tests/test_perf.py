@@ -162,6 +162,18 @@ def test_weighted_gpu_latency_refuses_no_generated_tokens():
         weighted_gpu_latency({3: 8.1, 16: 97.1}, PrecisionSchedule.constant(3, 8), 0)
 
 
+def test_weighted_gpu_latency_refuses_steps_past_the_horizon():
+    # both models price only the steps a schedule schedules
+    sched = PrecisionSchedule.two_phase(4, 2, 4, 8)
+    table = {16: 10.0, 4: 5.0, 2: 3.0}
+    for model in (lambda n: weighted_gpu_latency(table, sched, n),
+                  lambda n: pipeline_perf(perf.FOOTPRINT_PRESETS["vicuna-7b"], sched,
+                                          perf.NPU_4K, 32, n)):
+        with pytest.raises(InputError, match="exceeds the schedule horizon 8"):
+            model(100)
+        model(8)
+
+
 def test_footprint_totals_and_vicuna_scale():
     fp = perf.FOOTPRINT_PRESETS["vicuna-7b"]
     assert fp.total_params == fp.attn_params + fp.mlp_params + fp.embed_params

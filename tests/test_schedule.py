@@ -573,7 +573,7 @@ def test_lockstep_matches_generate_on_mixed_lengths_in_one_wave(toy_model, corpu
     widths = []
     decode_step = tinylm.decode_step
 
-    def step(model, p, tokens, cache, rows=None):
+    def step(model, p, tokens, cache, rows):
         widths.append(len(rows))
         return decode_step(model, p, tokens, cache, rows)
 
@@ -651,7 +651,7 @@ def test_lockstep_live_kv_stays_within_the_wave_budget(toy_model, corpus_prompts
 
     decode_step = tinylm.decode_step
 
-    def step(model, p, tokens, cache, rows=None):
+    def step(model, p, tokens, cache, rows):
         block, inside = only_block(cache)
         seen.append(("step", cache is block and inside, len(block.lengths),
                      block.capacity - longest[block]))
@@ -689,14 +689,14 @@ def test_lockstep_live_kv_stays_within_the_wave_budget(toy_model, corpus_prompts
 
 def count_calls(monkeypatch, name):
     """Wrap ``tinylm.<name>`` and return the list of precisions it ran at, one
-    entry per row: a ``decode_step`` over ``rows`` counts once per row."""
+    entry per row: a ``prefill`` counts once, a ``decode_step`` once per row
+    of the logits it returns."""
     calls = []
     fn = getattr(tinylm, name)
 
     def counted(model, p, *args, **kwargs):
         out = fn(model, p, *args, **kwargs)
-        logits = out[0]
-        calls.extend([p] * (1 if logits.ndim == 1 else len(logits)))
+        calls.extend([p] * (1 if name == "prefill" else len(out)))
         return out
 
     monkeypatch.setattr(tinylm, name, counted)

@@ -8,6 +8,7 @@ from pmpd.schedule import FixedScheduler, PrecisionSchedule, StaticScheduler, Sw
 from pmpd.tinylm import (FULL_PRECISION, ByteTokenizer, ModelConfig, SamplerConfig,
                          VocabTokenizer, decode_step, forward_full, generate, prefill,
                          sample)
+from pmpd.util import named_rng
 
 PROMPT = list(b"The river finds its way")
 
@@ -82,7 +83,7 @@ def test_prefill_populates_cache(small_model):
 
 def test_prefill_then_decode_matches_longer_prefill(small_model):
     logits, cache = prefill(small_model, 3, PROMPT)
-    step_logits, _ = decode_step(small_model, 3, 65, cache)
+    (step_logits,) = decode_step(small_model, 3, [65], cache, [0])
     oracle, _ = prefill(small_model, 3, PROMPT + [65])
     assert rel_err(step_logits, oracle) < 1e-9
 
@@ -94,7 +95,7 @@ def test_incremental_matches_full_forward_each_position(small_model):
         _, cache = prefill(small_model, p, tokens[:1])
         got = [forward_full(small_model, p, tokens[:1])[0]]
         for t in tokens[1:]:
-            logits, cache = decode_step(small_model, p, t, cache)
+            (logits,) = decode_step(small_model, p, [t], cache, [0])
             got.append(logits)
         for pos in range(len(tokens)):
             assert rel_err(got[pos], full[pos]) < 1e-9, (p, pos)
@@ -120,23 +121,18 @@ def test_forward_matches_the_naive_pass_bit_for_bit(request, naive_forward, naiv
     assert forward_full(model, p, tokens).tobytes() == naive(tokens, fresh())
     # prefills around the attention block size, whose last layer attends for
     # the last position only (at 65 the last block holds one row), K/V
-    # included; 48 last, as the chunk below extends it
+    # included
     for L in (1, 2, 3, 15, 16, 17, 18, 31, 33, 65, 48):
         logits, cache = prefill(model, p, tokens[:L])
         ref = fresh()
         assert logits.tobytes() == naive_forward(model, p, tokens[:L], ref)[-1].tobytes(), L
         assert cache.k[:, 0].tobytes() == ref.k.tobytes(), L
         assert cache.v[:, 0].tobytes() == ref.v.tobytes(), L
-    # then a chunk of n = 37 new positions at T0 = 48, onto the last prefill
-    chunk = tinylm._extend(model, p, tokens[48:85], cache)
-    assert chunk.tobytes() == naive(tokens[48:85], ref)
-    assert cache.k[:, 0].tobytes() == ref.k.tobytes() and cache.v[:, 0].tobytes() == ref.v.tobytes()
     logits, cache = prefill(model, p, tokens[:8])
     ref = fresh()
     assert logits.tobytes() == naive_forward(model, p, tokens[:8], ref)[-1].tobytes()
     for t in tokens[8:]:
-        logits, cache = decode_step(model, p, t, cache)
-        assert logits.tobytes() == naive([t], ref), cache.T
+        assert decode_step(model, p, [t], cache, [0]).tobytes() == naive([t], ref), cache.T
     assert cache.T == ref.T == cfg.max_context
     assert cache.k.tobytes() == ref.k.tobytes() and cache.v.tobytes() == ref.v.tobytes()
 
@@ -276,10 +272,11 @@ def test_decode_step_over_rows_equals_one_row_at_a_time(small_model):
     singles = [prefill(small_model, 4, prompt)[1] for prompt in prompts]
     rows, tokens = [0, 1, 3], [65, 66, 67]
     before = block.k[:, 2].copy()
-    logits, _ = decode_step(small_model, 3, tokens, block, rows)
+    logits = decode_step(small_model, 3, tokens, block, rows)
     assert logits.shape == (3, small_model.config.vocab_size)
     for j, (r, t) in enumerate(zip(rows, tokens)):
-        want, cache = decode_step(small_model, 3, t, singles[r])
+        cache = singles[r]
+        (want,) = decode_step(small_model, 3, [t], cache, [0])
         assert logits[j].tobytes() == want.tobytes()
         assert block.lengths[r] == cache.T == len(prompts[r]) + 1
         assert block.k[:, r, : cache.T].tobytes() == cache.k[:, 0, : cache.T].tobytes()
@@ -295,7 +292,7 @@ def test_prefill_is_bit_deterministic(small_model):
 def test_decode_step_advances_cache_by_one(small_model):
     _, cache = prefill(small_model, 4, PROMPT)
     before = cache.T
-    decode_step(small_model, 4, 5, cache)
+    decode_step(small_model, 4, [5], cache, [0])
     assert cache.T == before + 1
 
 
@@ -342,8 +339,8 @@ def test_decode_step_reads_no_position_at_or_past_a_rows_length(small_model, row
         dirty.v[:, r, t:] = np.nan
     for step in range(2):
         tokens = [65 + step + r for r in rows]
-        want, _ = decode_step(small_model, 3, tokens, clean, rows)
-        got, _ = decode_step(small_model, 3, tokens, dirty, rows)
+        want = decode_step(small_model, 3, tokens, clean, rows)
+        got = decode_step(small_model, 3, tokens, dirty, rows)
         assert got.tobytes() == want.tobytes()
     assert dirty.lengths.tolist() == clean.lengths.tolist()
     for r, t in enumerate(clean.lengths):
@@ -363,9 +360,9 @@ def test_a_branch_rolled_back_in_place_leaves_the_trunk_bit_identical(small_mode
     assert trunk.lengths.tolist() != held
     trunk.lengths[:] = held
     for step in range(2):
-        tokens = [65 + step] * len(prompts)
-        want, _ = decode_step(small_model, 4, tokens, alone)
-        got, _ = decode_step(small_model, 4, tokens, trunk)
+        tokens, every = [65 + step] * len(prompts), list(range(len(prompts)))
+        want = decode_step(small_model, 4, tokens, alone, every)
+        got = decode_step(small_model, 4, tokens, trunk, every)
         assert got.tobytes() == want.tobytes()
     assert trunk.lengths.tolist() == alone.lengths.tolist()
     for r, t in enumerate(alone.lengths):
@@ -376,8 +373,8 @@ def test_a_branch_rolled_back_in_place_leaves_the_trunk_bit_identical(small_mode
 def test_different_precisions_give_different_logits(small_model):
     _, c2 = prefill(small_model, 4, PROMPT)
     _, c3 = prefill(small_model, 4, PROMPT)
-    l2, _ = decode_step(small_model, 2, 65, c2)
-    l3, _ = decode_step(small_model, 3, 65, c3)
+    l2 = decode_step(small_model, 2, [65], c2, [0])
+    l3 = decode_step(small_model, 3, [65], c3, [0])
     assert not np.allclose(l2, l3)
 
 
@@ -393,42 +390,45 @@ def test_attention_rows_sum_to_one():
 def test_input_validation(small_model):
     with pytest.raises(InputError):
         prefill(small_model, 4, [])
+    with pytest.raises(InputError):  # by prefill's rule, no tokens are refused
+        forward_full(small_model, 4, [])
     with pytest.raises(InputError):
         prefill(small_model, 4, [1] * (small_model.config.max_context + 1))
     with pytest.raises(InputError):
         prefill(small_model, 4, [999])
     _, cache = prefill(small_model, 4, PROMPT)
     with pytest.raises(InputError):
-        decode_step(small_model, 4, 5, tinylm.KVCache(small_model.config, 16))
+        decode_step(small_model, 4, [5], tinylm.KVCache(small_model.config, 16), [0])
     with pytest.raises(ContractViolation):
         prefill(small_model, 5, PROMPT)
     with pytest.raises(InputError):  # prefill fills one row, never row 0 of a block
         prefill(small_model, 4, PROMPT, tinylm.KVCache(small_model.config, 40, rows=3))
     block = prefilled_block(small_model, [PROMPT[:5], PROMPT[:9], PROMPT])
     k, v, lengths = block.k.copy(), block.v.copy(), block.lengths.copy()
-    # rows that repeat, fall or lie outside the block, no rows, and token
-    # counts that differ from the row count
+    # rows that repeat, fall or lie outside the block, no rows, token counts
+    # that differ from the row count, and a bare id
     for tokens, rows in (([65, 66], [1, 1]), ([65, 66], [2, 1]), ([65], [0, 1]),
-                         ([65, 66], None), (65, None), ([65], [3]), ([65, 66], [0, 5]),
+                         ([65, 66], [0, 1, 2]), (65, [0]), ([65], [3]), ([65, 66], [0, 5]),
                          ([65], [-1]), ([], [])):
         with pytest.raises(InputError):
             decode_step(small_model, 4, tokens, block, rows)
     with pytest.raises(InputError):
-        decode_step(small_model, 4, [65, 66], cache)
+        decode_step(small_model, 4, [65, 66], cache, [0])
     with pytest.raises(InputError):  # prefill fills an empty cache only
         prefill(small_model, 4, [4, 5], cache)
     # the decode kernel's own checks, on a one-row cache and on a 3-row block
-    for c, tokens, bad_id in ((cache, 65, 999), (block, [65, 66, 67], [65, 999, 67])):
+    for c, rows, tokens, bad_id in ((cache, [0], [65], [999]),
+                                    (block, [0, 1, 2], [65, 66, 67], [65, 999, 67])):
         with pytest.raises(ContractViolation):
-            decode_step(small_model, 5, tokens, c)
+            decode_step(small_model, 5, tokens, c, rows)
         with pytest.raises(InputError):
-            decode_step(small_model, 4, bad_id, c)
+            decode_step(small_model, 4, bad_id, c, rows)
     assert cache.T == len(PROMPT)
     assert block.lengths.tolist() == lengths.tolist()
     assert block.k.tobytes() == k.tobytes() and block.v.tobytes() == v.tobytes()
     full = prefilled_block(small_model, [PROMPT[:5], PROMPT, PROMPT[:9]], len(PROMPT))
     with pytest.raises(InputError):  # row 1 holds its capacity
-        decode_step(small_model, 4, [65, 66, 67], full)
+        decode_step(small_model, 4, [65, 66, 67], full, [0, 1, 2])
     assert full.lengths.tolist() == [5, len(PROMPT), 9]
 
 
@@ -441,17 +441,17 @@ def test_a_token_id_that_is_not_an_integer_is_refused(small_model, bad):
     k, v, lengths = block.k.copy(), block.v.copy(), block.lengths.copy()
     calls = (lambda: prefill(small_model, 4, [65, bad]),
              lambda: forward_full(small_model, 4, [bad, 65]),
-             lambda: decode_step(small_model, 4, bad, cache),
-             lambda: decode_step(small_model, 4, [bad], cache),
-             lambda: decode_step(small_model, 4, [65, bad], block))
+             lambda: decode_step(small_model, 4, np.array([bad]), cache, [0]),
+             lambda: decode_step(small_model, 4, [bad], cache, [0]),
+             lambda: decode_step(small_model, 4, [65, bad], block, [0, 1]))
     for call in calls:
         with pytest.raises(InputError, match="not an integer"):
             call()
     assert cache.T == len(PROMPT) and block.lengths.tolist() == lengths.tolist()
     assert block.k.tobytes() == k.tobytes() and block.v.tobytes() == v.tobytes()
     # numpy integers are ids like Python ints
-    want, _ = decode_step(small_model, 4, 65, prefill(small_model, 4, PROMPT)[1])
-    assert decode_step(small_model, 4, np.int32(65), cache)[0].tobytes() == want.tobytes()
+    want = decode_step(small_model, 4, [65], prefill(small_model, 4, PROMPT)[1], [0])
+    assert decode_step(small_model, 4, [np.int32(65)], cache, [0]).tobytes() == want.tobytes()
     assert (prefill(small_model, 4, list(np.array(PROMPT, dtype=np.uint8)))[0].tobytes()
             == prefill(small_model, 4, PROMPT)[0].tobytes())
 
@@ -485,6 +485,14 @@ def test_a_blocks_length_and_layer_kv_are_refused_naming_its_rows(small_model):
     assert block.row(1).T == 0 and block.row(1).layer_kv(-1)[0].shape == (0, 64)
 
 
+@pytest.mark.parametrize("r", [2, -1])
+def test_a_row_outside_the_block_is_refused(small_model, r):
+    # a view of no row fails only later, naming lengths [] or a 0-row cache
+    block = tinylm.KVCache(small_model.config, 16, rows=2)
+    with pytest.raises(ConfigError, match="outside the cache's 2 rows"):
+        block.row(r)
+
+
 def test_a_step_over_an_unprefilled_row_is_refused_unwritten(small_model):
     block = tinylm.KVCache(small_model.config, 40, rows=2)
     prefill(small_model, 4, PROMPT, block.row(0))
@@ -510,9 +518,9 @@ def test_decode_rejects_full_context():
     cfg = ModelConfig(n_layers=1, n_heads=2, d_model=32, d_ff=64, max_context=8)
     model = tinylm.ModelVariants.from_random(cfg, quant.PrecisionSet((3,)), seed=1)
     _, cache = prefill(model, 3, [1] * 7)
-    decode_step(model, 3, 1, cache)
+    decode_step(model, 3, [1], cache, [0])
     with pytest.raises(InputError):
-        decode_step(model, 3, 1, cache)
+        decode_step(model, 3, [1], cache, [0])
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +535,18 @@ def test_sample_greedy_and_tie_break():
 def test_sample_temperature_reproducible():
     cfg = SamplerConfig(temperature=0.8, seed=5)
     logits = np.array([0.3, 0.1, 0.9, -0.5])
-    assert sample(logits, cfg) == sample(logits, cfg)
+    a, b = (named_rng(cfg.seed, "sampler") for _ in range(2))
+    assert [sample(logits, cfg, a) for _ in range(8)] == [sample(logits, cfg, b) for _ in range(8)]
+
+
+def test_a_temperature_sampler_without_a_stream_is_refused():
+    # one stream per sequence: a stream seeded afresh per draw repeats its first
+    cfg = SamplerConfig(temperature=1.0, seed=5)
+    with pytest.raises(ConfigError, match="stream"):
+        sample(np.zeros(257), cfg)
+    rng = named_rng(cfg.seed, "sampler")
+    assert len({sample(np.zeros(257), cfg, rng) for _ in range(6)}) > 1
+    assert sample(np.array([0.1, 2.0]), SamplerConfig()) == 1  # greedy draws nothing
 
 
 def test_sample_rejects_bad_temperature():
@@ -679,12 +698,17 @@ def test_an_array_prompt_generates_like_a_list(small_model):
 
 
 def test_a_zero_dimensional_array_token_is_refused(small_model):
+    # decode_step takes one id per row in a sequence: a bare id, a numpy
+    # scalar or a 0-d array, is refused before anything is written
     _, cache = prefill(small_model, 4, PROMPT)
-    with pytest.raises(InputError, match="not an integer"):
-        decode_step(small_model, 4, np.array(65), cache)
+    k, v = cache.k.tobytes(), cache.v.tobytes()
+    for bare in (np.array(65), 65, np.int64(65)):
+        with pytest.raises(InputError, match="sequence of token ids"):
+            decode_step(small_model, 4, bare, cache, [0])
     assert cache.T == len(PROMPT)
-    logits, _ = decode_step(small_model, 4, np.int64(65), cache)  # a numpy scalar steps
-    assert logits.shape == (small_model.config.vocab_size,)
+    assert cache.k.tobytes() == k and cache.v.tobytes() == v
+    logits = decode_step(small_model, 4, [np.int64(65)], cache, [0])  # a numpy id steps
+    assert type(logits) is np.ndarray and logits.shape == (1, small_model.config.vocab_size)
 
 
 SAMPLERS = {"greedy": SamplerConfig(),
@@ -861,7 +885,7 @@ def test_undeclared_precision_leaves_the_kv_cache_untouched(small_model):
     k, v = cache.k.tobytes(), cache.v.tobytes()
     for p in (5, 1, 8):
         with pytest.raises(ContractViolation):
-            decode_step(small_model, p, 65, cache)
+            decode_step(small_model, p, [65], cache, [0])
     assert cache.T == len(PROMPT)
     assert cache.k.tobytes() == k and cache.v.tobytes() == v
 
@@ -901,5 +925,5 @@ def test_model_without_init_info_rejects_full_precision(tmp_path, small_model):
         loaded.resolved(FULL_PRECISION)
     _, cache = prefill(loaded, 4, PROMPT)
     with pytest.raises(ContractViolation):
-        decode_step(loaded, FULL_PRECISION, 65, cache)
+        decode_step(loaded, FULL_PRECISION, [65], cache, [0])
     assert cache.T == len(PROMPT)
