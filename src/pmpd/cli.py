@@ -217,8 +217,10 @@ def cmd_perf(args) -> int:
         sched = schedule.PrecisionSchedule.from_json(read_json(args.schedule))
     else:
         sched = schedule.PrecisionSchedule.constant(args.fixed_precision, args.gen_len)
-    model = functools.partial(perf.pipeline_perf, fp, hw=hw, prompt_len=args.prompt_len,
-                              gen_len=args.gen_len, include_kv=not args.no_kv_traffic)
+    # --no-kv-traffic prices the footprint with no KV bytes; the payload echoes it as given
+    priced = dataclasses.replace(fp, kv_bytes_per_token=0) if args.no_kv_traffic else fp
+    model = functools.partial(perf.pipeline_perf, priced, hw=hw, prompt_len=args.prompt_len,
+                              gen_len=args.gen_len)
     report = model(sched)
     payload = {"report": report.to_json(), "hardware": hw.to_json(),
                "footprint": fp.to_json()}
@@ -232,7 +234,7 @@ def cmd_perf(args) -> int:
         constant = schedule.PrecisionSchedule.constant
         reports = {"pmpd": report,
                    "uniform-high": model(constant(sched.precisions.p_max, sched.horizon)),
-                   "fp16": model(constant(perf.FP16, sched.horizon))}
+                   "fp16": model(constant(quant.FULL_PRECISION, sched.horizon))}
         rows = ["scheme,avg_bitwidth,total_s,tokens_per_s,speedup_vs_fp16"]
         rows += [f"{name},{r.avg_bitwidth},{r.total_s},{r.tokens_per_s},{r.speedup_vs_fp16}"
                  for name, r in reports.items()]

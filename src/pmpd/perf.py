@@ -6,7 +6,8 @@ memory bus while the MAC array does 2 ops per parameter; latency is the max
 of the two when compute/memory overlap, their sum otherwise. Prefill runs
 the same compute for every prompt token against a single weight pass, which
 is why raising only the prefill precision barely moves end-to-end latency.
-The fp16 baseline is modeled as 16-bit weights with no scale overhead.
+The fp16 baseline is modeled as 16-bit weights with no scale overhead, and
+each KV row moved as the footprint's ``kv_bytes_per_token`` (0: no KV traffic).
 
 A second, measurement-driven mode weights externally profiled per-precision
 GPU kernel latencies by the number of decode steps spent at each precision.
@@ -23,7 +24,6 @@ from .quant import FULL_PRECISION
 from .schedule import PrecisionSchedule, avg_bitwidth
 from .util import json_bool, json_float, json_int, json_int_key, parsing
 
-FP16 = FULL_PRECISION
 SCALE_BYTES_PER_GROUP = 8  # f32 min + f32 step
 
 
@@ -100,7 +100,7 @@ class ModelFootprint:
     def weight_bytes(self, p: int) -> float:
         """Bytes of one full weight pass at precision ``p``; fp16 carries no
         scale metadata."""
-        if p == FP16:
+        if p == FULL_PRECISION:
             return self.total_params * 2.0
         return self.total_params * p / 8.0 + SCALE_BYTES_PER_GROUP * self.total_params / self.group_size
 
@@ -123,34 +123,32 @@ FOOTPRINT_PRESETS = {
 
 
 def _weight_pass_latency(fp: ModelFootprint, p: int, hw: HardwareConfig, tokens: int,
-                         kv_rows: int, include_kv: bool) -> float:
+                         kv_rows: int) -> float:
     """The one roofline: seconds for one pass over the weights at precision
     ``p`` that computes ``tokens`` tokens and moves ``kv_rows`` KV rows, the
     max of compute and memory time when they overlap, their sum otherwise."""
     if p < 1:
         raise ConfigError(f"precision must be >= 1, got {p}")
-    memory = fp.weight_bytes(p)
-    if include_kv:
-        memory += fp.kv_bytes_per_token * kv_rows
+    memory = fp.weight_bytes(p) + fp.kv_bytes_per_token * kv_rows
     compute = 2.0 * fp.total_params * tokens / (hw.mac_units * hw.clock_hz)
     memory_s = memory / hw.mem_bw_bytes_per_s
     return max(compute, memory_s) if hw.overlap else compute + memory_s
 
 
 def decode_token_latency(fp: ModelFootprint, p: int, hw: HardwareConfig,
-                         kv_tokens: int = 0, include_kv: bool = True) -> float:
+                         kv_tokens: int = 0) -> float:
     """Seconds for one decode step at precision ``p`` with ``kv_tokens`` of
     cached history to read (plus one KV row written)."""
-    return _weight_pass_latency(fp, p, hw, 1, kv_tokens + 1, include_kv)
+    return _weight_pass_latency(fp, p, hw, 1, kv_tokens + 1)
 
 
 def prefill_latency(fp: ModelFootprint, p: int, hw: HardwareConfig,
-                    prompt_len: int, include_kv: bool = True) -> float:
+                    prompt_len: int) -> float:
     """Seconds to prefill ``prompt_len`` tokens: compute for every token
     against a single weight pass (plus the prompt's KV writes)."""
     if prompt_len < 1:
         raise InputError(f"prompt_len must be >= 1, got {prompt_len}")
-    return _weight_pass_latency(fp, p, hw, prompt_len, prompt_len, include_kv)
+    return _weight_pass_latency(fp, p, hw, prompt_len, prompt_len)
 
 
 @dataclass
@@ -186,7 +184,7 @@ def _check_gen_len(schedule: PrecisionSchedule, gen_len: int) -> None:
 
 
 def pipeline_perf(fp: ModelFootprint, schedule: PrecisionSchedule, hw: HardwareConfig,
-                  prompt_len: int, gen_len: int, include_kv: bool = True) -> PerfReport:
+                  prompt_len: int, gen_len: int) -> PerfReport:
     """End-to-end model of prefill plus scheduled decoding, with the fp16 and
     uniform-high baselines evaluated on the same device for comparison."""
     _check_gen_len(schedule, gen_len)
@@ -195,15 +193,15 @@ def pipeline_perf(fp: ModelFootprint, schedule: PrecisionSchedule, hw: HardwareC
         """Prefill, decode and total seconds of ``s``: the prompt in one weight
         pass at ``p_prefill``, then decode step ``i`` at token ``i``'s
         precision, reading ``prompt_len + i`` KV rows and writing one."""
-        pre = prefill_latency(fp, s.p_prefill, hw, prompt_len, include_kv)
-        dec = sum(decode_token_latency(fp, p, hw, prompt_len + i, include_kv)
+        pre = prefill_latency(fp, s.p_prefill, hw, prompt_len)
+        dec = sum(decode_token_latency(fp, p, hw, prompt_len + i)
                   for i, p in enumerate(s.token_precisions(gen_len)))
         return pre, dec, pre + dec
 
     pre, dec, total = phases(schedule)
     high_pre, _, high_total = phases(PrecisionSchedule.constant(schedule.precisions.p_max,
                                                                 schedule.horizon))
-    *_, fp16_total = phases(PrecisionSchedule.constant(FP16, schedule.horizon))
+    *_, fp16_total = phases(PrecisionSchedule.constant(FULL_PRECISION, schedule.horizon))
 
     return PerfReport(
         prefill_s=pre, decode_s=dec, total_s=total,
@@ -211,7 +209,7 @@ def pipeline_perf(fp: ModelFootprint, schedule: PrecisionSchedule, hw: HardwareC
         speedup_vs_fp16=fp16_total / total,
         avg_bitwidth=avg_bitwidth(schedule, gen_len),
         prefill_uplift_pct=(pre - high_pre) / total * 100.0,
-        per_precision_decode_s={p: decode_token_latency(fp, p, hw, prompt_len, include_kv)
+        per_precision_decode_s={p: decode_token_latency(fp, p, hw, prompt_len)
                                 for p in sorted(set(schedule.token_precisions(gen_len)))},
         fp16_total_s=fp16_total,
         uniform_high_total_s=high_total,
@@ -231,11 +229,11 @@ def weighted_gpu_latency(latency_us: Mapping[int, float], schedule: PrecisionSch
     if not all(math.isfinite(v) and v > 0 for v in table.values()):
         raise InputError(f"latency table values must be positive and finite: {table}")
     counts = Counter(schedule.token_precisions(gen_len))  # first-seen order
-    for p in (FP16, *counts):
+    for p in (FULL_PRECISION, *counts):
         if p not in table:
             raise InputError(f"latency table lacks precision {p}")
     if len(counts) == 1:
         weighted = table[next(iter(counts))]
     else:
         weighted = sum(n * table[p] for p, n in counts.items()) / gen_len
-    return weighted, table[FP16] / weighted
+    return weighted, table[FULL_PRECISION] / weighted

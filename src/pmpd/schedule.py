@@ -121,8 +121,8 @@ class PrecisionSchedule:
         ``precision_at(i)``. Lazy, so summing a 2^30-token horizon holds no list."""
         return map(self.precision_at, range(n))
 
-    def bit_token_sum(self, tokens: int | None = None) -> int:
-        return sum(self.token_precisions(self.horizon if tokens is None else tokens))
+    def bit_token_sum(self) -> int:
+        return sum(self.token_precisions(self.horizon))
 
     def to_json(self) -> dict:
         return {

@@ -155,10 +155,10 @@ _LAYER = ("norm_attn", "wqkv", "wo", "norm_mlp", "w_up", "w_down")
 class ModelVariants:
     """One quantized weight store readable at any precision in its set.
 
-    Instances are immutable after construction apart from never-evicted caches
-    of the float64 weights per (tensor, precision) and of :meth:`resolved`'s
-    tuples of them. :meth:`norm` returns a gain of ``norms``, read-only float64
-    (rounded through float32). Each walk owns its private KV block and traces.
+    Instances are immutable after construction apart from :meth:`resolved`'s
+    never-evicted per-precision float64 weights. ``norms`` holds each gain,
+    read-only float64 (rounded through float32). Each walk owns its private
+    KV block and traces.
     """
 
     def __init__(self, config: ModelConfig, precisions: PrecisionSet,
@@ -174,8 +174,8 @@ class ModelVariants:
         self.init_info = init_info
         self._allowed = frozenset(precisions.precisions) | (
             {FULL_PRECISION} if full_weights is not None else frozenset())
-        self._weights64: dict[tuple[str, int], np.ndarray] = {}
-        self._resolved: dict[int, tuple] = {}
+        # precision -> (resolved's tuple, the same arrays by name)
+        self._resolved: dict[int, tuple[tuple, dict[str, np.ndarray]]] = {}
         self.rope = _rope_tables(config)
         expected = dict(_weight_shapes(config))
         for name, shape in expected.items():
@@ -204,50 +204,45 @@ class ModelVariants:
     def group_size(self) -> int:
         return next(iter(self.tensors.values())).group_size
 
-    def norm(self, name: str) -> np.ndarray:
-        return self.norms[name]
-
     def weights(self, name: str, p: int) -> np.ndarray:
-        """Read-only float64 weights of a tensor at precision ``p``, computed
-        once per (tensor, precision); 16 reads the original real weights. A
-        layer's ``wq``, ``wk`` and ``wv`` are stored once, as the column
-        blocks of its ``[d, 3d]`` ``layers.i.wqkv``, and read as views of it."""
-        w = self._weights64.get((name, p))
-        if w is not None:
-            return w
-        layer, _, part = name.rpartition(".")
-        if part in _QKV:
-            j = _QKV.index(part) * self.config.d_model
-            w = self.weights(f"{layer}.wqkv", p)[:, j : j + self.config.d_model]
-        elif part == "wqkv":
-            w = _readonly(np.concatenate([self._float64(f"{layer}.{t}", p) for t in _QKV], 1))
-        else:
-            w = _readonly(self._float64(name, p))
-        return self._weights64.setdefault((name, p), w)
-
-    def _float64(self, name: str, p: int) -> np.ndarray:
-        """A fresh float64 copy of tensor ``name`` at ``p``, uncached."""
-        if p == FULL_PRECISION:
-            if self.full_weights is None:
-                raise ConfigError(
-                    "full-precision weights unavailable: model was loaded without "
-                    "an init seed and cannot serve precision 16")
-            return self.full_weights[name].astype(np.float64)
-        if p in self.precisions:
-            return dequantize(self.tensors[name], p)
-        raise ContractViolation(f"precision {p} not in declared set {list(self.precisions)}")
+        """Read-only float64 weights of tensor ``name``, or of a layer's fused
+        ``layers.i.wqkv``, at precision ``p``: a lookup in the arrays
+        :meth:`resolved` builds. ``wq``, ``wk`` and ``wv`` are views of ``wqkv``."""
+        self.resolved(p)
+        return self._resolved[p][1][name]
 
     def resolved(self, p: int) -> tuple:
-        """The arrays a forward pass at ``p`` reads, gathered once from :meth:`weights`
-        and :meth:`norm`: ``(embed, layers, final_norm, head)``, a layer being
-        ``(norm_attn, wqkv, wo, norm_mlp, w_up, w_down)``."""
+        """The arrays a forward pass at ``p`` reads, ``(embed, layers, final_norm,
+        head)``, a layer being ``(norm_attn, wqkv, wo, norm_mlp, w_up, w_down)``.
+        The one place a precision's weights are made, on first use at ``p``:
+        each tensor dequantized once (16 reads the real weights), each layer's
+        q|k|v fused into one ``[d, 3d]`` ``wqkv``, and the same arrays kept by
+        name for :meth:`weights`, ``wq``/``wk``/``wv`` as views of ``wqkv``."""
         if p not in self._resolved:
-            layers = tuple(tuple(self.norm(f"layers.{i}.{t}") if t.startswith("norm")
-                                 else self.weights(f"layers.{i}.{t}", p) for t in _LAYER)
-                           for i in range(self.config.n_layers))
-            self._resolved[p] = (self.weights("embed", p), layers, self.norm("final_norm"),
-                                 self.weights("head", p))
-        return self._resolved[p]
+            if p == FULL_PRECISION and self.full_weights is None:
+                raise ConfigError("full-precision weights unavailable: model was loaded "
+                                  "without an init seed and cannot serve precision 16")
+            if p not in self._allowed:
+                raise ContractViolation(
+                    f"precision {p} not in declared set {list(self.precisions)}")
+            def read(name: str) -> np.ndarray:
+                return (self.full_weights[name].astype(np.float64) if p == FULL_PRECISION
+                        else dequantize(self.tensors[name], p))
+            # q, k and v are read as they are fused, so one layer's are alive at a time
+            named = {name: _readonly(read(name)) for name in self.tensors
+                     if name.rpartition(".")[2] not in _QKV}
+            d, layers = self.config.d_model, []
+            for i in range(self.config.n_layers):
+                parts = [f"layers.{i}.{t}" for t in _QKV]
+                wqkv = named[f"layers.{i}.wqkv"] = _readonly(
+                    np.concatenate([read(name) for name in parts], 1))
+                for j, name in enumerate(parts):
+                    named[name] = wqkv[:, j * d : (j + 1) * d]
+                layers.append(tuple(self.norms[f"layers.{i}.{t}"] if t.startswith("norm")
+                                    else named[f"layers.{i}.{t}"] for t in _LAYER))
+            self._resolved[p] = ((named["embed"], tuple(layers), self.norms["final_norm"],
+                                  named["head"]), named)
+        return self._resolved[p][0]
 
     def save(self, path) -> None:
         meta = {
@@ -328,13 +323,16 @@ class KVCache:
 # forward pass
 # ---------------------------------------------------------------------------
 
-def _rmsnorm(x: np.ndarray, gain: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+_EPS = 1e-6  # RMSNorm's epsilon
+
+
+def _rmsnorm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     # np.mean is this reduce followed by this divide, minus its wrapper's cost;
     # one row's scale is one float, the same bits: IEEE / and sqrt round
     # correctly in numpy and in math alike
     if x.ndim == 1:
-        return x / math.sqrt(float(np.add.reduce(x * x)) / len(x) + eps) * gain
-    rms = np.sqrt(np.add.reduce(x * x, -1, keepdims=True) / x.shape[-1] + eps)
+        return x / math.sqrt(float(np.add.reduce(x * x)) / len(x) + _EPS) * gain
+    rms = np.sqrt(np.add.reduce(x * x, -1, keepdims=True) / x.shape[-1] + _EPS)
     return x / rms * gain
 
 
@@ -342,10 +340,10 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.maximum.reduce(x, axis, keepdims=True)
+def _softmax(x: np.ndarray) -> np.ndarray:
+    shifted = x - np.maximum.reduce(x, -1, keepdims=True)
     e = np.exp(shifted)
-    return e / np.add.reduce(e, axis, keepdims=True)
+    return e / np.add.reduce(e, -1, keepdims=True)
 
 
 def _rope_tables(cfg: ModelConfig):
@@ -431,9 +429,9 @@ def _mlp(x: np.ndarray, norm_mlp, w_up, w_down) -> np.ndarray:
     return x + (_silu(u[..., : len(w_down)]) * u[..., len(w_down) :]) @ w_down
 
 
-def _step(model: ModelVariants, p: int, token, cache: KVCache, r: int) -> np.ndarray:
-    """Append one position to cache row ``r`` for id ``token`` at weight
-    precision ``p``; returns its logits ``[vocab]``.
+def _step(model: ModelVariants, p: int, token, cache: KVCache, r: int, T0: int) -> np.ndarray:
+    """Append position ``T0``, the length of cache row ``r``, to that row for id
+    ``token`` at weight precision ``p``; returns its logits ``[vocab]``.
 
     The one-row decode step, straight-line and bit-identical to a row of
     :func:`_decode`: the embedding and RoPE rows are basic slices, each
@@ -441,10 +439,6 @@ def _step(model: ModelVariants, p: int, token, cache: KVCache, r: int) -> np.nda
     whose contiguous ``[2, H, dh]`` q|k is rotated in one go, and every
     vector stays 1-D, so RMSNorm's scale is one float.
     """
-    T0 = int(cache.lengths[r])
-    if T0 < 1:
-        raise InputError("decode_step requires a prefilled cache")
-    _check(model, p, (token,), cache, T0 + 1)
     embed, layers, final_norm, head = model.resolved(p)
     H, dh, d = model.config.n_heads, model.config.d_head, model.config.d_model
     x = embed[token]
@@ -461,10 +455,10 @@ def _step(model: ModelVariants, p: int, token, cache: KVCache, r: int) -> np.nda
 
 
 def _decode(model: ModelVariants, p: int, tokens, cache: KVCache,
-            rows: Sequence[int]) -> np.ndarray:
-    """Append one position to each of two or more cache rows ``rows[j]``
-    (strictly increasing) for id ``tokens[j]`` at weight precision ``p``;
-    returns their logits ``[b, vocab]``.
+            rows: Sequence[int], starts: Sequence[int]) -> np.ndarray:
+    """Append position ``starts[j]``, its length, to each of two or more cache
+    rows ``rows[j]`` (strictly increasing) for id ``tokens[j]`` at weight
+    precision ``p``; returns their logits ``[b, vocab]``.
 
     Each row gets exactly the arithmetic of a one-row step (:func:`_step`),
     so a batch of rows is bit-identical to running them one by one. The
@@ -478,10 +472,6 @@ def _decode(model: ModelVariants, p: int, tokens, cache: KVCache,
     past a row's length reaches the result.
     """
     b = len(rows)
-    starts = [int(cache.lengths[r]) for r in rows]
-    if min(starts) < 1:
-        raise InputError("decode_step requires a prefilled cache")
-    _check(model, p, tokens, cache, max(starts) + 1)
     # runs of adjacent rows at equal length: batch indices [j0, j1), first row, length
     cuts = [j for j in range(1, b) if (rows[j] - rows[j - 1], starts[j]) != (1, starts[j - 1])]
     runs = [(j0, j1, rows[j0], starts[j0]) for j0, j1 in zip([0, *cuts], [*cuts, b])]
@@ -569,8 +559,10 @@ def decode_step(model: ModelVariants, p: int, tokens: Sequence[int], cache: KVCa
     """One autoregressive step of the cache rows ``rows`` (strictly
     increasing), row ``rows[j]`` consuming id ``tokens[j]``; appends one
     position per layer to each and returns their logits ``[len(rows), vocab]``.
-    One row runs the straight-line :func:`_step`, two or more the lockstep
-    :func:`_decode`; a row's bits are the same in both."""
+    The decode path's one gate: it refuses a malformed call, an unprefilled row
+    and what :func:`_check` refuses, then runs one row through the straight-line
+    :func:`_step`, two or more through the lockstep :func:`_decode`, which only
+    compute; a row's bits are the same in both."""
     if np.ndim(tokens) != 1:
         raise InputError(f"decode_step takes a sequence of token ids, got {tokens!r}")
     # at least one row, the rows strictly increasing, each one of the cache's
@@ -579,9 +571,13 @@ def decode_step(model: ModelVariants, p: int, tokens: Sequence[int], cache: KVCa
         raise InputError(f"{len(tokens)} tokens for rows {list(rows)} of a {len(cache.lengths)}"
                          "-row cache: one token per row, at least one row, the rows strictly "
                          "increasing")
+    starts = [int(cache.lengths[r]) for r in rows]
+    if min(starts) < 1:
+        raise InputError("decode_step requires a prefilled cache")
+    _check(model, p, tokens, cache, max(starts) + 1)
     if len(rows) > 1:
-        return _decode(model, p, tokens, cache, rows)
-    return _step(model, p, tokens[0], cache, rows[0])[None]
+        return _decode(model, p, tokens, cache, rows, starts)
+    return _step(model, p, tokens[0], cache, rows[0], starts[0])[None]
 
 
 def forward_full(model: ModelVariants, p: int, tokens: Sequence[int]) -> np.ndarray:
@@ -804,7 +800,7 @@ def decode_schedules(model: ModelVariants, prompts: Sequence[Sequence[int]],
     call is exact row by row (see :func:`_decode`), so each trace is
     bit-identical to a walk of its prompt and schedule alone. A prompt whose
     ``len(prompt) + max_new - 1`` positions exceed ``max_context`` is refused
-    before the first prefill, EOS or not.
+    before the first prefill, EOS or not, and so is an empty prompt.
     Each row samples from its own sampler stream, but the stream is not
     forked, so only a greedy sampler may walk more than one schedule.
 
@@ -823,6 +819,9 @@ def decode_schedules(model: ModelVariants, prompts: Sequence[Sequence[int]],
     if need > model.config.max_context:
         raise InputError(f"the longest prompt and max_new {max_new} need {need} positions, "
                          f"more than max_context {model.config.max_context}")
+    for j, prompt in enumerate(prompts):
+        if len(prompt) == 0:
+            raise InputError(f"prompt {j} is empty: decoding starts from a prompt token")
     groups: dict[int, list[int]] = {}
     for i, scheduler in enumerate(schedulers):
         groups.setdefault(scheduler.p_prefill, []).append(i)

@@ -45,7 +45,7 @@ def _naive_forward(model, p, tokens, cache):
     """The forward pass written out as the bitwise reference for all three
     kernels, ``tinylm._extend`` (``prefill``, ``forward_full``) and ``tinylm._step``
     and ``tinylm._decode`` (``decode_step``): one sequence, every matrix read through
-    ``model.weights(name, p)`` and every gain through ``model.norm(name)`` at
+    ``model.weights(name, p)`` and every gain through ``model.norms[name]`` at
     its use, the RoPE tables computed for the call's positions, and
     ``np.mean``/``np.max``/``np.sum``. Extends ``cache`` (a
     :class:`NaiveCache`) and returns the logits of every new position."""
@@ -53,7 +53,7 @@ def _naive_forward(model, p, tokens, cache):
     n, T0, H, dh = len(tokens), cache.T, cfg.n_heads, cfg.d_head
 
     def rmsnorm(x, name):
-        return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6) * model.norm(name)
+        return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + 1e-6) * model.norms[name]
 
     def rope(x):
         inv_freq = cfg.rope_theta ** (-np.arange(0, dh, 2) / dh)

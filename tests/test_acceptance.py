@@ -12,7 +12,7 @@ import numpy as np
 
 from pmpd import cli, learnsched, metrics, perf, quant, schedule, tinylm
 from pmpd.learnsched import LabeledExample, SchedulerNet, TrainConfig, train
-from pmpd.perf import FP16, HardwareConfig, ModelFootprint
+from pmpd.perf import HardwareConfig, ModelFootprint
 from pmpd.schedule import (FixedScheduler, PrecisionSchedule, QualityTarget,
                            StaticScheduler, SwitchGrid, avg_bitwidth,
                            count_schedules, enumerate_switch_maps, solve_static)
@@ -207,10 +207,10 @@ def test_criterion_10_perf_model_rooflines():
     with criterion(10, "roofline speedups: 16/b ratio, 7B bracket, mobile tokens/s"):
         # (a) pure bandwidth regime: speedup of b-bit vs 16-bit is 16/b within 1%
         bw_only = HardwareConfig(1 << 40, 1e9, 32e9)
-        fp = ModelFootprint(10**9, 4 * 10**8, 10**7, 24, 196608, group_size=1 << 40)
-        t16 = perf.decode_token_latency(fp, FP16, bw_only, include_kv=False)
+        fp = ModelFootprint(10**9, 4 * 10**8, 10**7, 24, 0, group_size=1 << 40)  # no KV
+        t16 = perf.decode_token_latency(fp, FULL_PRECISION, bw_only)
         for b in (2, 3, 4, 8):
-            tb = perf.decode_token_latency(fp, b, bw_only, include_kv=False)
+            tb = perf.decode_token_latency(fp, b, bw_only)
             assert abs(t16 / tb - 16 / b) / (16 / b) < 0.01
 
         # (b) 7B-scale footprint on the 16K-MAC device: 3-bit prefill with a

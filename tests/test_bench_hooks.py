@@ -92,6 +92,27 @@ def test_tracer_sees_every_prefill_and_decode_step_of_a_lockstep_call(monkeypatc
     assert all(t.termination == "length" for row in traces for t in row)
 
 
+def test_the_benchmark_warm_up_leaves_no_dequantization_to_its_requests(monkeypatch,
+                                                                         tmp_path):
+    # set_up reads every tensor at every precision, so all dequantization is
+    # timed in setup_s: after it no forward pass may dequantize, or that cost
+    # would land in the first request's ttft_ms
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import workloads
+
+    model = workloads.set_up(workloads.SMOKE, tmp_path).model
+
+    def dequantize(*args):
+        raise AssertionError("dequantized after the warm-up")
+
+    monkeypatch.setattr(tinylm, "dequantize", dequantize)
+    monkeypatch.setattr(quant, "dequantize", dequantize)
+    for p in sorted(model.allowed_precisions()):
+        model.resolved(p)
+        _, cache = tinylm.prefill(model, p, list(b"The river"))
+        tinylm.decode_step(model, p, [65], cache, [0])
+
+
 def test_the_benchmark_smoke_run_checks_every_output_without_a_failure():
     # every workload at tiny size, untraced and traced, through the calls
     # benchmarks/workloads.py makes and the tracer's wrap points. Failures

@@ -8,6 +8,7 @@ import pytest
 
 from pmpd import cli, learnsched, perf, tinylm
 from pmpd.errors import FormatError, InputError
+from pmpd.quant import FULL_PRECISION
 from pmpd.schedule import FixedScheduler, PrecisionSchedule, SwitchGrid
 from pmpd.util import read_json
 
@@ -326,6 +327,16 @@ def test_generate_rejects_a_temperature_that_is_not_positive(tmp_path, monkeypat
     assert not Path("t.json").exists()
 
 
+def test_generate_refuses_an_empty_prompt_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    quantize("model.pmpd")
+    code = run(["generate", "--model", "model.pmpd", "--prompt", "", "--fixed-precision", "3",
+                "--max-new", "4", "--out", "t.json"])
+    assert code == cli.EXIT_INPUT_ERROR
+    assert "prompt 0 is empty" in capsys.readouterr().err
+    assert not Path("t.json").exists()
+
+
 NON_FINITE_FLOORS = {
     "q-ref-nan": ["calibrate-phase", "--q-ref", "nan", "--tolerance", "0.1", "--max-new", "4"],
     "tolerance-nan": ["calibrate-phase", "--q-ref", "0.3", "--tolerance", "nan",
@@ -445,6 +456,26 @@ def test_no_overlap_applies_to_a_hardware_file(tmp_path, monkeypatch):
     assert file["report"]["total_s"] > overlap["report"]["total_s"]
 
 
+def test_no_kv_traffic_prices_the_footprint_with_no_kv_bytes(tmp_path, monkeypatch):
+    # the flag is the footprint setting kv_bytes_per_token 0: report and --csv
+    # rows equal a footprint file's that says so, and the payload echoes the
+    # footprint as given
+    monkeypatch.chdir(tmp_path)
+    given = perf.FOOTPRINT_PRESETS["vicuna-7b"].to_json()
+    Path("f.json").write_text(json.dumps({**given, "kv_bytes_per_token": 0}))
+    source = ["--fixed-precision", "3", "--prompt-len", "512", "--gen-len", "24"]
+    assert run(["perf", "--preset", "vicuna-7b", "--no-kv-traffic", *source,
+                "--csv", "flag.csv", "--out", "flag.json"]) == 0
+    assert run(["perf", "--footprint", "f.json", *source,
+                "--csv", "file.csv", "--out", "file.json"]) == 0
+    assert run(["perf", "--preset", "vicuna-7b", *source, "--out", "kv.json"]) == 0
+    flag, file, kv = (read_json(n) for n in ("flag.json", "file.json", "kv.json"))
+    assert flag["report"] == file["report"]
+    assert Path("flag.csv").read_text() == Path("file.csv").read_text()
+    assert flag["footprint"] == given and file["footprint"]["kv_bytes_per_token"] == 0
+    assert flag["report"]["total_s"] < kv["report"]["total_s"]
+
+
 def test_perf_with_gpu_kernels_and_csv(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     Path("sched.json").write_text(json.dumps(
@@ -465,7 +496,7 @@ def test_perf_with_gpu_kernels_and_csv(tmp_path, monkeypatch):
     fp, hw = perf.FOOTPRINT_PRESETS["vicuna-7b"], perf.NPU_16K
     schemes = {"pmpd": PrecisionSchedule.two_phase(3, 2, 40, 100, p_prefill=3),
                "uniform-high": PrecisionSchedule.constant(3, 100),
-               "fp16": PrecisionSchedule.constant(perf.FP16, 100)}
+               "fp16": PrecisionSchedule.constant(FULL_PRECISION, 100)}
     assert list(rows) == list(schemes)
     for name, sched in schemes.items():
         r = perf.pipeline_perf(fp, sched, hw, 128, 100)

@@ -1,10 +1,12 @@
+import dataclasses
+
 import pytest
 
 from pmpd import perf
 from pmpd.errors import ConfigError, InputError
-from pmpd.perf import (FP16, HardwareConfig, ModelFootprint, decode_token_latency,
+from pmpd.perf import (HardwareConfig, ModelFootprint, decode_token_latency,
                        pipeline_perf, prefill_latency, weighted_gpu_latency)
-from pmpd.quant import PrecisionSet
+from pmpd.quant import FULL_PRECISION, PrecisionSet
 from pmpd.schedule import PrecisionSchedule
 
 # bandwidth-only device: compute is effectively free
@@ -12,18 +14,20 @@ BW_ONLY = HardwareConfig(mac_units=1 << 40, clock_hz=1e9, mem_bw_bytes_per_s=32e
 NO_SCALES = ModelFootprint(attn_params=10**9, mlp_params=4 * 10**8,
                            embed_params=0, n_layers=24,
                            kv_bytes_per_token=196608, group_size=1 << 40)
+# the same weights with no KV traffic
+NO_KV = dataclasses.replace(NO_SCALES, kv_bytes_per_token=0)
 
 
 def test_memory_bound_speedup_is_bit_ratio():
-    t16 = decode_token_latency(NO_SCALES, FP16, BW_ONLY, include_kv=False)
-    t2 = decode_token_latency(NO_SCALES, 2, BW_ONLY, include_kv=False)
+    t16 = decode_token_latency(NO_KV, FULL_PRECISION, BW_ONLY)
+    t2 = decode_token_latency(NO_KV, 2, BW_ONLY)
     assert t16 / t2 == pytest.approx(8.0, rel=1e-9)
 
 
 def test_memory_bound_tokens_per_second():
     # 1.4e9 parameters at 2 bits over 32 GB/s: 0.35 GB/token
     fp = ModelFootprint(14 * 10**8, 0, 0, 24, 196608, group_size=1 << 40)
-    t = decode_token_latency(fp, 2, BW_ONLY, include_kv=False)
+    t = decode_token_latency(dataclasses.replace(fp, kv_bytes_per_token=0), 2, BW_ONLY)
     assert 1.0 / t == pytest.approx(32e9 / 0.35e9, rel=1e-9)
     assert 1.0 / t == pytest.approx(91.4, rel=0.01)
 
@@ -31,7 +35,7 @@ def test_memory_bound_tokens_per_second():
 def test_scale_bytes_count_toward_weight_traffic():
     fp = ModelFootprint(64 * 10**6, 0, 0, 8, 1024, group_size=64)
     assert fp.weight_bytes(2) == 64e6 * (2 / 8) + 8 * 64e6 / 64
-    assert fp.weight_bytes(FP16) == 64e6 * 2.0  # fp16 carries no scales
+    assert fp.weight_bytes(FULL_PRECISION) == 64e6 * 2.0  # fp16 carries no scales
 
 
 def test_roofline_bounds_and_overlap_modes():
@@ -49,15 +53,15 @@ def test_roofline_bounds_and_overlap_modes():
 def test_latency_monotone_in_precision():
     hw = HardwareConfig(4096, 1e9, 32e9)
     fp = perf.FOOTPRINT_PRESETS["vicuna-7b"]
-    lats = [decode_token_latency(fp, p, hw, kv_tokens=100) for p in (2, 3, 4, 8, FP16)]
+    lats = [decode_token_latency(fp, p, hw, kv_tokens=100) for p in (2, 3, 4, 8, FULL_PRECISION)]
     assert all(a < b for a, b in zip(lats, lats[1:]))
 
 
 def test_bandwidth_doubling_halves_memory_bound_latency():
-    fp = NO_SCALES
+    fp = NO_KV
     hw2 = HardwareConfig(BW_ONLY.mac_units, BW_ONLY.clock_hz, 64e9)
-    a = decode_token_latency(fp, 3, BW_ONLY, include_kv=False)
-    b = decode_token_latency(fp, 3, hw2, include_kv=False)
+    a = decode_token_latency(fp, 3, BW_ONLY)
+    b = decode_token_latency(fp, 3, hw2)
     assert a / b == pytest.approx(2.0, rel=1e-12)
 
 
@@ -78,7 +82,7 @@ def test_prefill_of_one_token_equals_decode_formula():
 
 def test_fp16_self_speedup_is_one():
     fp = perf.FOOTPRINT_PRESETS["vicuna-7b"]
-    sched = PrecisionSchedule.constant(FP16, 64)
+    sched = PrecisionSchedule.constant(FULL_PRECISION, 64)
     report = pipeline_perf(fp, sched, perf.NPU_16K, 128, 64)
     assert report.speedup_vs_fp16 == 1.0
 

@@ -1,5 +1,7 @@
 """README.md names real code: every backticked module or class attribute it
-cites resolves on the package, and its library example runs."""
+cites resolves on the package, every command and flag it cites is one the
+command line declares, and its library example runs."""
+import argparse
 import os
 import re
 import subprocess
@@ -14,6 +16,10 @@ README = (ROOT / "README.md").read_text(encoding="utf-8")
 # `module.name` or `Class.name` at the start of a backticked span
 CITED = re.compile(r"`(quant|tinylm|schedule|learnsched|metrics|perf|cli|util|KVCache"
                    r"|ModelVariants|PrecisionSchedule|BitPlaneStore)\.(\w+)")
+# `pmpd <subcommand>` at the start of a command line or a backticked span
+COMMAND = re.compile(r"(?:^|`)pmpd ([a-z][\w-]*)", re.M)
+FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+NOT_PMPD = {"--no-build-isolation"}  # pip's
 
 
 def test_every_cited_module_and_class_attribute_resolves():
@@ -22,6 +28,16 @@ def test_every_cited_module_and_class_attribute_resolves():
     missing = [f"{owner}.{name}" for owner, name in cited
                if not hasattr(getattr(pmpd, owner), name)]
     assert missing == []
+
+
+def test_every_cited_command_and_flag_is_declared():
+    (subparsers,) = [a for a in pmpd.cli.build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    commands = subparsers.choices
+    cited = set(COMMAND.findall(README))
+    assert cited and cited <= commands.keys()
+    declared = {flag for sub in commands.values() for flag in sub._option_string_actions}
+    assert set(FLAG.findall(README)) - NOT_PMPD - declared == set()
 
 
 def test_the_library_example_runs():

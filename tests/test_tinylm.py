@@ -157,12 +157,12 @@ def test_stacked_products_and_batched_attention_are_batch_invariant(toy_model, B
     kv[:, :, :T] = rng.normal(size=(2, B, T, d))
     K, V = (a[:, :T].reshape(B, T, H, dh) for a in kv)
     scores = np.einsum("bnhd,bthd->bhnt", q, K)
-    attn = tinylm._softmax(scores, axis=-1)
+    attn = tinylm._softmax(scores)
     ctx = np.einsum("bhnt,bthd->bnhd", attn, V)
     for b in range(B):
         k_row, v_row = (np.ascontiguousarray(a[b, :T]).reshape(T, H, dh) for a in kv)
         assert scores[b].tobytes() == np.einsum("nhd,thd->hnt", q[b], k_row).tobytes()
-        assert attn[b].tobytes() == tinylm._softmax(scores[b], axis=-1).tobytes()
+        assert attn[b].tobytes() == tinylm._softmax(scores[b]).tobytes()
         assert ctx[b].tobytes() == np.einsum("hnt,thd->nhd", attn[b], v_row).tobytes()
 
 
@@ -382,7 +382,7 @@ def test_attention_rows_sum_to_one():
     # the causal mask of a prefill: position i sees keys 0..i only
     scores = np.random.default_rng(0).normal(0.0, 10.0, (2, 6, 6))
     seen = np.tril(np.ones((6, 6), dtype=bool))
-    attn = tinylm._softmax(np.where(seen[None], scores, -np.inf), axis=-1)
+    attn = tinylm._softmax(np.where(seen[None], scores, -np.inf))
     assert np.all(attn[:, ~seen] == 0.0)
     assert np.all(np.abs(attn.sum(axis=-1) - 1.0) < 1e-12)
 
@@ -642,6 +642,17 @@ def test_a_request_that_cannot_fit_is_refused_before_any_prefill(small_model, mo
     assert calls == []
 
 
+def test_an_empty_prompt_is_refused_by_its_index_before_any_prefill(small_model, monkeypatch):
+    # it was refused by the first prefill, in the kernel's words about its cache
+    def prefill(*args):
+        raise AssertionError("a prompt was prefilled before the empty one was refused")
+
+    monkeypatch.setattr(tinylm, "prefill", prefill)
+    with pytest.raises(InputError, match="prompt 1 is empty"):
+        tinylm.decode_schedules(small_model, [PROMPT, [], PROMPT], [FixedScheduler(4)],
+                                max_new=4)
+
+
 def test_a_request_of_exactly_max_context_decodes_to_the_last_position(small_model,
                                                                         monkeypatch):
     calls = counting_prefills(monkeypatch)
@@ -843,19 +854,19 @@ def test_weights_are_one_readonly_array_per_tensor_and_precision():
 
 
 def test_resolved_tuple_holds_the_cached_weight_arrays():
-    # no second float64 copy: every entry is the array weights()/norm() hold
+    # no second float64 copy: every entry is the array weights() or norms hold
     cfg = ModelConfig(n_layers=2, n_heads=2, d_model=64, d_ff=128, max_context=64)
     model = tinylm.ModelVariants.from_random(cfg, quant.PrecisionSet((4, 3, 2)), seed=9)
     for p in (4, 3, 2, FULL_PRECISION):
         embed, layers, final_norm, head = model.resolved(p)
         assert model.resolved(p)[1] is layers and len(layers) == cfg.n_layers
         assert embed is model.weights("embed", p) and head is model.weights("head", p)
-        assert final_norm is model.norm("final_norm")
+        assert final_norm is model.norms["final_norm"]
         for i, layer in enumerate(layers):
             names = ("norm_attn", "wqkv", "wo", "norm_mlp", "w_up", "w_down")
             for name, arr in zip(names, layer, strict=True):
                 name = f"layers.{i}.{name}"
-                assert arr is (model.norm(name) if "norm" in name else model.weights(name, p))
+                assert arr is (model.norms[name] if "norm" in name else model.weights(name, p))
 
 
 def test_q_k_v_are_views_of_one_fused_array_and_add_no_bytes(toy_model):
